@@ -38,6 +38,7 @@ from .energymodel import (
     generation_gap,
     gflops_per_watt,
     predict,
+    records_by_key,
 )
 from .errors import CnnergyError
 from .multigpu import (
@@ -52,9 +53,9 @@ from .powertrace import (
     Region,
     generate_synthetic_trace,
     integrate,
+    integrate_many,
     load_regions,
     load_trace,
-    scale_energy,
 )
 from .tuner import (
     ConfigReport,
@@ -106,6 +107,7 @@ __all__ = [
     "hetero_step_time",
     "infer_shapes",
     "integrate",
+    "integrate_many",
     "load_regions",
     "load_trace",
     "memory_feasible",
@@ -114,8 +116,8 @@ __all__ = [
     "predict",
     "rank",
     "recommend",
+    "records_by_key",
     "ring_allreduce_time",
-    "scale_energy",
     "score",
     "split_batch",
     "__version__",

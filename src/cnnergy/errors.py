@@ -71,6 +71,10 @@ class InsufficientSamplesError(CnnergyError):
     """Too few samples to integrate over the requested region."""
 
 
+class TraceTooLargeError(CnnergyError):
+    """A requested synthetic trace exceeds the sample-count limit."""
+
+
 # --- bundled/user data files --------------------------------------------------
 
 class DataFormatError(CnnergyError):

@@ -4,7 +4,8 @@ A trace is a time-ordered series of per-channel wattage samples (one channel
 per sensed supply rail). Regions are labeled [t_start, t_end) intervals from
 a sidecar file; integrating a region yields joules per channel and in total,
 via the trapezoidal rule with linear interpolation at region boundaries —
-exact for constant and piecewise-linear signals.
+exact for constant and piecewise-linear signals. All regions of a trace are
+integrated in one pass over a cumulative trapezoid of every channel.
 
 A synthetic generator builds traces from piecewise power profiles so the
 whole pipeline is testable without sensor hardware. At a power discontinuity
@@ -15,16 +16,19 @@ the trapezoidal integral of a step profile exact.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ChannelCountMismatchError,
+    CnnergyError,
     EmptyRegionError,
     InsufficientSamplesError,
     NonMonotoneTimeError,
     TraceFormatError,
+    TraceTooLargeError,
 )
 
 REGION_LABELS = frozenset({"forward", "backward", "update", "load", "other"})
@@ -35,6 +39,11 @@ DEFAULT_CHANNEL_LABELS = (
     "pcie_12v", "pcie_3v3",
     "ext12v_1", "ext12v_2", "ext12v_3", "ext12v_4", "ext12v_5", "ext12v_6",
 )
+
+#: Largest synthetic trace, in samples x channels, that
+#: :func:`generate_synthetic_trace` will build: 400 MB of float64 watts, or
+#: about 1.7 hours of 8 channels at 1 kHz.
+MAX_SYNTHETIC_VALUES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -153,20 +162,42 @@ def parse_trace(source) -> PowerTrace:
         raise TraceFormatError(f"trace header must be t_s,<label>_w,...; got {lines[0]!r}")
     labels = tuple(c[:-2] for c in header[1:])
     n_cols = len(header)
-    times, watts = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n_cols:
+    rows = lines[1:]
+    try:
+        data = _parse_rows(rows) if rows else np.empty((0, n_cols))
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != n_cols:
+        _raise_first_bad_row(rows, n_cols)
+    return PowerTrace.build(labels, data[:, 0], data[:, 1:])
+
+
+def _parse_rows(rows) -> np.ndarray:
+    """Comma-separated numbers, one row per string, in one numpy pass.
+
+    Cells may be padded with whitespace and may read ``inf`` or ``nan``
+    (:meth:`PowerTrace.build` rejects those); unlike ``float()``, digit
+    separators (``1_0``) and non-ASCII digits are rejected.
+    """
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+def _raise_first_bad_row(rows, n_cols: int):
+    """Raise the error of the first row :func:`_parse_rows` cannot read.
+
+    Line numbers count the header as line 1 and skip blank lines.
+    """
+    for lineno, line in enumerate(rows, start=2):
+        n_cells = line.count(",") + 1
+        if n_cells != n_cols:
             raise ChannelCountMismatchError(
-                f"line {lineno}: expected {n_cols} columns, got {len(cells)}"
+                f"line {lineno}: expected {n_cols} columns, got {n_cells}"
             )
         try:
-            row = [float(c) for c in cells]
+            _parse_rows([line])
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-numeric cell in {line!r}") from None
-        times.append(row[0])
-        watts.append(row[1:])
-    return PowerTrace.build(labels, times, watts)
+    raise TraceFormatError("trace rows could not be read")
 
 
 def load_trace(path) -> PowerTrace:
@@ -197,69 +228,66 @@ def load_regions(path) -> list[Region]:
         return parse_regions(fh)
 
 
-def integrate(trace: PowerTrace, region: Region) -> EnergyResult:
-    """Trapezoidal energy over ``region``, clipped to the trace's span.
+def integrate_many(trace: PowerTrace, regions) -> list[EnergyResult | CnnergyError]:
+    """Trapezoidal energy over each region, clipped to the trace's span.
 
     Channel readings at the (clipped) region boundaries are linearly
     interpolated; joules_total is the per-channel sum and mean_watts is
     joules_total over the clipped duration.
 
+    One pass builds the cumulative trapezoid integral of every channel. Each
+    clipped region end is then found by binary search and completed with its
+    interpolated partial segment, so N samples x C channels and R regions
+    cost O(N*C + R*log N).
+
+    Returns one entry per region, in order: its :class:`EnergyResult`, or
+    the :class:`InsufficientSamplesError` (trace has fewer than 2 samples)
+    or :class:`EmptyRegionError` (region does not overlap the trace span)
+    it failed with.
+    """
+    regions = list(regions)
+    if trace.n_samples < 2:
+        return [InsufficientSamplesError("need at least 2 samples to integrate")
+                for _ in regions]
+    t, w = trace.times, trace.watts
+    cumulative = np.zeros_like(w)
+    np.cumsum(np.diff(t)[:, None] * (w[1:] + w[:-1]) / 2.0, axis=0, out=cumulative[1:])
+
+    n = len(regions)
+    bounds = np.array([(r.t_start, r.t_end) for r in regions], dtype=float).reshape(n, 2)
+    ends = np.clip(bounds, t[0], t[-1]).T.ravel()  # every clipped start, then every end
+    j = np.clip(np.searchsorted(t, ends, side="right") - 1, 0, t.shape[0] - 2)
+    into = ends - t[j]
+    w_end = w[j] + (w[j + 1] - w[j]) * (into / (t[j + 1] - t[j]))[:, None]
+    energy = cumulative[j] + into[:, None] * (w[j] + w_end) / 2.0
+    joules = energy[n:] - energy[:n]
+
+    results = []
+    for region, lo, hi, per_channel in zip(regions, ends[:n].tolist(), ends[n:].tolist(),
+                                           joules.tolist()):
+        if not (lo < hi):
+            results.append(EmptyRegionError(
+                f"region {region.id!r} [{region.t_start}, {region.t_end}] does not overlap "
+                f"trace span [{trace.t_start}, {trace.t_end}]"
+            ))
+            continue
+        total = float(sum(per_channel))
+        duration = hi - lo
+        results.append(EnergyResult(total, tuple(per_channel), duration, total / duration))
+    return results
+
+
+def integrate(trace: PowerTrace, region: Region) -> EnergyResult:
+    """:func:`integrate_many` for one region.
+
     Raises:
         InsufficientSamplesError: trace has fewer than 2 samples.
         EmptyRegionError: region does not overlap the trace span.
     """
-    if trace.n_samples < 2:
-        raise InsufficientSamplesError("need at least 2 samples to integrate")
-    lo = max(region.t_start, trace.t_start)
-    hi = min(region.t_end, trace.t_end)
-    if not (lo < hi):
-        raise EmptyRegionError(
-            f"region {region.id!r} [{region.t_start}, {region.t_end}] does not overlap "
-            f"trace span [{trace.t_start}, {trace.t_end}]"
-        )
-    t = trace.times
-    inner = (t > lo) & (t < hi)
-    grid = np.concatenate(([lo], t[inner], [hi]))
-    joules = []
-    for ch in range(trace.n_channels):
-        w = np.interp(grid, t, trace.watts[:, ch])
-        joules.append(float(np.trapezoid(w, grid)))
-    total = float(sum(joules))
-    duration = hi - lo
-    return EnergyResult(total, tuple(joules), duration, total / duration)
-
-
-def scale_energy(e: EnergyResult | None = None, gpu_count: int = 1,
-                 heterogeneous_pairs=None) -> EnergyResult:
-    """Scale measured energy from one GPU to a whole device set.
-
-    Homogeneous case: joules multiply by ``gpu_count`` (duration unchanged).
-    Heterogeneous case: pass ``heterogeneous_pairs`` as (count, EnergyResult)
-    pairs; joules are count-weighted sums across the groups and the duration
-    is the slowest group's (the set advances at the pace of its slowest
-    member).
-    """
-    if heterogeneous_pairs is not None:
-        pairs = list(heterogeneous_pairs)
-        if e is not None or not pairs:
-            raise ValueError("pass either one EnergyResult or heterogeneous_pairs, not both")
-        n_ch = len(pairs[0][1].joules_per_channel)
-        if any(len(r.joules_per_channel) != n_ch for _, r in pairs):
-            raise ChannelCountMismatchError("heterogeneous results have differing channel counts")
-        per_channel = tuple(
-            float(sum(count * r.joules_per_channel[ch] for count, r in pairs))
-            for ch in range(n_ch)
-        )
-        total = float(sum(per_channel))
-        duration = max(r.duration for _, r in pairs)
-        return EnergyResult(total, per_channel, duration, total / duration)
-    if e is None:
-        raise ValueError("an EnergyResult is required")
-    if gpu_count < 1:
-        raise ValueError(f"gpu_count must be >= 1, got {gpu_count}")
-    per_channel = tuple(j * gpu_count for j in e.joules_per_channel)
-    total = e.joules_total * gpu_count
-    return EnergyResult(total, per_channel, e.duration, total / e.duration)
+    (result,) = integrate_many(trace, [region])
+    if isinstance(result, CnnergyError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +307,8 @@ class SegmentSpec:
     end_watts: float | None = None
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("segment duration must be > 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("segment duration must be finite and > 0")
         if self.start_watts < 0 or (self.end_watts is not None and self.end_watts < 0):
             raise ValueError("segment watts must be >= 0")
 
@@ -314,35 +342,40 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
     segs = list(segments)
     if not segs:
         raise ValueError("at least one segment is required")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be > 0")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError("sample_rate must be finite and > 0")
     if channels < 1:
         raise ValueError("channels must be >= 1")
+    dt = 1.0 / sample_rate
+    # Upper bound on the sample count: each segment has its junction sample
+    # and fewer than duration / dt + 1 interior ones, plus the final sample.
+    seconds = sum(seg.duration_s for seg in segs)
+    if (seconds / dt + 2 * len(segs) + 1) * channels > MAX_SYNTHETIC_VALUES:
+        raise TraceTooLargeError(
+            f"a trace of {seconds:g} s at {sample_rate:g} Hz x {channels} channels "
+            f"exceeds the limit of {MAX_SYNTHETIC_VALUES} samples x channels"
+        )
     chan_labels = tuple(labels) if labels is not None else default_labels(channels)
     if len(chan_labels) != channels:
         raise ChannelCountMismatchError(
             f"{len(chan_labels)} labels for {channels} channels"
         )
-    dt = 1.0 / sample_rate
-    times: list[float] = []
-    totals: list[float] = []
+    times, totals = [], []
     t0 = 0.0
     for i, seg in enumerate(segs):
         # Junction sample at the segment start: midpoint across an abrupt
         # power step, the shared value otherwise.
         prev_end = segs[i - 1].final_watts if i > 0 else seg.start_watts
-        times.append(t0)
-        totals.append((prev_end + seg.start_watts) / 2.0)
-        k = 1
-        while k * dt < seg.duration_s - 1e-12:
-            times.append(t0 + k * dt)
-            totals.append(seg.value_at(k * dt))
-            k += 1
+        # Interior samples: every k >= 1 with k*dt < duration - 1e-12.
+        limit = seg.duration_s - 1e-12
+        offsets = np.arange(1, max(math.ceil(limit / dt), 0) + 2) * dt
+        offsets = offsets[offsets < limit]
+        times += [[t0], t0 + offsets]
+        totals += [[(prev_end + seg.start_watts) / 2.0],
+                   np.broadcast_to(seg.value_at(offsets), offsets.shape)]
         t0 += seg.duration_s
-    times.append(t0)
-    totals.append(segs[-1].final_watts)
-    t_arr = np.asarray(times)
-    per_channel = np.asarray(totals)[:, None] / channels
+    t_arr = np.concatenate(times + [[t0]])
+    per_channel = np.concatenate(totals + [[segs[-1].final_watts]])[:, None] / channels
     watts = np.repeat(per_channel, channels, axis=1)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -354,13 +387,20 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
 # CSV emission
 # ---------------------------------------------------------------------------
 
+#: Rows formatted per ``%`` operation by :func:`trace_csv`, which bounds the
+#: Python floats alive at once.
+_CSV_BLOCK_ROWS = 4096
+
+
 def trace_csv(trace: PowerTrace) -> str:
     """Serialize a trace (timestamps keep 9 significant digits, watts 6)."""
     out = io.StringIO()
     out.write("t_s," + ",".join(f"{l}_w" for l in trace.channel_labels) + "\n")
-    for i in range(trace.n_samples):
-        row = ",".join(f"{w:.6g}" for w in trace.watts[i])
-        out.write(f"{trace.times[i]:.9g},{row}\n")
+    row = "%.9g" + ",%.6g" * trace.n_channels + "\n"
+    values = np.column_stack((trace.times, trace.watts))
+    for start in range(0, trace.n_samples, _CSV_BLOCK_ROWS):
+        block = values[start:start + _CSV_BLOCK_ROWS]
+        out.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
     return out.getvalue()
 
 
@@ -371,11 +411,10 @@ def region_results_csv(trace: PowerTrace, regions) -> str:
     per_channel = ",".join(f"{l}_j" for l in trace.channel_labels)
     out.write(f"id,label,duration_s,joules_total,mean_watts,{per_channel},error\n")
     blank = "," * (trace.n_channels + 2)
-    for region in regions:
-        try:
-            r = integrate(trace, region)
-        except (EmptyRegionError, InsufficientSamplesError) as exc:
-            out.write(f"{region.id},{region.label},{blank},{type(exc).__name__}\n")
+    regions = list(regions)
+    for region, r in zip(regions, integrate_many(trace, regions)):
+        if isinstance(r, CnnergyError):
+            out.write(f"{region.id},{region.label},{blank},{type(r).__name__}\n")
             continue
         channel_cells = ",".join(f"{j:.6g}" for j in r.joules_per_channel)
         out.write(f"{region.id},{region.label},{r.duration:.6g},{r.joules_total:.6g},"

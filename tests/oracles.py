@@ -61,3 +61,86 @@ def affine_fit_closed_form(xs, ys):
 def trapezoid_segment_energy(w_start, w_end, duration):
     """Exact integral of a linearly varying power segment."""
     return 0.5 * (w_start + w_end) * duration
+
+
+# ---------------------------------------------------------------------------
+# Power traces: the straightforward per-line, per-region, per-sample versions
+# ---------------------------------------------------------------------------
+
+def parse_trace_rows_reference(text):
+    """Trace CSV read line by line with ``float()``.
+
+    Returns ``(labels, times, watts)`` for ``PowerTrace.build``; raises
+    ``ChannelCountMismatchError``/``TraceFormatError`` naming the first bad
+    line, counting the header as line 1 and skipping blank lines.
+    """
+    from cnnergy.errors import ChannelCountMismatchError, TraceFormatError
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise TraceFormatError("empty trace file")
+    header = [c.strip() for c in lines[0].split(",")]
+    if len(header) < 2 or header[0] != "t_s" or not all(c.endswith("_w") for c in header[1:]):
+        raise TraceFormatError(f"trace header must be t_s,<label>_w,...; got {lines[0]!r}")
+    labels = tuple(c[:-2] for c in header[1:])
+    n_cols = len(header)
+    times, watts = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            raise ChannelCountMismatchError(
+                f"line {lineno}: expected {n_cols} columns, got {len(cells)}"
+            )
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: non-numeric cell in {line!r}") from None
+        times.append(row[0])
+        watts.append(row[1:])
+    return labels, times, watts
+
+
+def trace_csv_reference(trace):
+    """Trace CSV written one f-string per cell."""
+    out = [("t_s," + ",".join(f"{l}_w" for l in trace.channel_labels) + "\n")]
+    for i in range(trace.n_samples):
+        row = ",".join(f"{w:.6g}" for w in trace.watts[i])
+        out.append(f"{trace.times[i]:.9g},{row}\n")
+    return "".join(out)
+
+
+def trapezoid_region_reference(times, watts, lo, hi):
+    """Joules per channel over [lo, hi] (inside the trace span): the samples
+    strictly inside plus both ends interpolated, summed segment by segment."""
+    import numpy as np
+
+    inner = (times > lo) & (times < hi)
+    grid = np.concatenate(([lo], times[inner], [hi]))
+    joules = []
+    for ch in range(watts.shape[1]):
+        w = np.interp(grid, times, watts[:, ch])
+        joules.append(float(np.sum(np.diff(grid) * (w[1:] + w[:-1]) / 2.0)))
+    return joules
+
+
+def synthetic_samples_reference(segments, sample_rate):
+    """Sample times and total watts of a piecewise profile, one sample per
+    loop step: a junction sample per segment start, interior samples at
+    k/sample_rate while short of the segment end by more than 1e-12 s, and
+    the final level at the end."""
+    dt = 1.0 / sample_rate
+    times, totals = [], []
+    t0 = 0.0
+    for i, seg in enumerate(segments):
+        prev_end = segments[i - 1].final_watts if i > 0 else seg.start_watts
+        times.append(t0)
+        totals.append((prev_end + seg.start_watts) / 2.0)
+        k = 1
+        while k * dt < seg.duration_s - 1e-12:
+            times.append(t0 + k * dt)
+            totals.append(seg.value_at(k * dt))
+            k += 1
+        t0 += seg.duration_s
+    times.append(t0)
+    totals.append(segments[-1].final_watts)
+    return times, totals

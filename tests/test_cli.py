@@ -149,6 +149,12 @@ def test_gen_trace_bad_segment_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_gen_trace_over_the_size_cap_exits_2(capsys):
+    code, out, err = run(["gen-trace", "--segments", "100:1e9", "--rate", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate / predict
 # ---------------------------------------------------------------------------

@@ -199,6 +199,11 @@ def test_set_energy_weighted_sum():
     assert total == pytest.approx(2 * 4.322 + 2 * 6.350)
 
 
+def test_set_energy_homogeneous_scales_by_count():
+    assert set_energy({"pascal": 4.322}, GpuSet.homogeneous("pascal", 3)) == pytest.approx(
+        3 * 4.322)
+
+
 def test_set_energy_missing_device():
     s = GpuSet((("pascal", 2), ("maxwell", 2)))
     with pytest.raises(MissingDeviceError):

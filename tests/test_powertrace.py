@@ -1,5 +1,8 @@
 """Power-trace parsing, trapezoidal integration, and synthetic traces."""
 import io
+import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,23 +15,32 @@ from cnnergy.errors import (
     InsufficientSamplesError,
     NonMonotoneTimeError,
     TraceFormatError,
+    TraceTooLargeError,
 )
+from cnnergy import powertrace
 from cnnergy.powertrace import (
     DEFAULT_CHANNEL_LABELS,
+    EnergyResult,
     PowerTrace,
     Region,
     SegmentSpec,
     default_labels,
     generate_synthetic_trace,
     integrate,
+    integrate_many,
     parse_regions,
     parse_trace,
     region_results_csv,
-    scale_energy,
     trace_csv,
 )
 
-from oracles import trapezoid_segment_energy
+from oracles import (
+    parse_trace_rows_reference,
+    synthetic_samples_reference,
+    trace_csv_reference,
+    trapezoid_region_reference,
+    trapezoid_segment_energy,
+)
 
 
 def flat_trace(watts=100.0, t_end=2.0, channels=2, n=5):
@@ -133,6 +145,9 @@ def test_integrate_needs_two_samples():
     trace = PowerTrace.build(["a"], [1.0], [[5.0]])
     with pytest.raises(InsufficientSamplesError):
         integrate(trace, Region("r", "forward", 0.0, 2.0))
+    results = integrate_many(trace, [Region("r", "forward", 0.0, 2.0),
+                                     Region("s", "other", 5.0, 6.0)])
+    assert [type(r) for r in results] == [InsufficientSamplesError] * 2
 
 
 def test_integrate_additivity_on_split():
@@ -141,6 +156,65 @@ def test_integrate_additivity_on_split():
     left = integrate(trace, Region("r", "forward", 0.2, 1.3)).joules_total
     right = integrate(trace, Region("r", "forward", 1.3, 2.8)).joules_total
     assert left + right == pytest.approx(whole, rel=1e-12)
+
+
+@st.composite
+def traces_and_regions(draw):
+    n = draw(st.integers(2, 30))
+    channels = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
+    t0 = draw(st.floats(-5.0, 5.0))
+    times = t0 + np.concatenate(([0.0], np.cumsum(steps)))
+    watts = np.array(draw(st.lists(st.floats(0.0, 400.0), min_size=n * channels,
+                                   max_size=n * channels))).reshape(n, channels)
+    trace = PowerTrace.build([f"c{i}" for i in range(channels)], times, watts)
+    span = trace.t_end - trace.t_start
+    ends = st.floats(trace.t_start - span, trace.t_end + span)
+    pairs = draw(st.lists(st.tuples(ends, st.floats(1e-6, 2 * span)), max_size=12))
+    regions = [Region(f"r{i}", "forward", a, a + length)
+               for i, (a, length) in enumerate(pairs) if a < a + length]
+    return trace, regions
+
+
+@given(traces_and_regions())
+@settings(max_examples=150, deadline=None)
+def test_integrate_many_matches_per_region_integrate_and_reference(case):
+    trace, regions = case
+    results = integrate_many(trace, regions)
+    assert len(results) == len(regions)
+    for region, got in zip(regions, results):
+        lo, hi = max(region.t_start, trace.t_start), min(region.t_end, trace.t_end)
+        if not lo < hi:
+            assert isinstance(got, EmptyRegionError)
+            with pytest.raises(EmptyRegionError):
+                integrate(trace, region)
+            continue
+        assert got == integrate(trace, region)
+        want = trapezoid_region_reference(trace.times, trace.watts, lo, hi)
+        assert got.duration == hi - lo
+        assert got.joules_per_channel == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert got.joules_total == pytest.approx(sum(want), rel=1e-9, abs=1e-9)
+
+
+def test_integrate_many_short_regions_late_in_long_trace():
+    # The cumulative integral reaches ~1e5 J per channel here while each
+    # region holds ~0.3 J, so a prefix-sum difference cancels about 6 digits;
+    # 1e-8 relative still leaves a 1000x margin over double rounding.
+    rng = np.random.default_rng(2024)
+    n, channels = 600_000, 8
+    times = np.arange(n) / 1000.0
+    trace = PowerTrace.build([f"c{i}" for i in range(channels)], times,
+                             rng.uniform(0.0, 300.0, (n, channels)))
+    starts = rng.uniform(trace.t_end - 1.0, trace.t_end - 0.01, 50)
+    regions = [Region(f"r{i}", "forward", a, a + rng.uniform(0.0015, 0.0025))
+               for i, a in enumerate(starts)]
+    for region, got in zip(regions, integrate_many(trace, regions)):
+        first, last = np.searchsorted(times, [region.t_start, region.t_end])
+        around = slice(first - 1, last + 1)
+        want = trapezoid_region_reference(trace.times[around], trace.watts[around],
+                                          region.t_start, region.t_end)
+        assert got.joules_per_channel == pytest.approx(want, rel=1e-8)
+        assert got.joules_total == pytest.approx(sum(want), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +242,85 @@ def test_parse_trace_validates_header_and_rows():
         parse_trace(io.StringIO("t_s,ch1_w\n0,1,2\n"))  # extra cell
 
 
+def _outcome(parse):
+    """(labels, times, watts) of a parse, or its error class and line number."""
+    try:
+        trace = parse()
+    except (ChannelCountMismatchError, TraceFormatError, NonMonotoneTimeError) as exc:
+        line = re.match(r"line (\d+):", str(exc))
+        return type(exc), line and int(line.group(1))
+    return trace.channel_labels, trace.times.tolist(), trace.watts.tolist()
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(0.0, 1e6).map(repr),
+    st.integers(0, 10**6).map(str),
+    st.floats(0.0, 1e6).map(lambda x: f"{x:.3e}"),
+    st.sampled_from(["0", "+1", ".5", "5.", "1E3", "inf", "-inf", "nan", "Infinity"]),
+)
+BAD_CELLS = st.sampled_from(["", "#", "# 1", "1#", "abc", "1 2", "1e", "0x10", "--1", "n/a"])
+PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace CSV that is mostly valid: increasing times, numeric cells, with
+    padded cells, blank and whitespace-only lines, CRLF endings, and some
+    wrong column counts and non-numeric cells."""
+    n_cols = draw(st.integers(2, 4))
+    header = ",".join(["t_s"] + [f"ch{i}_w" for i in range(1, n_cols)])
+    lines = [draw(st.sampled_from([header, " " + header.replace(",", " , "), "t_s,x"]))]
+    for k in range(draw(st.integers(0, 8))):
+        width = n_cols if draw(st.integers(0, 9)) else draw(st.integers(1, n_cols + 2))
+        cells = [f"{k * 0.5!r}"] + [draw(NUMBER_CELLS) for _ in range(width - 1)]
+        if not draw(st.integers(0, 9)):
+            cells[draw(st.integers(0, width - 1))] = draw(BAD_CELLS)
+        lines.append(",".join(draw(PADDING) + c + draw(PADDING) for c in cells))
+        if not draw(st.integers(0, 4)):
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(trace_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_trace_matches_line_by_line_parser(text):
+    want = _outcome(lambda: PowerTrace.build(*parse_trace_rows_reference(text)))
+    assert _outcome(lambda: parse_trace(text)) == want
+
+
+def test_parse_trace_rejects_what_only_float_accepts():
+    # The one intended difference from float(): numpy reads neither digit
+    # separators nor non-ASCII digits.
+    for cell in ("1_0", "\u0661"):
+        text = f"t_s,a_w\n0,1\n1,{cell}\n"
+        assert PowerTrace.build(*parse_trace_rows_reference(text)).watts[1, 0] > 0
+        with pytest.raises(TraceFormatError, match="^line 3: non-numeric"):
+            parse_trace(text)
+
+
 def test_parse_trace_strips_watt_suffix():
     trace = parse_trace(io.StringIO("t_s,pcie_12v_w,ext12v_1_w\n0,1,2\n1,3,4\n"))
     assert trace.channel_labels == ("pcie_12v", "ext12v_1")
+
+
+@given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=20, unique=True),
+       st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_trace_csv_matches_cell_by_cell_emitter(times, channels, data):
+    watts = data.draw(st.lists(
+        st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, -0.0, 5e-324, 123456.5])),
+        min_size=len(times) * channels, max_size=len(times) * channels))
+    trace = PowerTrace.build([f"c{i}" for i in range(channels)], sorted(times),
+                             np.reshape(watts, (len(times), channels)))
+    assert trace_csv(trace) == trace_csv_reference(trace)
+
+
+def test_trace_csv_matches_cell_by_cell_emitter_across_blocks():
+    trace = generate_synthetic_trace([SegmentSpec(9.0, 50.0, 250.0)], sample_rate=997.3,
+                                     channels=3, noise_sigma=2.0, seed=5)
+    assert trace.n_samples > 2 * powertrace._CSV_BLOCK_ROWS
+    assert trace_csv(trace) == trace_csv_reference(trace)
 
 
 def test_parse_regions():
@@ -199,46 +349,6 @@ def test_region_results_csv_reports_failures_in_place():
     assert ok[-1] == ""
     assert late[-1] == "EmptyRegionError"
     assert late[3] == ""
-
-
-# ---------------------------------------------------------------------------
-# Energy scaling across GPU sets
-# ---------------------------------------------------------------------------
-
-def test_scale_energy_homogeneous():
-    trace = flat_trace(watts=100.0, t_end=2.0)
-    e = integrate(trace, Region("r", "forward", 0.0, 2.0))
-    doubled = scale_energy(e, gpu_count=2)
-    assert doubled.joules_total == pytest.approx(2 * e.joules_total)
-    assert doubled.duration == e.duration
-    assert doubled.joules_per_channel[0] == pytest.approx(2 * e.joules_per_channel[0])
-
-
-def test_scale_energy_heterogeneous_weighted_sum():
-    trace_a = flat_trace(watts=100.0, t_end=1.0)
-    trace_b = flat_trace(watts=60.0, t_end=2.0)
-    e_a = integrate(trace_a, Region("r", "forward", 0.0, 1.0))   # 100 J
-    e_b = integrate(trace_b, Region("r", "forward", 0.0, 2.0))   # 120 J
-    combined = scale_energy(heterogeneous_pairs=[(2, e_a), (2, e_b)])
-    assert combined.joules_total == pytest.approx(2 * 100 + 2 * 120)
-    assert combined.duration == pytest.approx(2.0)  # slowest group's span
-
-
-def test_scale_energy_channel_mismatch():
-    e1 = integrate(flat_trace(channels=2), Region("r", "forward", 0.0, 2.0))
-    e3 = integrate(flat_trace(channels=3), Region("r", "forward", 0.0, 2.0))
-    with pytest.raises(ChannelCountMismatchError):
-        scale_energy(heterogeneous_pairs=[(1, e1), (1, e3)])
-
-
-def test_scale_energy_argument_validation():
-    e = integrate(flat_trace(), Region("r", "forward", 0.0, 2.0))
-    with pytest.raises(ValueError):
-        scale_energy()
-    with pytest.raises(ValueError):
-        scale_energy(e, heterogeneous_pairs=[(1, e)])
-    with pytest.raises(ValueError):
-        scale_energy(e, gpu_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +399,52 @@ def test_synthetic_rejects_bad_segments():
     with pytest.raises(ValueError):
         SegmentSpec(1.0, -1.0)
     with pytest.raises(ValueError):
+        SegmentSpec(math.inf, 100.0)
+    with pytest.raises(ValueError):
+        SegmentSpec(math.nan, 100.0)
+    with pytest.raises(ValueError):
         generate_synthetic_trace([])
+    with pytest.raises(ValueError):
+        generate_synthetic_trace([SegmentSpec(1.0, 1.0)], sample_rate=math.inf)
+
+
+@given(st.lists(st.tuples(st.floats(1e-4, 0.5), st.floats(0.0, 300.0),
+                          st.one_of(st.none(), st.floats(0.0, 300.0))),
+                min_size=1, max_size=4),
+       st.sampled_from([1.0, 3.0, 100.0, 997.3, 1000.0, 4096.0]))
+@settings(max_examples=150, deadline=None)
+def test_synthetic_samples_match_loop_reference(parts, rate):
+    segments = [SegmentSpec(*p) for p in parts]
+    times, totals = synthetic_samples_reference(segments, rate)
+    trace = generate_synthetic_trace(segments, sample_rate=rate, channels=2)
+    assert trace.times.tolist() == times
+    assert trace.watts.tolist() == [[w / 2] * 2 for w in totals]
+
+
+def test_synthetic_size_cap_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceTooLargeError, match="exceeds the limit"):
+            generate_synthetic_trace([SegmentSpec(1e12, 100.0)], sample_rate=1000.0)
+        with pytest.raises(TraceTooLargeError):
+            generate_synthetic_trace([SegmentSpec(0.01, 100.0)], channels=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_synthetic_size_cap_bounds_the_sample_count(monkeypatch):
+    # 0.1 s at 1 kHz holds 101 samples (the junction, 99 interior, the
+    # final one); the check admits it against duration x rate + 2 per segment
+    # + 1 = 103 samples, so before any sample exists.
+    monkeypatch.setattr(powertrace, "MAX_SYNTHETIC_VALUES", 2 * 103)
+    trace = generate_synthetic_trace([SegmentSpec(0.1, 10.0)], channels=2)
+    assert trace.n_samples == 101
+    with pytest.raises(TraceTooLargeError):
+        generate_synthetic_trace([SegmentSpec(0.1, 10.0)], channels=3)
+    with pytest.raises(TraceTooLargeError):
+        generate_synthetic_trace([SegmentSpec(0.1005, 10.0)], channels=2)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
