@@ -7,7 +7,13 @@ batch-size models over bundled measurements (:mod:`cnnergy.energymodel`),
 extends per-device step costs to multi-GPU sets
 (:mod:`cnnergy.multigpu`), and ranks training configurations by time,
 energy, or energy-delay product (:mod:`cnnergy.tuner`).
+
+:mod:`cnnergy.powertrace` and its exports load on first access, so that
+importing the package, and every command but ``integrate``, ``gen-trace``
+and ``calibrate``, leaves numpy unloaded.
 """
+import importlib
+
 from .arch import (
     BUILTIN_NETWORK_NAMES,
     LayerSpec,
@@ -48,15 +54,6 @@ from .multigpu import (
     ring_allreduce_time,
     split_batch,
 )
-from .powertrace import (
-    PowerTrace,
-    Region,
-    generate_synthetic_trace,
-    integrate,
-    integrate_many,
-    load_regions,
-    load_trace,
-)
 from .tuner import (
     ConfigReport,
     TrainingConfig,
@@ -70,6 +67,16 @@ from .tuner import (
 )
 
 __version__ = "0.1.0"
+
+_POWERTRACE_EXPORTS = (
+    "PowerTrace",
+    "Region",
+    "generate_synthetic_trace",
+    "integrate",
+    "integrate_many",
+    "load_regions",
+    "load_trace",
+)
 
 __all__ = [
     "BUILTIN_NETWORK_NAMES",
@@ -122,3 +129,16 @@ __all__ = [
     "split_batch",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # importlib, not ``from . import powertrace``: the latter looks the
+    # submodule up on this package first and would land back here.
+    if name == "powertrace" or name in _POWERTRACE_EXPORTS:
+        powertrace = importlib.import_module(".powertrace", __name__)
+        return powertrace if name == "powertrace" else getattr(powertrace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | {"powertrace", *_POWERTRACE_EXPORTS})

@@ -16,8 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import arch, costmodel, energymodel, powertrace, tuner
-from .errors import CnnergyError, DataFormatError, NothingFeasibleError
+from . import arch, costmodel, energymodel, tuner
+from .errors import CnnergyError, DataFormatError, MissingDeviceError, NothingFeasibleError
 from .multigpu import GpuSet
 
 
@@ -117,10 +117,12 @@ def cmd_analyze(args) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integrate / gen-trace
+# integrate / gen-trace (powertrace, and with it numpy, loads only here)
 # ---------------------------------------------------------------------------
 
 def cmd_integrate(args) -> str:
+    from . import powertrace
+
     trace = powertrace.load_trace(args.trace)
     regions = powertrace.load_regions(args.regions)
     return powertrace.region_results_csv(trace, regions)
@@ -129,6 +131,8 @@ def cmd_integrate(args) -> str:
 def _parse_segments(text: str) -> list[powertrace.SegmentSpec]:
     """``watts:seconds`` for a flat segment, ``start-end:seconds`` for a
     ramp, comma-separated."""
+    from . import powertrace
+
     segments = []
     for part in text.split(","):
         part = part.strip()
@@ -152,6 +156,8 @@ def _parse_segments(text: str) -> list[powertrace.SegmentSpec]:
 
 
 def cmd_gen_trace(args) -> str:
+    from . import powertrace
+
     trace = powertrace.generate_synthetic_trace(
         _parse_segments(args.segments),
         sample_rate=args.rate,
@@ -213,6 +219,9 @@ def _gpu_set_label(gpu_set: GpuSet) -> str:
 def cmd_rank(args) -> str:
     records = energymodel.records_by_key(_load_records(args))
     profiles = energymodel.bundled_devices()
+    if args.device not in profiles:
+        raise MissingDeviceError(f"no bundled device profile named {args.device!r} "
+                                 f"(have: {', '.join(sorted(profiles))})")
     plans = energymodel.bundled_plans()
     configs = tuner.bundled_grid(args.device, plans, networks=args.networks,
                                  batches=args.batches, gpu_counts=args.gpus)

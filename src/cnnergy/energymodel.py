@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
-
-import numpy as np
 
 from .costmodel import CostSummary
 from .errors import (
@@ -53,8 +51,8 @@ class DeviceProfile:
     def __post_init__(self):
         for field in ("cores", "core_freq_mhz", "peak_tflops", "dram_bytes",
                       "bandwidth_bytes_per_s", "tdp_watts"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"DeviceProfile.{field} must be positive")
+            if not 0 < getattr(self, field) < math.inf:
+                raise ValueError(f"DeviceProfile.{field} must be positive and finite")
 
 
 _PROFILE_FIELDS = {
@@ -142,8 +140,8 @@ class MeasurementRecord:
             raise ValueError(f"step must be one of {STEPS}, got {self.step!r}")
         if self.gpus < 1 or self.batch < 1:
             raise ValueError("gpus and batch must be >= 1")
-        if self.seconds_per_batch <= 0 or self.joules_per_batch <= 0:
-            raise ValueError("seconds_per_batch and joules_per_batch must be > 0")
+        if not (0 < self.seconds_per_batch < math.inf and 0 < self.joules_per_batch < math.inf):
+            raise ValueError("seconds_per_batch and joules_per_batch must be finite and > 0")
 
     @property
     def key(self) -> tuple[str, str, str, int, int]:
@@ -287,6 +285,8 @@ class Prediction:
 
 
 def _fit_affine(batches, values) -> tuple[float, float, float, tuple[float, ...]]:
+    import numpy as np  # only fitting needs numpy; keep it off the import path
+
     x = np.asarray(batches, dtype=float)
     y = np.asarray(values, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
@@ -365,14 +365,49 @@ def save_models(models, path) -> None:
         fh.write("\n")
 
 
+_JSON_KINDS = {"str": str, "int": int, "float": float, "tuple[float, ...]": list}
+_MODEL_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(CalibratedModel)}
+
+
+def _json_fits(kind, value) -> bool:
+    """Whether a JSON value can stand for a ``kind`` field of CalibratedModel;
+    a number must be finite, and JSON booleans are not numbers here."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if kind is list:
+        return isinstance(value, list) and all(_json_fits(float, v) for v in value)
+    return isinstance(value, kind)
+
+
 def load_models(path) -> list[CalibratedModel]:
+    """Read models written by :func:`save_models`.
+
+    Raises:
+        DataFormatError: the JSON is not ``{"models": [...]}``, or a model
+            has a missing, unknown or mistyped key (non-finite numbers
+            included); the message names the file and the key.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    entries = payload.get("models") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise DataFormatError(f"{path}: expected an object with a 'models' list")
     models = []
-    for entry in payload["models"]:
-        entry = dict(entry)
-        entry["residuals"] = tuple(entry["residuals"])
-        models.append(CalibratedModel(**entry))
+    for i, entry in enumerate(entries):
+        where = f"{path}: models[{i}]"
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{where}: expected an object")
+        for key in entry:
+            if key not in _MODEL_FIELDS:
+                raise DataFormatError(f"{where}: unknown key {key!r}")
+        for key, kind in _MODEL_FIELDS.items():
+            if key not in entry:
+                raise DataFormatError(f"{where}: missing key {key!r}")
+            if not _json_fits(kind, entry[key]):
+                raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
+        models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
     return models
 
 

@@ -226,9 +226,39 @@ def test_predict_missing_model_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("payload", [
+    '{"nope": 1}',
+    '{"models": [{"device": "pascal"}]}',
+    '{"models": [{"colour": "red"}]}',
+])
+def test_predict_bad_model_json_exits_2(tmp_path, capsys, payload):
+    model_file = tmp_path / "models.json"
+    model_file.write_text(payload, encoding="utf-8")
+    code, out, err = run(["predict", "--models", str(model_file),
+                          "--device", "pascal", "--network", "net_a",
+                          "--step", "forward", "--gpus", "1", "--batch", "64"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {model_file}: ")
+
+
+def test_calibrate_non_finite_measurement_exits_2(tmp_path, capsys):
+    measurements = tmp_path / "m.csv"
+    measurements.write_text(MEASUREMENTS.replace("0.02,8.0", "nan,8.0"), encoding="utf-8")
+    code, out, err = run(["calibrate", "--measurements", str(measurements)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: ")
+
+
 # ---------------------------------------------------------------------------
 # rank
 # ---------------------------------------------------------------------------
+
+def test_rank_unknown_device_exits_2(capsys):
+    code, out, err = run(["rank", "--bundled", "--device", "foo"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: no bundled device profile named 'foo' (have: maxwell, pascal)\n"
+
 
 def test_rank_bundled_pascal_by_edp(capsys):
     code, out, _ = run(["rank", "--bundled", "--device", "pascal"], capsys)

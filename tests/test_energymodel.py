@@ -1,4 +1,5 @@
 """Device profiles, measurement tables, affine calibration, efficiency."""
+import json
 import math
 
 import pytest
@@ -78,6 +79,11 @@ def test_parse_device_profile_bad_value():
         parse_device_profile(PROFILE_TEXT.replace("cores=1024", "cores=many"))
     with pytest.raises(DataFormatError):
         parse_device_profile(PROFILE_TEXT + "bogus_key=1\n")
+    for key, value in (("core_freq_mhz", "1000"), ("peak_tflops", "5.5"),
+                       ("tdp_watts", "200")):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(DataFormatError, match=f"{key} must be positive and finite"):
+                parse_device_profile(PROFILE_TEXT.replace(f"{key}={value}", f"{key}={bad}"))
 
 
 def test_bundled_devices():
@@ -122,6 +128,10 @@ def test_parse_measurements_validates():
         parse_measurements(good_header + "pascal,x,forward,1,64,fast,1\n")
     with pytest.raises(DataFormatError):
         parse_measurements(good_header + "pascal,x,forward,1,64,-0.1,1\n")
+    for cells in ("nan,1", "0.1,inf", "-inf,1", "0.1,NaN"):
+        with pytest.raises(DataFormatError, match="^line 3: .*finite"):
+            parse_measurements(good_header + "pascal,x,forward,1,64,0.1,1\n"
+                               f"pascal,x,forward,1,128,{cells}\n")
 
 
 def test_bundled_measurements_cover_the_grid():
@@ -349,3 +359,40 @@ def test_generation_gap_on_bundled_tables():
 def test_generation_gap_empty_intersection():
     with pytest.raises(KeyMismatchError):
         generation_gap([record(network="a")], [record(network="b")])
+
+
+def _saved_model_entry(tmp_path):
+    models, _ = calibrate(bundled_measurements(), gpu_counts=(1,))
+    path = tmp_path / "models.json"
+    save_models(models[:1], path)
+    return json.loads(path.read_text(encoding="utf-8"))["models"][0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda e: e.pop("residuals"), "models[0]: missing key 'residuals'"),
+    (lambda e: e.update(colour="red"), "models[0]: unknown key 'colour'"),
+    (lambda e: e.update(slope="steep"), "models[0]: bad value for 'slope': 'steep'"),
+    (lambda e: e.update(intercept=math.nan), "models[0]: bad value for 'intercept': nan"),
+    (lambda e: e.update(residuals=[0.1, None]), "models[0]: bad value for 'residuals'"),
+    (lambda e: e.update(gpus=1.5), "models[0]: bad value for 'gpus': 1.5"),
+    (lambda e: e.update(n_points=True), "models[0]: bad value for 'n_points': True"),
+    (lambda e: e.update(device=7), "models[0]: bad value for 'device': 7"),
+], ids=["no-residuals", "unknown-key", "str-slope", "nan-intercept", "null-residual",
+        "float-gpus", "bool-n-points", "int-device"])
+def test_load_models_names_the_file_and_the_bad_key(tmp_path, edit, message):
+    entry = _saved_model_entry(tmp_path)
+    edit(entry)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"models": [entry]}), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_models(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("payload", [{"nope": 1}, [], {"models": {}}, {"models": [3]}])
+def test_load_models_rejects_other_json_shapes(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_models(path)
+    assert str(info.value).startswith(f"{path}: ")
