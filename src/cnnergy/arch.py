@@ -10,6 +10,7 @@ module consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .errors import (
     ArchSemanticError,
@@ -185,6 +186,27 @@ class ShapedNetwork:
     @property
     def output(self) -> TensorShape:
         return self.per_layer[-1].output if self.per_layer else self.spec.input
+
+    @cached_property
+    def activation_elems(self) -> int:
+        """Sum of every layer's output elements (per-sample activation
+        footprint), computed once per object."""
+        return sum(sl.output.elements for sl in self.per_layer)
+
+    @cached_property
+    def weight_elems(self) -> int:
+        """Total parameter count, computed once per object."""
+        return sum(layer_weight_elems(sl.spec, sl.input) for sl in self.per_layer)
+
+
+def layer_weight_elems(layer: LayerSpec, inp: TensorShape) -> int:
+    """Parameter count of one layer (conv/fc kernels plus conv bias)."""
+    if layer.kind == "conv":
+        n = layer.kernel_w * layer.kernel_h * (inp.channels // layer.groups) * layer.out_channels
+        return n + (layer.out_channels if layer.has_bias else 0)
+    if layer.kind == "fully_connected":
+        return inp.elements * layer.units
+    return 0
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -450,6 +472,13 @@ def builtin_network(name: str, classes: int | None = None) -> NetworkSpec:
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NETWORK_NAMES)}"
         ) from None
     return builder(classes if classes is not None else default_classes)
+
+
+@cache
+def _builtin_shapes(name: str) -> ShapedNetwork:
+    """``infer_shapes(builtin_network(name))``, built once per process; the
+    result is immutable, so every caller shares it."""
+    return infer_shapes(builtin_network(name))
 
 
 # ---------------------------------------------------------------------------

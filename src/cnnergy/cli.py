@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import arch, costmodel, energymodel, tuner
@@ -227,9 +228,7 @@ def cmd_rank(args) -> str:
                                  batches=args.batches, gpu_counts=args.gpus)
     if not configs:
         raise NothingFeasibleError("the requested grid is empty")
-    shapes = {name: arch.infer_shapes(arch.builtin_network(name))
-              for name in {c.network for c in configs}}
-    reports = [tuner.score(c, records, profiles, shaped=shapes[c.network],
+    reports = [tuner.score(c, records, profiles, shaped=arch._builtin_shapes(c.network),
                            update_overhead_pct=args.update_overhead_pct)
                for c in configs]
     ranked = tuner.rank(reports, metric=args.metric)
@@ -337,9 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in this process shares; parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = args.func(args)
     except NothingFeasibleError as exc:

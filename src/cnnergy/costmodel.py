@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .arch import LayerSpec, ShapedNetwork, TensorShape, conv_output_size
+from .arch import LayerSpec, ShapedNetwork, TensorShape, conv_output_size, layer_weight_elems
 from .errors import NonPositiveOutputError, ShapeMismatchError
 
 
@@ -218,16 +218,6 @@ _PHYSICAL_PASSES = {
 }
 
 
-def layer_weight_elems(layer: LayerSpec, inp: TensorShape) -> int:
-    """Parameter count of one layer (conv/fc kernels plus conv bias)."""
-    if layer.kind == "conv":
-        n = layer.kernel_w * layer.kernel_h * (inp.channels // layer.groups) * layer.out_channels
-        return n + (layer.out_channels if layer.has_bias else 0)
-    if layer.kind == "fully_connected":
-        return inp.elements * layer.units
-    return 0
-
-
 def layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
                element_bytes: int = 4, physical: bool = False) -> DataVolume:
     """Elements read and written by one layer on one sample.
@@ -297,12 +287,12 @@ def batch_cost(summary: CostSummary, batch_size: int) -> BatchCost:
 
 def network_weight_elems(shaped: ShapedNetwork) -> int:
     """Total parameter count of the network."""
-    return sum(layer_weight_elems(sl.spec, sl.input) for sl in shaped.per_layer)
+    return shaped.weight_elems
 
 
 def network_output_elems(shaped: ShapedNetwork) -> int:
     """Sum of every layer's output elements (per-sample activation footprint)."""
-    return sum(sl.output.elements for sl in shaped.per_layer)
+    return shaped.activation_elems
 
 
 def cost_csv(summary: CostSummary) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from importlib import resources
 
 from .costmodel import CostSummary
@@ -112,6 +113,13 @@ def bundled_device(name: str) -> DeviceProfile:
 
 
 def bundled_devices() -> dict[str, DeviceProfile]:
+    """Both bundled device profiles by name, read once per process; each call
+    returns a new dict."""
+    return dict(_bundled_devices())
+
+
+@cache
+def _bundled_devices() -> dict[str, DeviceProfile]:
     return {name: bundled_device(name) for name in ("pascal", "maxwell")}
 
 
@@ -178,8 +186,14 @@ def load_measurements(path) -> list[MeasurementRecord]:
 
 
 def bundled_measurements() -> list[MeasurementRecord]:
-    """All bundled per-batch records (two devices, both steps, 1/2/4 GPUs)."""
-    return parse_measurements(_data_text("measurements.csv"))
+    """All bundled per-batch records (two devices, both steps, 1/2/4 GPUs),
+    read once per process; each call returns a new list."""
+    return list(_bundled_measurements())
+
+
+@cache
+def _bundled_measurements() -> tuple[MeasurementRecord, ...]:
+    return tuple(parse_measurements(_data_text("measurements.csv")))
 
 
 def records_by_key(records) -> dict[tuple, MeasurementRecord]:
@@ -212,7 +226,13 @@ class TrainingPlan:
 
 
 def bundled_plans() -> dict[tuple[str, int], TrainingPlan]:
-    """Bundled (network, batch) -> TrainingPlan table."""
+    """Bundled (network, batch) -> TrainingPlan table, read once per process;
+    each call returns a new dict."""
+    return dict(_bundled_plans())
+
+
+@cache
+def _bundled_plans() -> dict[tuple[str, int], TrainingPlan]:
     lines = [ln for ln in _data_text("iterations.csv").splitlines() if ln.strip()]
     if lines[0].strip() != "network,batch,iterations,epochs":
         raise DataFormatError("iterations header must be network,batch,iterations,epochs")

@@ -10,6 +10,7 @@ exposed below a compute-to-traffic ratio of 15, both configurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costmodel import network_weight_elems
@@ -39,12 +40,16 @@ class GpuSet:
         object.__setattr__(self, "members", tuple((str(n), int(c)) for n, c in self.members))
         if any(count < 0 for _, count in self.members):
             raise ValueError("member counts must be >= 0")
+        names = [name for name, _ in self.members]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"members: device {name!r} is listed more than once")
         if self.total_gpus < 1:
             raise ValueError("a GpuSet needs at least one GPU")
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be > 0")
-        if self.link_latency < 0:
-            raise ValueError("link_latency must be >= 0")
+        if not 0 < self.link_bandwidth < math.inf:
+            raise ValueError("link_bandwidth must be finite and > 0")
+        if not 0 <= self.link_latency < math.inf:
+            raise ValueError("link_latency must be finite and >= 0")
 
     @classmethod
     def homogeneous(cls, device: str, count: int, **link) -> "GpuSet":

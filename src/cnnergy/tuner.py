@@ -12,10 +12,11 @@ optional percentage adjustment covers it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .arch import ShapedNetwork, builtin_network, infer_shapes
+from .arch import ShapedNetwork, _builtin_shapes
 from .costmodel import network_output_elems, network_weight_elems
 from .energymodel import (
     DeviceProfile,
@@ -181,14 +182,21 @@ def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | Non
     slowest member's forward+backward and per-batch energy is the
     count-weighted member sum.
 
+    ``shaped`` defaults to the built-in network named by the config.
+    ``update_overhead_pct`` must be finite and > -100.
+
     Raises:
         NoDataForConfigError: neither records nor models cover the config.
+        DataFormatError: ``update_overhead_pct`` is out of range.
     """
+    if not -100.0 < update_overhead_pct < math.inf:
+        raise DataFormatError("update_overhead_pct (--update-overhead-pct) must be finite "
+                              f"and > -100, got {update_overhead_pct!r}")
     if records and not hasattr(records, "get"):
         from .energymodel import records_by_key
         records = records_by_key(records)
     if shaped is None:
-        shaped = infer_shapes(builtin_network(config.network))
+        shaped = _builtin_shapes(config.network)
     sub_batch = split_batch(config.batch, config.gpu_set.total_gpus)
     for name in config.gpu_set.device_names:
         estimate = memory_feasible(shaped, sub_batch, profiles[name], element_bytes)

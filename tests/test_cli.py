@@ -277,6 +277,14 @@ def test_rank_bundled_pascal_by_edp(capsys):
                for ln in lines)
 
 
+@pytest.mark.parametrize("pct", ["nan", "inf", "-inf", "-100", "-1000"])
+def test_rank_bad_update_overhead_exits_2(pct, capsys):
+    code, out, err = run(["rank", "--bundled", "--device", "pascal",
+                          f"--update-overhead-pct={pct}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: update_overhead_pct (--update-overhead-pct) must be finite")
+
+
 def test_rank_nothing_feasible_exits_3(capsys):
     code, out, err = run(["rank", "--bundled", "--device", "pascal",
                           "--networks", "resnet_im", "--batches", "256",

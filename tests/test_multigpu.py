@@ -59,6 +59,13 @@ def test_gpu_set_validation():
         GpuSet((("pascal", 1),), link_bandwidth=0.0)
     with pytest.raises(ValueError):
         GpuSet((("pascal", 1),), link_latency=-1e-6)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="link_bandwidth"):
+            GpuSet((("pascal", 1),), link_bandwidth=bad)
+        with pytest.raises(ValueError, match="link_latency"):
+            GpuSet((("pascal", 1),), link_latency=bad)
+    with pytest.raises(ValueError, match="members: device 'pascal'"):
+        GpuSet((("pascal", 2), ("maxwell", 1), ("pascal", 0)))
 
 
 def test_parse_emit_gpu_set_round_trip():
@@ -84,6 +91,19 @@ def test_parse_gpu_set_defaults_link_parameters():
 ])
 def test_parse_gpu_set_rejects_malformed(text):
     with pytest.raises(DataFormatError):
+        parse_gpu_set(text)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("members=pascal:1\nlink_bandwidth=nan", "link_bandwidth"),
+    ("members=pascal:1\nlink_bandwidth=inf", "link_bandwidth"),
+    ("members=pascal:1\nlink_latency=nan", "link_latency"),
+    ("members=pascal:1\nlink_latency=inf", "link_latency"),
+    ("members=pascal:2,pascal:2", "members"),
+    ("members=pascal:2,maxwell:2,pascal:1", "members"),
+])
+def test_parse_gpu_set_rejects_non_finite_links_and_duplicate_members(text, key):
+    with pytest.raises(DataFormatError, match=f"^{key}"):
         parse_gpu_set(text)
 
 

@@ -171,6 +171,15 @@ def test_score_update_overhead_scales_both_totals():
     assert padded.total_joules == pytest.approx(base.total_joules * 1.1, rel=1e-12)
     assert padded.edp_joule_seconds == pytest.approx(
         base.edp_joule_seconds * 1.1 ** 2, rel=1e-12)
+    halved = score(cfg, RECORDS, PROFILES, update_overhead_pct=-50.0)
+    assert halved.total_seconds == pytest.approx(base.total_seconds / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("pct", [float("nan"), float("inf"), float("-inf"), -100.0, -150.0])
+def test_score_rejects_non_finite_or_too_negative_update_overhead(pct):
+    cfg = config("two_d_cnn", 128, gpus=1)
+    with pytest.raises(DataFormatError, match="--update-overhead-pct"):
+        score(cfg, RECORDS, PROFILES, update_overhead_pct=pct)
 
 
 def linear_records(batches=(32, 64, 128), gpus=1):
