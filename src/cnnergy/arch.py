@@ -37,12 +37,6 @@ LAYER_KINDS = frozenset({
 #: local_response_norm keeps its window purely for op accounting.
 KERNEL_KINDS = frozenset({"conv", "pool", "local_response_norm"})
 
-#: Kinds whose output shape equals their input shape.
-SHAPE_PRESERVING_KINDS = frozenset({
-    "relu", "dropout", "batch_norm", "softmax", "residual_sum",
-    "local_response_norm",
-})
-
 BUILTIN_NETWORK_NAMES = ("two_d_cnn", "resnet_gait", "caffenet", "resnet_im")
 
 GAIT_CLASSES = 155
@@ -227,13 +221,51 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
+def layer_output(layer: LayerSpec, inp: TensorShape) -> TensorShape:
+    """Output shape of ``layer`` applied to an ``inp``-shaped tensor.
+
+    This is the only place the geometry of a layer is worked out. conv and
+    pool slide their window (:func:`conv_output_size`), fully_connected
+    yields ``1x1xunits``, and every other kind keeps its input's shape.
+    A residual_sum's second addend is not checked here (see
+    :func:`infer_shapes`). Each error message names the layer once.
+
+    Raises:
+        NonPositiveOutputError: a kernel is larger than its padded input.
+        GroupMismatchError: conv groups do not divide both channel counts.
+        ShapeConflictError: a softmax ``units`` does not match its input
+            channels.
+    """
+    if layer.kind == "conv" and (inp.channels % layer.groups or layer.out_channels % layer.groups):
+        raise GroupMismatchError(
+            f"layer {layer.name!r}: groups={layer.groups} does not divide "
+            f"channels {inp.channels}->{layer.out_channels}"
+        )
+    if layer.kind in ("conv", "pool"):
+        try:
+            width = conv_output_size(inp.width, layer.kernel_w, layer.stride, layer.padding)
+            height = conv_output_size(inp.height, layer.kernel_h, layer.stride, layer.padding)
+        except NonPositiveOutputError as exc:
+            raise NonPositiveOutputError(f"layer {layer.name!r}: {exc}") from None
+        return TensorShape(width, height,
+                           layer.out_channels if layer.kind == "conv" else inp.channels)
+    if layer.kind == "fully_connected":
+        return TensorShape(1, 1, layer.units)
+    if layer.kind == "softmax" and layer.units is not None and layer.units != inp.channels:
+        raise ShapeConflictError(
+            f"softmax {layer.name!r} has units={layer.units} but its input "
+            f"carries {inp.channels} channels"
+        )
+    return inp
+
+
 def infer_shapes(net: NetworkSpec) -> ShapedNetwork:
     """Propagate the input shape through every layer of ``net``.
 
     Returns a :class:`ShapedNetwork` whose ``per_layer[i].output`` equals
-    ``per_layer[i+1].input``. residual_sum layers take the running tensor
-    plus the output of the layer named by their ``skip`` field; both must
-    have the same shape.
+    ``per_layer[i+1].input``; each output is :func:`layer_output`'s.
+    residual_sum layers take the running tensor plus the output of the
+    layer named by their ``skip`` field; both must have the same shape.
 
     Raises:
         NonPositiveOutputError: a kernel is larger than its padded input.
@@ -246,33 +278,7 @@ def infer_shapes(net: NetworkSpec) -> ShapedNetwork:
     shaped: list[ShapedLayer] = []
     for layer in net.layers:
         inp = current
-        if layer.kind == "conv":
-            if inp.channels % layer.groups != 0 or layer.out_channels % layer.groups != 0:
-                raise GroupMismatchError(
-                    f"layer {layer.name!r}: groups={layer.groups} does not divide "
-                    f"channels {inp.channels}->{layer.out_channels}"
-                )
-            out = TensorShape(
-                conv_output_size(inp.width, layer.kernel_w, layer.stride, layer.padding),
-                conv_output_size(inp.height, layer.kernel_h, layer.stride, layer.padding),
-                layer.out_channels,
-            )
-        elif layer.kind == "pool":
-            out = TensorShape(
-                conv_output_size(inp.width, layer.kernel_w, layer.stride, layer.padding),
-                conv_output_size(inp.height, layer.kernel_h, layer.stride, layer.padding),
-                inp.channels,
-            )
-        elif layer.kind == "fully_connected":
-            out = TensorShape(1, 1, layer.units)
-        elif layer.kind == "softmax":
-            if layer.units is not None and layer.units != inp.channels:
-                raise ShapeConflictError(
-                    f"softmax {layer.name!r} has units={layer.units} but its input "
-                    f"carries {inp.channels} channels"
-                )
-            out = inp
-        elif layer.kind == "residual_sum":
+        if layer.kind == "residual_sum":
             if layer.skip is None:
                 raise ShapeConflictError(
                     f"residual_sum {layer.name!r} needs skip=<layer> to name its second input"
@@ -288,9 +294,7 @@ def infer_shapes(net: NetworkSpec) -> ShapedNetwork:
                     f"residual_sum {layer.name!r}: inputs {inp} and {other} (from "
                     f"{layer.skip!r}) differ"
                 )
-            out = inp
-        else:  # relu, dropout, batch_norm, local_response_norm
-            out = inp
+        out = layer_output(layer, inp)
         shaped.append(ShapedLayer(layer, inp, out))
         outputs[layer.name] = out
         current = out

@@ -67,45 +67,19 @@ def _int_list(text: str) -> tuple[int, ...]:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _scaled_summary(summary: costmodel.CostSummary, batch: int) -> costmodel.CostSummary:
-    per_layer = []
-    for row in summary.per_layer:
-        o = row.ops
-        ops = costmodel.OpCount(
-            macc=o.macc * batch, max_ops=o.max_ops * batch,
-            add_div=o.add_div * batch, exp_add_div=o.exp_add_div * batch,
-            mul01=o.mul01 * batch, bias_add=o.bias_add * batch,
-        )
-        data = costmodel.DataVolume(
-            read_elems=row.data.read_elems * batch,
-            written_elems=row.data.written_elems * batch,
-            element_bytes=row.data.element_bytes,
-        )
-        per_layer.append(costmodel.LayerCost(row.name, row.kind, ops, data))
-    return costmodel.CostSummary(
-        per_layer=tuple(per_layer),
-        total_ops=summary.total_ops * batch,
-        total_read_elems=summary.total_read_elems * batch,
-        total_written_elems=summary.total_written_elems * batch,
-        element_bytes=summary.element_bytes,
-        ctc=summary.ctc,
-    )
-
-
 def cmd_analyze(args) -> str:
     if args.builtin:
-        net = arch.builtin_network(args.builtin)
+        shaped = arch._builtin_shapes(args.builtin)
     else:
         text = Path(args.arch).read_text(encoding="utf-8")
-        net = arch.parse_network(text, name=Path(args.arch).stem)
-    shaped = arch.infer_shapes(net)
+        shaped = arch.infer_shapes(arch.parse_network(text, name=Path(args.arch).stem))
     summary = costmodel.network_cost(shaped, element_bytes=args.element_bytes)
     if args.batch is not None:
         if args.batch < 1:
             raise DataFormatError(f"--batch must be >= 1, got {args.batch}")
-        summary = _scaled_summary(summary, args.batch)
+        summary = costmodel.batch_cost(summary, args.batch)
     mb = 2 ** 20
-    head = [f"# network: {net.name}"]
+    head = [f"# network: {shaped.spec.name}"]
     if args.batch is not None:
         head.append(f"# batch: {args.batch}")
     head += [

@@ -14,7 +14,8 @@ elements it reads and writes. Two read/write conventions are supported:
   real memory traffic and is the default for whole-network summaries.
 
 All counts are exact integers per sample; :func:`batch_cost` scales them
-exactly by the batch size.
+exactly by the batch size. Shapes are checked against
+:func:`cnnergy.arch.layer_output`, the one home of layer geometry.
 """
 
 from __future__ import annotations
@@ -22,8 +23,14 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .arch import LayerSpec, ShapedNetwork, TensorShape, conv_output_size, layer_weight_elems
-from .errors import NonPositiveOutputError, ShapeMismatchError
+from . import arch
+from .arch import LayerSpec, ShapedNetwork, TensorShape
+from .errors import (
+    GroupMismatchError,
+    NonPositiveOutputError,
+    ShapeConflictError,
+    ShapeMismatchError,
+)
 
 
 @dataclass(frozen=True)
@@ -120,53 +127,12 @@ class CostSummary:
         return self.total_written_elems * self.element_bytes
 
 
-@dataclass(frozen=True)
-class BatchCost:
-    """A per-sample summary scaled exactly by a batch size."""
-
-    batch_size: int
-    ops: int
-    read_elems: int
-    written_elems: int
-    element_bytes: int = 4
-
-    @property
-    def read_bytes(self) -> int:
-        return self.read_elems * self.element_bytes
-
-    @property
-    def written_bytes(self) -> int:
-        return self.written_elems * self.element_bytes
-
-
-def _expected_output(layer: LayerSpec, inp: TensorShape) -> TensorShape:
-    if layer.kind == "conv":
-        if inp.channels % layer.groups != 0 or layer.out_channels % layer.groups != 0:
-            raise ShapeMismatchError(
-                f"layer {layer.name!r}: groups={layer.groups} does not divide "
-                f"channels {inp.channels}->{layer.out_channels}"
-            )
-        return TensorShape(
-            conv_output_size(inp.width, layer.kernel_w, layer.stride, layer.padding),
-            conv_output_size(inp.height, layer.kernel_h, layer.stride, layer.padding),
-            layer.out_channels,
-        )
-    if layer.kind == "pool":
-        return TensorShape(
-            conv_output_size(inp.width, layer.kernel_w, layer.stride, layer.padding),
-            conv_output_size(inp.height, layer.kernel_h, layer.stride, layer.padding),
-            inp.channels,
-        )
-    if layer.kind == "fully_connected":
-        return TensorShape(1, 1, layer.units)
-    return inp
-
-
 def _check_shapes(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> None:
+    """Raise ShapeMismatchError unless ``out`` is what ``layer`` makes of ``inp``."""
     try:
-        expected = _expected_output(layer, inp)
-    except NonPositiveOutputError as exc:
-        raise ShapeMismatchError(f"layer {layer.name!r}: {exc}") from None
+        expected = arch.layer_output(layer, inp)
+    except (NonPositiveOutputError, GroupMismatchError, ShapeConflictError) as exc:
+        raise ShapeMismatchError(str(exc)) from None
     if out != expected:
         raise ShapeMismatchError(
             f"layer {layer.name!r} ({layer.kind}): output {out} inconsistent with "
@@ -181,6 +147,10 @@ def layer_ops(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> OpCount:
         ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
     """
     _check_shapes(layer, inp, out)
+    return _layer_ops(layer, inp, out)
+
+
+def _layer_ops(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> OpCount:
     kind = layer.kind
     if kind == "conv":
         window = layer.kernel_w * layer.kernel_h * out.width * out.height
@@ -232,13 +202,18 @@ def layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
         ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
     """
     _check_shapes(layer, inp, out)
+    return _layer_data(layer, inp, out, element_bytes, physical)
+
+
+def _layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
+                element_bytes: int, physical: bool) -> DataVolume:
     if not physical:
         read = inp.elements
         if layer.kind in ("conv", "pool"):
             read += layer.kernel_w * layer.kernel_h * inp.channels
         return DataVolume(read, out.elements, element_bytes)
     read_mult, write_mult = _PHYSICAL_PASSES.get(layer.kind, (1, 1))
-    read = inp.elements * read_mult + layer_weight_elems(layer, inp)
+    read = inp.elements * read_mult + arch.layer_weight_elems(layer, inp)
     return DataVolume(read, out.elements * write_mult, element_bytes)
 
 
@@ -249,13 +224,17 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4,
     Data volumes default to the physical convention (real traffic); pass
     ``physical=False`` for the literal per-layer convention. An input-only
     network yields all-zero totals and ``ctc=None``.
+
+    Raises:
+        ShapeMismatchError: a layer's output is not what it makes of its input.
     """
     rows = []
     ops_total = OpCount()
     data_total = DataVolume(0, 0, element_bytes)
     for sl in shaped.per_layer:
-        ops = layer_ops(sl.spec, sl.input, sl.output)
-        data = layer_data(sl.spec, sl.input, sl.output, element_bytes, physical=physical)
+        _check_shapes(sl.spec, sl.input, sl.output)
+        ops = _layer_ops(sl.spec, sl.input, sl.output)
+        data = _layer_data(sl.spec, sl.input, sl.output, element_bytes, physical)
         rows.append(LayerCost(sl.spec.name, sl.spec.kind, ops, data))
         ops_total = ops_total + ops
         data_total = data_total + data
@@ -272,27 +251,27 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4,
     )
 
 
-def batch_cost(summary: CostSummary, batch_size: int) -> BatchCost:
-    """Scale a per-sample summary by ``batch_size`` (exact integers)."""
+def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:
+    """Scale a per-sample summary by ``batch_size``: every per-layer count
+    and every total is multiplied exactly; ``ctc``, a ratio, is unchanged."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return BatchCost(
-        batch_size=batch_size,
-        ops=summary.total_ops * batch_size,
-        read_elems=summary.total_read_elems * batch_size,
-        written_elems=summary.total_written_elems * batch_size,
-        element_bytes=summary.element_bytes,
+    rows = tuple(
+        LayerCost(row.name, row.kind,
+                  OpCount(*(count * batch_size for count in vars(row.ops).values())),
+                  DataVolume(row.data.read_elems * batch_size,
+                             row.data.written_elems * batch_size,
+                             row.data.element_bytes))
+        for row in summary.per_layer
     )
-
-
-def network_weight_elems(shaped: ShapedNetwork) -> int:
-    """Total parameter count of the network."""
-    return shaped.weight_elems
-
-
-def network_output_elems(shaped: ShapedNetwork) -> int:
-    """Sum of every layer's output elements (per-sample activation footprint)."""
-    return shaped.activation_elems
+    return CostSummary(
+        per_layer=rows,
+        total_ops=summary.total_ops * batch_size,
+        total_read_elems=summary.total_read_elems * batch_size,
+        total_written_elems=summary.total_written_elems * batch_size,
+        element_bytes=summary.element_bytes,
+        ctc=summary.ctc,
+    )
 
 
 def cost_csv(summary: CostSummary) -> str:

@@ -14,8 +14,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-from importlib import resources
 
+from ._tables import data_text, read_csv, read_key_values
 from .costmodel import CostSummary
 from .errors import (
     DataFormatError,
@@ -26,10 +26,6 @@ from .errors import (
 
 STEPS = ("forward", "backward")
 QUANTITIES = ("seconds", "joules")
-
-
-def _data_text(relpath: str) -> str:
-    return resources.files("cnnergy").joinpath(f"data/{relpath}").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +71,7 @@ def parse_device_profile(text: str) -> DeviceProfile:
         DataFormatError: unknown/missing keys or non-numeric values.
     """
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+    for lineno, key, val in read_key_values(text):
         if key not in _PROFILE_FIELDS:
             raise DataFormatError(f"line {lineno}: unknown profile key {key!r}")
         try:
@@ -106,7 +95,7 @@ def load_device_profile(path) -> DeviceProfile:
 def bundled_device(name: str) -> DeviceProfile:
     """Load a bundled device profile ("pascal" or "maxwell")."""
     try:
-        text = _data_text(f"devices/{name}.profile")
+        text = data_text(f"devices/{name}.profile")
     except FileNotFoundError:
         raise DataFormatError(f"no bundled device profile named {name!r}") from None
     return parse_device_profile(text)
@@ -156,28 +145,15 @@ class MeasurementRecord:
         return (self.device, self.network, self.step, self.gpus, self.batch)
 
 
-_MEASUREMENT_HEADER = "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch"
-
-
 def parse_measurements(text: str) -> list[MeasurementRecord]:
     """Parse measurement CSV (header ``device,network,step,gpus,batch,
     seconds_per_batch,joules_per_batch``)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or [c.strip() for c in lines[0].split(",")] != _MEASUREMENT_HEADER.split(","):
-        raise DataFormatError(f"measurement header must be {_MEASUREMENT_HEADER}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 7:
-            raise DataFormatError(f"line {lineno}: expected 7 columns, got {len(cells)}")
-        try:
-            records.append(MeasurementRecord(
-                cells[0], cells[1], cells[2], int(cells[3]), int(cells[4]),
-                float(cells[5]), float(cells[6]),
-            ))
-        except ValueError as exc:
-            raise DataFormatError(f"line {lineno}: {exc}") from None
-    return records
+    return read_csv(
+        text, "measurement",
+        "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch",
+        lambda device, network, step, gpus, batch, seconds, joules: MeasurementRecord(
+            device, network, step, int(gpus), int(batch), float(seconds), float(joules)),
+    )
 
 
 def load_measurements(path) -> list[MeasurementRecord]:
@@ -193,7 +169,7 @@ def bundled_measurements() -> list[MeasurementRecord]:
 
 @cache
 def _bundled_measurements() -> tuple[MeasurementRecord, ...]:
-    return tuple(parse_measurements(_data_text("measurements.csv")))
+    return tuple(parse_measurements(data_text("measurements.csv")))
 
 
 def records_by_key(records) -> dict[tuple, MeasurementRecord]:
@@ -233,15 +209,18 @@ def bundled_plans() -> dict[tuple[str, int], TrainingPlan]:
 
 @cache
 def _bundled_plans() -> dict[tuple[str, int], TrainingPlan]:
-    lines = [ln for ln in _data_text("iterations.csv").splitlines() if ln.strip()]
-    if lines[0].strip() != "network,batch,iterations,epochs":
-        raise DataFormatError("iterations header must be network,batch,iterations,epochs")
-    plans = {}
-    for line in lines[1:]:
-        net, batch, iters, epochs = (c.strip() for c in line.split(","))
-        plan = TrainingPlan(net, int(batch), int(iters), int(epochs))
-        plans[(plan.network, plan.batch)] = plan
-    return plans
+    return _parse_plans(data_text("iterations.csv"))
+
+
+def _parse_plans(text: str) -> dict[tuple[str, int], TrainingPlan]:
+    """(network, batch) -> TrainingPlan from the iterations CSV; a later row
+    for the same pair replaces an earlier one."""
+    plans = read_csv(
+        text, "iterations", "network,batch,iterations,epochs",
+        lambda network, batch, iterations, epochs: TrainingPlan(
+            network, int(batch), int(iterations), int(epochs)),
+    )
+    return {(plan.network, plan.batch): plan for plan in plans}
 
 
 def iterations_for(dataset_samples: int, batch: int, epochs: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costmodel import network_weight_elems
+from ._tables import read_key_values
 from .errors import DataFormatError, IndivisibleBatchError, MissingDeviceError
 
 #: PCIe 3.0 x16 effective payload bandwidth, bytes/second.
@@ -72,14 +72,7 @@ def parse_gpu_set(text: str) -> GpuSet:
     """
     members = None
     link: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+    for lineno, key, val in read_key_values(text):
         if key == "members":
             members = []
             for part in val.split(","):
@@ -159,7 +152,7 @@ def ring_allreduce_time(gradient_bytes: float, n_gpus: int,
 
 def gradient_bytes(shaped, element_bytes: int = 4) -> int:
     """Bytes exchanged per step: the network's parameter volume."""
-    return network_weight_elems(shaped) * element_bytes
+    return shaped.weight_elems * element_bytes
 
 
 def resolve_overlap(overlap: float | None = None, ctc: float | None = None,

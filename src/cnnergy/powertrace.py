@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tables import read_csv
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -208,19 +209,11 @@ def load_trace(path) -> PowerTrace:
 def parse_regions(source) -> list[Region]:
     """Parse region CSV (header ``id,label,t_start_s,t_end_s``)."""
     text = source.read() if hasattr(source, "read") else source
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["id", "label", "t_start_s", "t_end_s"]:
-        raise TraceFormatError("region header must be id,label,t_start_s,t_end_s")
-    regions = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 4:
-            raise TraceFormatError(f"line {lineno}: expected 4 columns, got {len(cells)}")
-        try:
-            regions.append(Region(cells[0], cells[1], float(cells[2]), float(cells[3])))
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from None
-    return regions
+    return read_csv(
+        text, "region", "id,label,t_start_s,t_end_s",
+        lambda rid, label, start, end: Region(rid, label, float(start), float(end)),
+        error=TraceFormatError,
+    )
 
 
 def load_regions(path) -> list[Region]:

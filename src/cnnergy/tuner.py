@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
+from ._tables import data_text, read_csv
 from .arch import ShapedNetwork, _builtin_shapes
-from .costmodel import network_output_elems, network_weight_elems
 from .energymodel import (
     DeviceProfile,
     MeasurementRecord,
@@ -49,11 +48,6 @@ def edp(total_seconds: float, total_joules: float) -> float:
     return total_joules * total_seconds
 
 
-def edp_mj_ks(total_seconds: float, total_joules: float) -> float:
-    """EDP in megajoule-kiloseconds (the unit used for large trainings)."""
-    return edp(total_seconds, total_joules) / 1e9
-
-
 # ---------------------------------------------------------------------------
 # Memory feasibility
 # ---------------------------------------------------------------------------
@@ -77,9 +71,8 @@ def memory_feasible(shaped: ShapedNetwork, batch: int, device: DeviceProfile,
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    activations = network_output_elems(shaped)
-    weights = network_weight_elems(shaped)
-    estimate = element_bytes * (activations * batch * 2 + 2 * weights) + overhead_bytes
+    estimate = element_bytes * (shaped.activation_elems * batch * 2
+                                + 2 * shaped.weight_elems) + overhead_bytes
     feasible = estimate <= device.dram_bytes
     gib = estimate / 2 ** 30
     cap = device.dram_bytes / 2 ** 30
@@ -271,23 +264,13 @@ class AccuracyRecord:
             raise ValueError(f"accuracy must be in [0, 100], got {self.value}")
 
 
-_ACCURACY_HEADER = "network,batch,metric,value"
-
-
 def parse_accuracy(text: str) -> list[AccuracyRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or [c.strip() for c in lines[0].split(",")] != _ACCURACY_HEADER.split(","):
-        raise DataFormatError(f"accuracy header must be {_ACCURACY_HEADER}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 4:
-            raise DataFormatError(f"line {lineno}: expected 4 columns, got {len(cells)}")
-        try:
-            records.append(AccuracyRecord(cells[0], int(cells[1]), cells[2], float(cells[3])))
-        except ValueError as exc:
-            raise DataFormatError(f"line {lineno}: {exc}") from None
-    return records
+    """Parse accuracy CSV (header ``network,batch,metric,value``)."""
+    return read_csv(
+        text, "accuracy", "network,batch,metric,value",
+        lambda network, batch, metric, value: AccuracyRecord(
+            network, int(batch), metric, float(value)),
+    )
 
 
 def load_accuracy(path) -> list[AccuracyRecord]:
@@ -299,9 +282,7 @@ def bundled_accuracy(dataset: str) -> list[AccuracyRecord]:
     """Bundled accuracy tables: dataset "tumgaid" or "imagenet"."""
     if dataset not in ("tumgaid", "imagenet"):
         raise ValueError('dataset must be "tumgaid" or "imagenet"')
-    text = resources.files("cnnergy").joinpath(f"data/accuracy_{dataset}.csv") \
-        .read_text(encoding="utf-8")
-    return parse_accuracy(text)
+    return parse_accuracy(data_text(f"accuracy_{dataset}.csv"))
 
 
 #: (dataset_class, net_family) -> bundled network name.

@@ -1,9 +1,9 @@
 """Independent oracles the tests compare the package against.
 
 Everything here is deliberately written the slow, obvious way — explicit
-sliding-window enumeration and textbook closed forms — so a bug in the
-package's vectorized/algebraic versions cannot hide in a shared
-implementation.
+sliding-window enumeration, textbook closed forms and one line loop per
+table format — so a bug in the package's vectorized/algebraic versions or
+its shared table reader cannot hide in a shared implementation.
 """
 
 
@@ -144,3 +144,186 @@ def synthetic_samples_reference(segments, sample_rate):
     times.append(t0)
     totals.append(segments[-1].final_watts)
     return times, totals
+
+
+# ---------------------------------------------------------------------------
+# Table parsers: each one as it stood before the shared table reader, one
+# hand-written line loop per file format
+# ---------------------------------------------------------------------------
+
+_MEASUREMENT_HEADER = "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch"
+
+
+def parse_measurements_reference(text):
+    """Parse measurement CSV (header ``device,network,step,gpus,batch,
+    seconds_per_batch,joules_per_batch``)."""
+    from cnnergy.energymodel import MeasurementRecord
+    from cnnergy.errors import DataFormatError
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or [c.strip() for c in lines[0].split(",")] != _MEASUREMENT_HEADER.split(","):
+        raise DataFormatError(f"measurement header must be {_MEASUREMENT_HEADER}")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != 7:
+            raise DataFormatError(f"line {lineno}: expected 7 columns, got {len(cells)}")
+        try:
+            records.append(MeasurementRecord(
+                cells[0], cells[1], cells[2], int(cells[3]), int(cells[4]),
+                float(cells[5]), float(cells[6]),
+            ))
+        except ValueError as exc:
+            raise DataFormatError(f"line {lineno}: {exc}") from None
+    return records
+
+
+_ACCURACY_HEADER = "network,batch,metric,value"
+
+
+def parse_accuracy_reference(text):
+    from cnnergy.errors import DataFormatError
+    from cnnergy.tuner import AccuracyRecord
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or [c.strip() for c in lines[0].split(",")] != _ACCURACY_HEADER.split(","):
+        raise DataFormatError(f"accuracy header must be {_ACCURACY_HEADER}")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != 4:
+            raise DataFormatError(f"line {lineno}: expected 4 columns, got {len(cells)}")
+        try:
+            records.append(AccuracyRecord(cells[0], int(cells[1]), cells[2], float(cells[3])))
+        except ValueError as exc:
+            raise DataFormatError(f"line {lineno}: {exc}") from None
+    return records
+
+
+def parse_regions_reference(source):
+    """Parse region CSV (header ``id,label,t_start_s,t_end_s``)."""
+    from cnnergy.errors import TraceFormatError
+    from cnnergy.powertrace import Region
+
+    text = source.read() if hasattr(source, "read") else source
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or [c.strip() for c in lines[0].split(",")] != ["id", "label", "t_start_s", "t_end_s"]:
+        raise TraceFormatError("region header must be id,label,t_start_s,t_end_s")
+    regions = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != 4:
+            raise TraceFormatError(f"line {lineno}: expected 4 columns, got {len(cells)}")
+        try:
+            regions.append(Region(cells[0], cells[1], float(cells[2]), float(cells[3])))
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+    return regions
+
+
+def parse_plans_reference(text):
+    """The bundled iterations table, read from ``text``. A malformed row
+    raises a bare ``ValueError`` here (or ``IndexError`` on empty text)."""
+    from cnnergy.energymodel import TrainingPlan
+    from cnnergy.errors import DataFormatError
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if lines[0].strip() != "network,batch,iterations,epochs":
+        raise DataFormatError("iterations header must be network,batch,iterations,epochs")
+    plans = {}
+    for line in lines[1:]:
+        net, batch, iters, epochs = (c.strip() for c in line.split(","))
+        plan = TrainingPlan(net, int(batch), int(iters), int(epochs))
+        plans[(plan.network, plan.batch)] = plan
+    return plans
+
+
+_PROFILE_FIELDS = {
+    "name": str,
+    "generation": str,
+    "cores": int,
+    "core_freq_mhz": float,
+    "peak_tflops": float,
+    "dram_bytes": int,
+    "bandwidth_bytes_per_s": float,
+    "tdp_watts": float,
+}
+
+
+def parse_device_profile_reference(text):
+    """Parse a key=value device profile file.
+
+    Raises:
+        DataFormatError: unknown/missing keys or non-numeric values.
+    """
+    from cnnergy.energymodel import DeviceProfile
+    from cnnergy.errors import DataFormatError
+
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _PROFILE_FIELDS:
+            raise DataFormatError(f"line {lineno}: unknown profile key {key!r}")
+        try:
+            values[key] = _PROFILE_FIELDS[key](val)
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: bad value for {key}: {val!r}") from None
+    missing = set(_PROFILE_FIELDS) - set(values)
+    if missing:
+        raise DataFormatError(f"profile missing keys: {sorted(missing)}")
+    try:
+        return DeviceProfile(**values)  # type: ignore[arg-type]
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
+
+
+def parse_gpu_set_reference(text):
+    """Parse a key=value GPU-set file.
+
+    Keys: ``members=<device>:<count>[,<device>:<count>...]`` (required),
+    ``link_bandwidth`` (bytes/s), ``link_latency`` (s).
+    """
+    from cnnergy.errors import DataFormatError
+    from cnnergy.multigpu import GpuSet
+
+    members = None
+    link = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key == "members":
+            members = []
+            for part in val.split(","):
+                if ":" not in part:
+                    raise DataFormatError(
+                        f"line {lineno}: member must be <device>:<count>, got {part!r}"
+                    )
+                name, _, count = part.partition(":")
+                try:
+                    members.append((name.strip(), int(count)))
+                except ValueError:
+                    raise DataFormatError(f"line {lineno}: bad count in {part!r}") from None
+        elif key in ("link_bandwidth", "link_latency"):
+            try:
+                link[key] = float(val)
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: bad value for {key}: {val!r}") from None
+        else:
+            raise DataFormatError(f"line {lineno}: unknown key {key!r}")
+    if members is None:
+        raise DataFormatError("GPU-set file needs a members= line")
+    try:
+        return GpuSet(members=tuple(members), **link)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None

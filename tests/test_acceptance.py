@@ -294,9 +294,9 @@ def test_criterion_7_property_suites():
         summary = network_cost(SHAPED[name])
         for batch in (2, 7, 256):
             scaled = batch_cost(summary, batch)
-            assert scaled.ops == summary.total_ops * batch
-            assert scaled.read_elems == summary.total_read_elems * batch
-            assert scaled.written_elems == summary.total_written_elems * batch
+            assert scaled.total_ops == summary.total_ops * batch
+            assert scaled.total_read_elems == summary.total_read_elems * batch
+            assert scaled.total_written_elems == summary.total_written_elems * batch
 
     grid_cases = _conv_pool_oracle_grid()
     assert grid_cases > 1000

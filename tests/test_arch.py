@@ -12,6 +12,7 @@ from cnnergy.arch import (
     conv_output_size,
     emit_network,
     infer_shapes,
+    layer_output,
     parse_network,
 )
 from cnnergy.errors import (
@@ -310,6 +311,27 @@ def test_kernel_larger_than_input_raises():
     net = NetworkSpec("n", TensorShape(4, 4, 2), (conv("c", 7, 8),))
     with pytest.raises(NonPositiveOutputError):
         infer_shapes(net)
+
+
+def test_layer_output_errors_name_the_layer_once():
+    cases = [
+        (conv("too_big", 7, 8), TensorShape(4, 4, 2), NonPositiveOutputError),
+        (pool("too_wide", 5, 1), TensorShape(4, 4, 2), NonPositiveOutputError),
+        (conv("bad_groups", 3, 6, groups=3), TensorShape(6, 6, 4), GroupMismatchError),
+        (LayerSpec("bad_softmax", "softmax", units=5), TensorShape(1, 1, 3), ShapeConflictError),
+    ]
+    for layer, inp, error in cases:
+        for call in (lambda: layer_output(layer, inp),
+                     lambda: infer_shapes(NetworkSpec("n", inp, (layer,)))):
+            with pytest.raises(error) as err:
+                call()
+            assert str(err.value).count(repr(layer.name)) == 1, str(err.value)
+
+
+def test_layer_output_is_every_shape_infer_shapes_records():
+    for name in BUILTIN_NETWORK_NAMES:
+        for sl in infer_shapes(builtin_network(name)).per_layer:
+            assert layer_output(sl.spec, sl.input) == sl.output, (name, sl.spec.name)
 
 
 # ---------------------------------------------------------------------------

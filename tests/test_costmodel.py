@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from cnnergy.arch import (
     LayerSpec,
     NetworkSpec,
+    ShapedLayer,
+    ShapedNetwork,
     TensorShape,
     builtin_network,
     infer_shapes,
+    layer_weight_elems,
 )
 from cnnergy.costmodel import (
     DataVolume,
@@ -17,10 +20,7 @@ from cnnergy.costmodel import (
     cost_csv,
     layer_data,
     layer_ops,
-    layer_weight_elems,
     network_cost,
-    network_output_elems,
-    network_weight_elems,
 )
 from cnnergy.errors import ShapeMismatchError
 
@@ -124,9 +124,20 @@ def test_fully_connected_ops():
 
 
 def test_layer_ops_rejects_inconsistent_output():
-    layer = conv(2, 3)
-    with pytest.raises(ShapeMismatchError):
-        layer_ops(layer, TensorShape(4, 4, 2), TensorShape(5, 5, 3))
+    cases = [
+        (conv(2, 3, name="wrong_out"), TensorShape(4, 4, 2), TensorShape(5, 5, 3)),
+        (conv(3, 4, groups=3, name="bad_groups"), TensorShape(6, 6, 4), TensorShape(4, 4, 4)),
+        (conv(5, 3, name="too_big"), TensorShape(3, 3, 2), TensorShape(1, 1, 3)),
+        (LayerSpec("bad_softmax", "softmax", units=5), TensorShape(1, 1, 3),
+         TensorShape(1, 1, 3)),
+    ]
+    for layer, inp, out in cases:
+        shaped = ShapedNetwork(NetworkSpec("n", inp, (layer,)), (ShapedLayer(layer, inp, out),))
+        for check in (lambda: layer_ops(layer, inp, out), lambda: layer_data(layer, inp, out),
+                      lambda: network_cost(shaped)):
+            with pytest.raises(ShapeMismatchError) as err:
+                check()
+            assert str(err.value).count(repr(layer.name)) == 1, str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +275,8 @@ def test_builtin_network_cost_totals(name):
 
 def test_resnet_im_parameter_and_activation_counts():
     shaped = infer_shapes(builtin_network("resnet_im"))
-    assert network_weight_elems(shaped) == 12_010_688
-    assert network_output_elems(shaped) == 10_037_712
+    assert shaped.weight_elems == 12_010_688
+    assert shaped.activation_elems == 10_037_712
 
 
 def test_network_cost_literal_mode_differs():
@@ -293,10 +304,20 @@ def test_network_cost_element_bytes_scales_bytes_not_elems():
 def test_batch_cost_exact_linearity(batch):
     summary = network_cost(infer_shapes(builtin_network("two_d_cnn")))
     scaled = batch_cost(summary, batch)
-    assert scaled.ops == summary.total_ops * batch
-    assert scaled.read_elems == summary.total_read_elems * batch
-    assert scaled.written_elems == summary.total_written_elems * batch
-    assert scaled.read_bytes == summary.total_read_bytes * batch
+    assert scaled.total_ops == summary.total_ops * batch
+    assert scaled.total_read_elems == summary.total_read_elems * batch
+    assert scaled.total_written_elems == summary.total_written_elems * batch
+    assert scaled.total_read_bytes == summary.total_read_bytes * batch
+    assert scaled.ctc == summary.ctc
+    assert len(scaled.per_layer) == len(summary.per_layer)
+    for got, row in zip(scaled.per_layer, summary.per_layer):
+        assert (got.name, got.kind) == (row.name, row.kind)
+        assert got.ops == OpCount(*(v * batch for v in (
+            row.ops.macc, row.ops.max_ops, row.ops.add_div, row.ops.exp_add_div,
+            row.ops.mul01, row.ops.bias_add)))
+        assert got.data == DataVolume(row.data.read_elems * batch,
+                                      row.data.written_elems * batch,
+                                      row.data.element_bytes)
 
 
 def test_batch_cost_rejects_nonpositive_batch():

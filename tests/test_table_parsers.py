@@ -1,0 +1,218 @@
+"""Differential fuzz of the table parsers against their hand-written originals.
+
+Each parser now reads through the shared CSV or key=value reader. On
+generated text (blank and whitespace-only lines, CRLF endings, padded cells,
+wrong widths, wrong headers, non-numeric, ``nan``/``inf`` and ``#`` cells) it
+must return what the original line loop in ``oracles.py`` returned, or raise
+the same error class with the same message, and every failure must be a
+``CnnergyError``.
+"""
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cnnergy._tables import data_text
+from cnnergy.energymodel import _parse_plans, parse_device_profile, parse_measurements
+from cnnergy.errors import CnnergyError, DataFormatError
+from cnnergy.multigpu import parse_gpu_set
+from cnnergy.powertrace import parse_regions
+from cnnergy.tuner import parse_accuracy
+
+from oracles import (
+    parse_accuracy_reference,
+    parse_device_profile_reference,
+    parse_gpu_set_reference,
+    parse_measurements_reference,
+    parse_plans_reference,
+    parse_regions_reference,
+)
+
+JUNK = ["", " ", "#", "# 1", "1#", "nan", "NaN", "inf", "-inf", "Infinity", "1e400",
+        "x", "1 2", "1_0", "١", "+3", "-1", "0", "0.5", "abc"]
+PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
+BLANKS = ["", " ", "\t", "  \t "]
+
+
+def outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return ("error", type(exc), str(exc))
+
+
+def cell(draw, pool):
+    """A value of the column's pool nine times in ten, else a junk cell."""
+    return draw(st.sampled_from(pool if draw(st.integers(0, 9)) else JUNK))
+
+
+@st.composite
+def csv_texts(draw, header, columns):
+    names = header.split(",")
+    headers = [
+        header,
+        " " + header.replace(",", " , ") + "\t",
+        ",".join(names[:-1]),
+        header + ",extra",
+        ",".join(names[1:] + names[:1]),
+        "",
+    ]
+    lines = [headers[0] if draw(st.integers(0, 2)) else draw(st.sampled_from(headers))]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [cell(draw, pool) for pool in columns]
+        width = draw(st.sampled_from(("keep",) * 8 + ("drop", "extra")))
+        if width == "drop":
+            cells.pop(draw(st.integers(0, len(cells) - 1)))
+        elif width == "extra":
+            cells.append(cell(draw, columns[-1]))
+        lines.append(",".join(draw(PADDING) + c + draw(PADDING) for c in cells))
+        if not draw(st.integers(0, 4)):
+            lines.append(draw(st.sampled_from(BLANKS)))
+    if not draw(st.integers(0, 4)):
+        lines.insert(0, draw(st.sampled_from(BLANKS)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def key_value_texts(draw, fields, extra_keys):
+    """Mostly complete key=value files: each known key once (sometimes
+    dropped or repeated), plus comments, blanks, unknown keys and lines
+    without ``=``."""
+    lines = []
+    for key, pool in fields.items():
+        for _ in range(draw(st.sampled_from((1,) * 8 + (0, 2)))):
+            sep = draw(st.sampled_from(["=", " = ", "= "])) if draw(st.integers(0, 29)) else "=="
+            comment = draw(st.sampled_from([""] * 6 + [" # note", "#x=1"]))
+            lines.append(draw(PADDING) + key + sep + cell(draw, pool) + comment)
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            BLANKS + ["# comment", "# a=b", "no equals sign", "=1"]
+            + [f"{k}=1" for k in extra_keys])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+NETWORKS = ["resnet_gait", "caffenet", "two_d_cnn"]
+INTS = ["64", "1", "2", "128"]
+FLOATS = ["0.029", "4.255", "12", "1e-3", "+7.5"]
+
+MEASUREMENT_TEXTS = csv_texts(
+    "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch",
+    [["pascal", "maxwell"], NETWORKS, ["forward", "backward"],
+     INTS, INTS, FLOATS, FLOATS])
+ACCURACY_TEXTS = csv_texts(
+    "network,batch,metric,value",
+    [NETWORKS, INTS, ["top-1", "n", "weighted-average"], ["89.0", "100", "0", "76.25"]])
+REGION_TEXTS = csv_texts(
+    "id,label,t_start_s,t_end_s",
+    [["r1", "r2", "a b"], ["forward", "backward", "update", "load", "other"],
+     ["0", "1.5", "-1"], ["2", "3.5", "1e3"]])
+PLAN_TEXTS = csv_texts(
+    "network,batch,iterations,epochs",
+    [NETWORKS, ["64", "128"], ["72368", "1"], ["20", "90"]])
+
+PROFILE_TEXTS = key_value_texts({
+    "name": ["pascal", "x"],
+    "generation": ["pascal-2016"],
+    "cores": ["3584", "1"],
+    "core_freq_mhz": ["1911", "1.5e3"],
+    "peak_tflops": ["11", "0.5"],
+    "dram_bytes": ["12884901888"],
+    "bandwidth_bytes_per_s": ["480000000000", "4.8e11"],
+    "tdp_watts": ["250", "75.5"],
+}, extra_keys=["colour", "members"])
+GPU_SET_TEXTS = key_value_texts({
+    "members": ["pascal:2", "pascal:1,maxwell:2", "pascal:2,pascal:2", "pascal",
+                "pascal:x", "pascal:0", ":3", "pascal:1, maxwell : 1", "maxwell:-1"],
+    "link_bandwidth": ["15.75e9", "1e9"],
+    "link_latency": ["5e-6", "0"],
+}, extra_keys=["bandwidth", "name"])
+
+
+def assert_same(parse, reference, text):
+    got = outcome(parse, text)
+    assert got == outcome(reference, text)
+    if got[0] == "error":
+        assert issubclass(got[1], CnnergyError)
+
+
+@given(MEASUREMENT_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_measurements_matches_original(text):
+    assert_same(parse_measurements, parse_measurements_reference, text)
+
+
+@given(ACCURACY_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_accuracy_matches_original(text):
+    assert_same(parse_accuracy, parse_accuracy_reference, text)
+
+
+@given(REGION_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_regions_matches_original(text):
+    assert_same(parse_regions, parse_regions_reference, text)
+
+
+@given(PROFILE_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_device_profile_matches_original(text):
+    assert_same(parse_device_profile, parse_device_profile_reference, text)
+
+
+@given(GPU_SET_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_gpu_set_matches_original(text):
+    assert_same(parse_gpu_set, parse_gpu_set_reference, text)
+
+
+def _strip_header_cells(text: str) -> str:
+    """``text`` with the cells of its first non-blank line stripped."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.strip():
+            lines[i] = ",".join(c.strip() for c in line.split(","))
+            break
+    return "\n".join(lines)
+
+
+@given(PLAN_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_plans_matches_original_except_its_bare_errors(text):
+    # Two intended differences. The header is compared cell by cell after
+    # stripping, like every other table; and where the original raised a
+    # bare ValueError (a short or long row, a non-integer cell, a plan out
+    # of range) or an IndexError (no lines), the reader raises
+    # DataFormatError: "line N: ..." for a row, the header message for none.
+    got = outcome(_parse_plans, text)
+    want = outcome(parse_plans_reference, _strip_header_cells(text))
+    if want[0] == "ok" or want[1] is DataFormatError:
+        assert got == want
+    elif want[1] is IndexError:
+        assert got == ("error", DataFormatError,
+                       "iterations header must be network,batch,iterations,epochs")
+    else:
+        assert want[1] is ValueError
+        assert got[:2] == ("error", DataFormatError)
+        assert re.match(r"line \d+: ", got[2])
+
+
+def test_bundled_tables_read_as_before():
+    text = data_text("measurements.csv")
+    assert parse_measurements(text) == parse_measurements_reference(text)
+    for dataset in ("tumgaid", "imagenet"):
+        text = data_text(f"accuracy_{dataset}.csv")
+        assert parse_accuracy(text) == parse_accuracy_reference(text)
+    assert _parse_plans(data_text("iterations.csv")) \
+        == parse_plans_reference(data_text("iterations.csv"))
+    for device in ("pascal", "maxwell"):
+        text = data_text(f"devices/{device}.profile")
+        assert parse_device_profile(text) == parse_device_profile_reference(text)
+
+
+def test_plans_bad_row_is_a_data_format_error():
+    text = "network,batch,iterations,epochs\nresnet_gait,64,72368\n"
+    with pytest.raises(DataFormatError, match="^line 2: expected 4 columns, got 3$"):
+        _parse_plans(text)

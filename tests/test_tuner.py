@@ -30,7 +30,6 @@ from cnnergy.tuner import (
     bundled_accuracy,
     bundled_grid,
     edp,
-    edp_mj_ks,
     memory_feasible,
     parse_accuracy,
     rank,
@@ -56,7 +55,9 @@ def config(network="resnet_gait", batch=64, gpus=1, device="pascal"):
 
 def test_edp_is_exact_product():
     assert edp(11140.0, 1465000.0) == 11140.0 * 1465000.0
-    assert edp_mj_ks(11140.0, 1465000.0) == pytest.approx(16.32, abs=0.005)
+    report = ConfigReport(config(), feasible=True,
+                          edp_joule_seconds=edp(11140.0, 1465000.0))
+    assert report.edp_mj_ks == pytest.approx(16.32, abs=0.005)
     with pytest.raises(ValueError):
         edp(-1.0, 1.0)
 
