@@ -4,7 +4,7 @@ The package models a CNN's per-layer arithmetic and memory traffic
 (:mod:`cnnergy.arch`, :mod:`cnnergy.costmodel`), integrates measured
 power traces into joules (:mod:`cnnergy.powertrace`), calibrates affine
 batch-size models over bundled measurements (:mod:`cnnergy.energymodel`),
-extends per-device step costs to multi-GPU sets
+splits batches and sums energy across multi-GPU sets
 (:mod:`cnnergy.multigpu`), and ranks training configurations by time,
 energy, or energy-delay product (:mod:`cnnergy.tuner`).
 
@@ -36,7 +36,6 @@ from .energymodel import (
     DeviceProfile,
     MeasurementRecord,
     TrainingPlan,
-    bundled_device,
     bundled_devices,
     bundled_measurements,
     bundled_plans,
@@ -49,8 +48,6 @@ from .energymodel import (
 from .errors import CnnergyError
 from .multigpu import (
     GpuSet,
-    gradient_bytes,
-    hetero_step_time,
     ring_allreduce_time,
     split_batch,
 )
@@ -98,7 +95,6 @@ __all__ = [
     "batch_cost",
     "builtin_network",
     "bundled_accuracy",
-    "bundled_device",
     "bundled_devices",
     "bundled_grid",
     "bundled_measurements",
@@ -110,8 +106,6 @@ __all__ = [
     "generate_synthetic_trace",
     "generation_gap",
     "gflops_per_watt",
-    "gradient_bytes",
-    "hetero_step_time",
     "infer_shapes",
     "integrate",
     "integrate_many",

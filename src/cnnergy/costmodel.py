@@ -2,16 +2,11 @@
 
 Each layer kind maps to a closed-form count of its dominant arithmetic
 (multiply-accumulates, comparisons, adds/divides, ...) and to the tensor
-elements it reads and writes. Two read/write conventions are supported:
-
-* **literal** — weights of a windowed layer count as ``k_w*k_h*ch_in``
-  elements and every layer touches each activation once. This is the
-  convention the per-layer report uses by default.
-* **physical** — weights count at full size (``k_w*k_h*(ch_in/groups)*
-  ch_out`` for conv, ``in_elems*units`` for fc) and multi-pass layers
-  touch activations once per pass (batch_norm reads and writes twice,
-  softmax three times, residual_sum reads its two addends). This models
-  real memory traffic and is the default for whole-network summaries.
+elements it reads and writes. Traffic is physical: weights count at full
+size (``k_w*k_h*(ch_in/groups)*ch_out`` plus bias for conv,
+``in_elems*units`` for fc) and multi-pass layers touch activations once per
+pass (batch_norm reads and writes twice, softmax three times, residual_sum
+reads its two addends).
 
 All counts are exact integers per sample; :func:`batch_cost` scales them
 exactly by the batch size. Shapes are checked against
@@ -179,9 +174,9 @@ def _layer_ops(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> OpCount:
     return OpCount(add_div=window)
 
 
-#: (reads of the input tensor, writes of the output tensor) per pass, for
-#: kinds that touch an activation more than once in the physical convention.
-_PHYSICAL_PASSES = {
+#: (reads of the input tensor, writes of the output tensor) for kinds that
+#: touch an activation more than once.
+_PASSES = {
     "batch_norm": (2, 2),    # mean/var pass, then normalize pass
     "softmax": (3, 3),       # max, exp-sum, divide
     "residual_sum": (2, 1),  # two addends in, one sum out
@@ -189,41 +184,28 @@ _PHYSICAL_PASSES = {
 
 
 def layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
-               element_bytes: int = 4, physical: bool = False) -> DataVolume:
-    """Elements read and written by one layer on one sample.
-
-    With ``physical=False`` (default) the literal convention applies: read =
-    input activations plus a ``k_w*k_h*ch_in`` weight term for conv/pool,
-    written = output activations. With ``physical=True`` weights count at
-    full size and multi-pass layers multiply their activation traffic (see
-    module docstring).
+               element_bytes: int = 4) -> DataVolume:
+    """Elements read and written by one layer on one sample: its input
+    activations once per pass plus its full weight set, and its output
+    activations once per pass (see module docstring).
 
     Raises:
         ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
     """
     _check_shapes(layer, inp, out)
-    return _layer_data(layer, inp, out, element_bytes, physical)
+    return _layer_data(layer, inp, out, element_bytes)
 
 
 def _layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
-                element_bytes: int, physical: bool) -> DataVolume:
-    if not physical:
-        read = inp.elements
-        if layer.kind in ("conv", "pool"):
-            read += layer.kernel_w * layer.kernel_h * inp.channels
-        return DataVolume(read, out.elements, element_bytes)
-    read_mult, write_mult = _PHYSICAL_PASSES.get(layer.kind, (1, 1))
+                element_bytes: int) -> DataVolume:
+    read_mult, write_mult = _PASSES.get(layer.kind, (1, 1))
     read = inp.elements * read_mult + arch.layer_weight_elems(layer, inp)
     return DataVolume(read, out.elements * write_mult, element_bytes)
 
 
-def network_cost(shaped: ShapedNetwork, element_bytes: int = 4,
-                 physical: bool = True) -> CostSummary:
-    """Per-sample cost of a whole network.
-
-    Data volumes default to the physical convention (real traffic); pass
-    ``physical=False`` for the literal per-layer convention. An input-only
-    network yields all-zero totals and ``ctc=None``.
+def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
+    """Per-sample cost of a whole network. An input-only network yields
+    all-zero totals and ``ctc=None``.
 
     Raises:
         ShapeMismatchError: a layer's output is not what it makes of its input.
@@ -234,7 +216,7 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4,
     for sl in shaped.per_layer:
         _check_shapes(sl.spec, sl.input, sl.output)
         ops = _layer_ops(sl.spec, sl.input, sl.output)
-        data = _layer_data(sl.spec, sl.input, sl.output, element_bytes, physical)
+        data = _layer_data(sl.spec, sl.input, sl.output, element_bytes)
         rows.append(LayerCost(sl.spec.name, sl.spec.kind, ops, data))
         ops_total = ops_total + ops
         data_total = data_total + data

@@ -87,20 +87,6 @@ def parse_device_profile(text: str) -> DeviceProfile:
         raise DataFormatError(str(exc)) from None
 
 
-def load_device_profile(path) -> DeviceProfile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_device_profile(fh.read())
-
-
-def bundled_device(name: str) -> DeviceProfile:
-    """Load a bundled device profile ("pascal" or "maxwell")."""
-    try:
-        text = data_text(f"devices/{name}.profile")
-    except FileNotFoundError:
-        raise DataFormatError(f"no bundled device profile named {name!r}") from None
-    return parse_device_profile(text)
-
-
 def bundled_devices() -> dict[str, DeviceProfile]:
     """Both bundled device profiles by name, read once per process; each call
     returns a new dict."""
@@ -109,7 +95,8 @@ def bundled_devices() -> dict[str, DeviceProfile]:
 
 @cache
 def _bundled_devices() -> dict[str, DeviceProfile]:
-    return {name: bundled_device(name) for name in ("pascal", "maxwell")}
+    return {name: parse_device_profile(data_text(f"devices/{name}.profile"))
+            for name in ("pascal", "maxwell")}
 
 
 # ---------------------------------------------------------------------------

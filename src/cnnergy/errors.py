@@ -78,7 +78,7 @@ class TraceTooLargeError(CnnergyError):
 # --- bundled/user data files --------------------------------------------------
 
 class DataFormatError(CnnergyError):
-    """Measurement/accuracy/profile/GPU-set file is malformed."""
+    """An input table, model file or command-line value is malformed."""
 
 
 # --- measurements / calibration ----------------------------------------------

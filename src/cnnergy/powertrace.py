@@ -134,6 +134,8 @@ class Region:
             raise ValueError(
                 f"region label must be one of {sorted(REGION_LABELS)}, got {self.label!r}"
             )
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(f"region {self.id!r}: t_start and t_end must be finite")
         if not (self.t_start < self.t_end):
             raise ValueError(f"region {self.id!r}: t_start must be < t_end")
 
@@ -330,8 +332,11 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
     ``sample_rate`` Hz from t=0; at each discontinuous segment junction a
     single sample carries the midpoint of the adjacent power levels, so step
     profiles integrate exactly under the trapezoidal rule. Gaussian noise of
-    ``noise_sigma`` watts (per channel, clamped at 0) is added when nonzero.
+    ``noise_sigma`` watts (finite and >= 0; per channel, clamped at 0) is
+    added when nonzero.
     """
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     segs = list(segments)
     if not segs:
         raise ValueError("at least one segment is required")

@@ -273,11 +273,6 @@ def parse_accuracy(text: str) -> list[AccuracyRecord]:
     )
 
 
-def load_accuracy(path) -> list[AccuracyRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_accuracy(fh.read())
-
-
 def bundled_accuracy(dataset: str) -> list[AccuracyRecord]:
     """Bundled accuracy tables: dataset "tumgaid" or "imagenet"."""
     if dataset not in ("tumgaid", "imagenet"):

@@ -281,49 +281,3 @@ def parse_device_profile_reference(text):
         return DeviceProfile(**values)  # type: ignore[arg-type]
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
-
-
-def parse_gpu_set_reference(text):
-    """Parse a key=value GPU-set file.
-
-    Keys: ``members=<device>:<count>[,<device>:<count>...]`` (required),
-    ``link_bandwidth`` (bytes/s), ``link_latency`` (s).
-    """
-    from cnnergy.errors import DataFormatError
-    from cnnergy.multigpu import GpuSet
-
-    members = None
-    link = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "members":
-            members = []
-            for part in val.split(","):
-                if ":" not in part:
-                    raise DataFormatError(
-                        f"line {lineno}: member must be <device>:<count>, got {part!r}"
-                    )
-                name, _, count = part.partition(":")
-                try:
-                    members.append((name.strip(), int(count)))
-                except ValueError:
-                    raise DataFormatError(f"line {lineno}: bad count in {part!r}") from None
-        elif key in ("link_bandwidth", "link_latency"):
-            try:
-                link[key] = float(val)
-            except ValueError:
-                raise DataFormatError(f"line {lineno}: bad value for {key}: {val!r}") from None
-        else:
-            raise DataFormatError(f"line {lineno}: unknown key {key!r}")
-    if members is None:
-        raise DataFormatError("GPU-set file needs a members= line")
-    try:
-        return GpuSet(members=tuple(members), **link)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None

@@ -127,6 +127,18 @@ def test_integrate_bad_trace_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_integrate_infinite_region_bound_exits_2(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(CONSTANT_TRACE, encoding="utf-8")
+    regions = tmp_path / "regions.csv"
+    regions.write_text("id,label,t_start_s,t_end_s\nr1,forward,-inf,inf\n",
+                       encoding="utf-8")
+    code, out, err = run(["integrate", "--trace", str(trace),
+                          "--regions", str(regions)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: line 2: region 'r1': t_start and t_end must be finite\n"
+
+
 def test_gen_trace_energy_and_determinism(capsys):
     argv = ["gen-trace", "--segments", "100:1", "--rate", "10",
             "--channels", "2", "--noise", "0"]
@@ -142,6 +154,13 @@ def test_gen_trace_energy_and_determinism(capsys):
     _, first, _ = run(noisy, capsys)
     _, second, _ = run(noisy, capsys)
     assert first == second
+
+
+@pytest.mark.parametrize("sigma", ["nan", "-1", "inf"])
+def test_gen_trace_bad_noise_exits_2(sigma, capsys):
+    code, out, err = run(["gen-trace", "--segments", "100:1", f"--noise={sigma}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: noise_sigma must be finite and >= 0")
 
 
 def test_gen_trace_bad_segment_exits_2(capsys):

@@ -180,52 +180,42 @@ def test_pool_ops_matches_oracle_small_grid():
 # Data volumes
 # ---------------------------------------------------------------------------
 
-def test_conv_data_literal_and_physical():
+def test_conv_data_counts_full_weight_set():
     layer = conv(2, 3, bias=True)
     inp, out = shaped_single(layer, TensorShape(4, 4, 2))
-    literal = layer_data(layer, inp, out)
-    # literal counts the input once plus one kernel's footprint
-    assert literal.read_elems == 4 * 4 * 2 + 2 * 2 * 2
-    assert literal.written_elems == out.elements
-    physical = layer_data(layer, inp, out, physical=True)
-    # physical counts the full weight set: k*k*ci*co plus the bias vector
-    assert physical.read_elems == 4 * 4 * 2 + (2 * 2 * 2 * 3 + 3)
-    assert physical.written_elems == out.elements
-    assert literal.read_bytes == literal.read_elems * 4
+    vol = layer_data(layer, inp, out)
+    # the input once plus every weight: k*k*ci*co and the bias vector
+    assert vol.read_elems == 4 * 4 * 2 + (2 * 2 * 2 * 3 + 3)
+    assert vol.written_elems == out.elements
+    assert vol.read_bytes == vol.read_elems * 4
 
 
-def test_pool_data_includes_kernel_footprint():
+def test_pool_data_reads_only_its_input():
     layer = LayerSpec("p", "pool", kernel_w=3, kernel_h=3, stride=2,
                       pool_kind="max")
     inp, out = shaped_single(layer, TensorShape(7, 7, 2))
     vol = layer_data(layer, inp, out)
-    assert vol.read_elems == 7 * 7 * 2 + 3 * 3 * 2
+    assert vol.read_elems == 7 * 7 * 2
     assert vol.written_elems == out.elements
 
 
 def test_elementwise_data_multiplicities():
     shape = TensorShape(4, 4, 2)
     elems = shape.elements
-    # literal mode: every layer reads its input once, writes its output once
-    for kind in ("relu", "dropout", "batch_norm", "softmax"):
-        vol = layer_data(LayerSpec("x", kind), shape, shape)
-        assert (vol.read_elems, vol.written_elems) == (elems, elems), kind
-    # physical mode: normalization and softmax make extra passes
+    # normalization and softmax make extra passes
     expect = {"relu": (1, 1), "dropout": (1, 1), "batch_norm": (2, 2),
               "softmax": (3, 3)}
     for kind, (r, w) in expect.items():
-        vol = layer_data(LayerSpec("x", kind), shape, shape, physical=True)
+        vol = layer_data(LayerSpec("x", kind), shape, shape)
         assert (vol.read_elems, vol.written_elems) == (r * elems, w * elems), kind
-    vol = layer_data(LayerSpec("s", "residual_sum", skip="y"), shape, shape,
-                     physical=True)
+    vol = layer_data(LayerSpec("s", "residual_sum", skip="y"), shape, shape)
     assert (vol.read_elems, vol.written_elems) == (2 * elems, elems)
 
 
 def test_fc_data_physical_includes_weights():
     layer = LayerSpec("f", "fully_connected", units=5)
     inp, out = TensorShape(2, 2, 3), TensorShape(1, 1, 5)
-    assert layer_data(layer, inp, out).read_elems == 12
-    assert layer_data(layer, inp, out, physical=True).read_elems == 12 + 12 * 5
+    assert layer_data(layer, inp, out).read_elems == 12 + 12 * 5
 
 
 def test_layer_weight_elems():
@@ -277,14 +267,6 @@ def test_resnet_im_parameter_and_activation_counts():
     shaped = infer_shapes(builtin_network("resnet_im"))
     assert shaped.weight_elems == 12_010_688
     assert shaped.activation_elems == 10_037_712
-
-
-def test_network_cost_literal_mode_differs():
-    shaped = infer_shapes(builtin_network("two_d_cnn"))
-    literal = network_cost(shaped, physical=False)
-    physical = network_cost(shaped, physical=True)
-    assert literal.total_ops == physical.total_ops
-    assert literal.total_read_elems < physical.total_read_elems
 
 
 def test_network_cost_element_bytes_scales_bytes_not_elems():

@@ -10,7 +10,6 @@ from cnnergy.energymodel import (
     MeasurementRecord,
     QUANTITIES,
     STEPS,
-    bundled_device,
     bundled_devices,
     bundled_measurements,
     bundled_plans,
@@ -97,12 +96,6 @@ def test_bundled_devices():
     assert pascal.cores == 3584 and maxwell.cores == 3072
     assert pascal.peak_tflops > maxwell.peak_tflops
     assert pascal.bandwidth_bytes_per_s > maxwell.bandwidth_bytes_per_s
-    assert bundled_device("pascal") == pascal
-
-
-def test_bundled_device_unknown():
-    with pytest.raises(DataFormatError):
-        bundled_device("volta")
 
 
 # ---------------------------------------------------------------------------

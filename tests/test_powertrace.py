@@ -99,6 +99,10 @@ def test_region_validation():
         Region("r", "inference", 0.0, 1.0)  # not a known label
     with pytest.raises(ValueError):
         Region("r", "forward", 1.0, 1.0)
+    for start, end in ((-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf),
+                       (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            Region("r", "forward", start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +410,9 @@ def test_synthetic_rejects_bad_segments():
         generate_synthetic_trace([])
     with pytest.raises(ValueError):
         generate_synthetic_trace([SegmentSpec(1.0, 1.0)], sample_rate=math.inf)
+    for sigma in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="^noise_sigma must be finite and >= 0"):
+            generate_synthetic_trace([SegmentSpec(1.0, 1.0)], noise_sigma=sigma, seed=1)
 
 
 @given(st.lists(st.tuples(st.floats(1e-4, 0.5), st.floats(0.0, 300.0),

@@ -1,12 +1,30 @@
-"""The fenced ``python`` examples of README.md run as written."""
+"""README.md's examples run as written, and it documents the public surface.
+
+The fenced ``python`` blocks are executed; every ``cnnergy ...`` line of the
+``sh`` blocks is run through ``cli.main``, in order, next to the inputs they
+name; and every ``__all__`` name is either shown in README code or used by
+another module of the package.
+"""
+import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+import cnnergy
+from cnnergy.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.MULTILINE | re.DOTALL)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTALL)
+SH_BLOCKS = re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTALL)
+ARCH_EXAMPLE = re.search(r"\*\*Architecture text\*\*.*?^```\n(.*?)^```", TEXT,
+                         flags=re.MULTILINE | re.DOTALL).group(1)
+COMMANDS = [shlex.split(line, comments=True)[1:]
+            for block in SH_BLOCKS
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("cnnergy ")]
 
 
 def test_readme_has_python_examples():
@@ -17,3 +35,47 @@ def test_readme_has_python_examples():
 def test_readme_python_block_runs(source, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
+    assert {argv[0] for argv in COMMANDS} == {
+        "analyze", "integrate", "gen-trace", "calibrate", "predict", "rank"}
+    monkeypatch.chdir(tmp_path)
+    Path("mynet.net").write_text(ARCH_EXAMPLE, encoding="utf-8")
+    gen_trace = next(argv for argv in COMMANDS if argv[0] == "gen-trace")
+    assert main(gen_trace + ["--output", "trace.csv"]) == 0
+    Path("regions.csv").write_text("id,label,t_start_s,t_end_s\nr1,forward,0.5,2.5\n",
+                                   encoding="utf-8")
+    for argv in COMMANDS:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def _names_used_across_modules() -> set[str]:
+    """Names a package module imports from a sibling (``from .m import x``)
+    or reads off one (``m.x`` after ``from . import m``)."""
+    used = set()
+    for path in Path(cnnergy.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    else:
+                        used.add(alias.name)
+        used |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in siblings}
+    return used
+
+
+def test_every_export_is_documented_or_used():
+    code = re.findall(r"^```\w*\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTALL)
+    code += re.findall(r"`([^`\n]+)`", TEXT)
+    documented = set(re.findall(r"\w+", "\n".join(code)))
+    used = _names_used_across_modules()
+    assert [name for name in cnnergy.__all__
+            if name not in documented and name not in used] == []

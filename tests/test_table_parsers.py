@@ -16,14 +16,12 @@ from hypothesis import strategies as st
 from cnnergy._tables import data_text
 from cnnergy.energymodel import _parse_plans, parse_device_profile, parse_measurements
 from cnnergy.errors import CnnergyError, DataFormatError
-from cnnergy.multigpu import parse_gpu_set
 from cnnergy.powertrace import parse_regions
 from cnnergy.tuner import parse_accuracy
 
 from oracles import (
     parse_accuracy_reference,
     parse_device_profile_reference,
-    parse_gpu_set_reference,
     parse_measurements_reference,
     parse_plans_reference,
     parse_regions_reference,
@@ -123,12 +121,6 @@ PROFILE_TEXTS = key_value_texts({
     "bandwidth_bytes_per_s": ["480000000000", "4.8e11"],
     "tdp_watts": ["250", "75.5"],
 }, extra_keys=["colour", "members"])
-GPU_SET_TEXTS = key_value_texts({
-    "members": ["pascal:2", "pascal:1,maxwell:2", "pascal:2,pascal:2", "pascal",
-                "pascal:x", "pascal:0", ":3", "pascal:1, maxwell : 1", "maxwell:-1"],
-    "link_bandwidth": ["15.75e9", "1e9"],
-    "link_latency": ["5e-6", "0"],
-}, extra_keys=["bandwidth", "name"])
 
 
 def assert_same(parse, reference, text):
@@ -160,12 +152,6 @@ def test_parse_regions_matches_original(text):
 @settings(max_examples=300, deadline=None)
 def test_parse_device_profile_matches_original(text):
     assert_same(parse_device_profile, parse_device_profile_reference, text)
-
-
-@given(GPU_SET_TEXTS)
-@settings(max_examples=300, deadline=None)
-def test_parse_gpu_set_matches_original(text):
-    assert_same(parse_gpu_set, parse_gpu_set_reference, text)
 
 
 def _strip_header_cells(text: str) -> str:

@@ -7,7 +7,7 @@ from cnnergy.arch import builtin_network, infer_shapes
 from cnnergy.energymodel import (
     MeasurementRecord,
     TrainingPlan,
-    bundled_device,
+    bundled_devices,
     bundled_measurements,
     bundled_plans,
     calibrate,
@@ -37,9 +37,8 @@ from cnnergy.tuner import (
     score,
 )
 
-PASCAL = bundled_device("pascal")
-MAXWELL = bundled_device("maxwell")
-PROFILES = {"pascal": PASCAL, "maxwell": MAXWELL}
+PROFILES = bundled_devices()
+PASCAL, MAXWELL = PROFILES["pascal"], PROFILES["maxwell"]
 RECORDS = records_by_key(bundled_measurements())
 PLANS = bundled_plans()
 
