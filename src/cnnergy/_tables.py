@@ -1,12 +1,10 @@
-"""The two text formats cnnergy's tables come in, read in one place.
+"""The one text format cnnergy's tables come in, read in one place.
 
-* CSV with a fixed header: blank and whitespace-only lines are skipped, the
-  header and every row are split on commas with each cell stripped, and row
-  errors name their line, counting the header as line 1.
-* key=value files: ``#`` starts a comment, blank lines are skipped, and line
-  numbers count every line of the file.
+Every table is CSV with a fixed header: blank and whitespace-only lines are
+skipped, the header and every row are split on commas with each cell
+stripped, and row errors name their line, counting the header as line 1.
 
-The readers check only the format; the records they build check their own
+The reader checks only the format; the records it builds check their own
 values.
 """
 
@@ -45,19 +43,3 @@ def read_csv(text: str, what: str, header: str, build, error=DataFormatError) ->
             raise error(f"line {lineno}: {exc}") from None
     return rows
 
-
-def read_key_values(text: str):
-    """Yield ``(lineno, key, value)``, both stripped, for each setting.
-
-    Raises:
-        DataFormatError: a line that is neither blank nor a comment has no
-            ``=`` (``"line N: expected key=value, got ..."``).
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        yield lineno, key.strip(), value.strip()

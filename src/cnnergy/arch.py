@@ -42,6 +42,10 @@ BUILTIN_NETWORK_NAMES = ("two_d_cnn", "resnet_gait", "caffenet", "resnet_im")
 GAIT_CLASSES = 155
 IMAGE_CLASSES = 1000
 
+#: Most layers a parsed network may have, ``resblock`` expansions included;
+#: about 60x the 167 layers of resnet_gait.
+MAX_LAYERS = 10_000
+
 
 @dataclass(frozen=True)
 class TensorShape:
@@ -111,6 +115,8 @@ class LayerSpec:
             raise ValueError(f"stride of layer {self.name!r} must be >= 1")
         if self.padding < 0:
             raise ValueError(f"padding of layer {self.name!r} must be >= 0")
+        if (self.stride, self.padding) != (1, 0) and self.kind not in ("conv", "pool"):
+            raise ValueError(f"stride and pad only apply to conv and pool layers, not {self.kind}")
         if self.groups < 1:
             raise ValueError(f"groups of layer {self.name!r} must be >= 1")
         if self.groups != 1 and self.kind != "conv":
@@ -572,6 +578,12 @@ def _layer_from_kv(kind: str, name: str, kv: dict[str, object], lineno: int) -> 
         raise ArchSemanticError(str(exc), lineno) from None
 
 
+def _check_room(n_layers: int, lineno: int) -> None:
+    if n_layers > MAX_LAYERS:
+        raise ArchSemanticError(f"network would have {n_layers} layers; the limit is "
+                                f"{MAX_LAYERS}", lineno)
+
+
 def parse_network(text: str, name: str | None = None) -> NetworkSpec:
     """Parse the line-oriented architecture format.
 
@@ -580,12 +592,15 @@ def parse_network(text: str, name: str | None = None) -> NetworkSpec:
     key=value ...`` with keys ``filters,units,k,kw,kh,stride,pad,groups,
     bias,type,skip``. ``resblock <name> filters=<n> count=<m> [convs=1|2]``
     expands to that many residual blocks wired to the running tensor.
-    A ``# network: <name>`` comment names the network.
+    A ``# network: <name>`` comment names the network. ``stride`` and
+    ``pad`` apply only to conv and pool, and a network has at most
+    :data:`MAX_LAYERS` layers.
 
     Raises:
         ArchSyntaxError: malformed line (with its line number).
         ArchSemanticError: well-formed line violating a layer/network
-            invariant.
+            invariant, or a line that would take the network past
+            :data:`MAX_LAYERS` (checked before any of its layers is built).
     """
     input_shape: TensorShape | None = None
     layers: list[LayerSpec] = []
@@ -625,6 +640,8 @@ def parse_network(text: str, name: str | None = None) -> NetworkSpec:
                 raise ArchSyntaxError("resblock needs filters=<n> count=<m>", lineno)
             if prev_layer_name is None:
                 raise ArchSemanticError("resblock cannot be the first layer", lineno)
+            # a block is convs x (conv, bn) + relu + sum + relu_out (_residual_block)
+            _check_room(len(layers) + count * (2 * convs + 3), lineno)
             prev = prev_layer_name
             try:
                 for i in range(1, count + 1):
@@ -639,6 +656,7 @@ def parse_network(text: str, name: str | None = None) -> NetworkSpec:
         kind = _KIND_ALIASES.get(kind_token)
         if kind is None:
             raise ArchSyntaxError(f"unknown layer kind {kind_token!r}", lineno)
+        _check_room(len(layers) + 1, lineno)
         layers.append(_layer_from_kv(kind, layer_name, kv, lineno))
         prev_layer_name = layer_name
     if input_shape is None:
@@ -675,7 +693,7 @@ def emit_network(net: NetworkSpec) -> str:
             parts.append(f"type={layer.pool_kind}")
         if layer.kind == "fully_connected" or (layer.kind == "softmax" and layer.units is not None):
             parts.append(f"units={layer.units}")
-        if layer.kind == "residual_sum":
+        if layer.skip is not None:
             parts.append(f"skip={layer.skip}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ regions -> joules), ``gen-trace`` (synthetic power trace), ``calibrate``
 All commands accept ``--output PATH`` (default stdout) and ``--format
 csv|table``. Floats are printed with 6 significant digits so identical
 invocations produce identical bytes. Exit codes: 0 success, 2 input or
-data error, 3 nothing feasible to rank.
+data error, 3 nothing to produce (an empty or infeasible rank grid, or no
+group to fit).
 """
 from __future__ import annotations
 
@@ -156,6 +157,8 @@ def _load_records(args) -> list[energymodel.MeasurementRecord]:
 def cmd_calibrate(args) -> str:
     records = _load_records(args)
     models, skipped = energymodel.calibrate(records, gpu_counts=args.gpus)
+    if not models:
+        raise NothingFeasibleError(f"no model to fit ({len(skipped)} group(s) skipped)")
     if args.model_out:
         energymodel.save_models(models, args.model_out)
     lines = [f"# fitted: {len(models)}", f"# skipped: {len(skipped)}"]
@@ -324,7 +327,8 @@ def main(argv=None) -> int:
     except NothingFeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CnnergyError, OSError, ValueError) as exc:
+    except (CnnergyError, OSError, ValueError, OverflowError) as exc:
+        # OverflowError: an input number too large for a float, e.g. --batch 9...9
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _deliver(text, args)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cache
 
-from ._tables import data_text, read_csv, read_key_values
+from ._tables import data_text, read_csv
 from .costmodel import CostSummary
 from .errors import (
     DataFormatError,
@@ -52,41 +52,6 @@ class DeviceProfile:
                 raise ValueError(f"DeviceProfile.{field} must be positive and finite")
 
 
-_PROFILE_FIELDS = {
-    "name": str,
-    "generation": str,
-    "cores": int,
-    "core_freq_mhz": float,
-    "peak_tflops": float,
-    "dram_bytes": int,
-    "bandwidth_bytes_per_s": float,
-    "tdp_watts": float,
-}
-
-
-def parse_device_profile(text: str) -> DeviceProfile:
-    """Parse a key=value device profile file.
-
-    Raises:
-        DataFormatError: unknown/missing keys or non-numeric values.
-    """
-    values: dict[str, object] = {}
-    for lineno, key, val in read_key_values(text):
-        if key not in _PROFILE_FIELDS:
-            raise DataFormatError(f"line {lineno}: unknown profile key {key!r}")
-        try:
-            values[key] = _PROFILE_FIELDS[key](val)
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: bad value for {key}: {val!r}") from None
-    missing = set(_PROFILE_FIELDS) - set(values)
-    if missing:
-        raise DataFormatError(f"profile missing keys: {sorted(missing)}")
-    try:
-        return DeviceProfile(**values)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
-
-
 def bundled_devices() -> dict[str, DeviceProfile]:
     """Both bundled device profiles by name, read once per process; each call
     returns a new dict."""
@@ -95,8 +60,15 @@ def bundled_devices() -> dict[str, DeviceProfile]:
 
 @cache
 def _bundled_devices() -> dict[str, DeviceProfile]:
-    return {name: parse_device_profile(data_text(f"devices/{name}.profile"))
-            for name in ("pascal", "maxwell")}
+    devices = read_csv(
+        data_text("devices.csv"), "devices",
+        "name,generation,cores,core_freq_mhz,peak_tflops,dram_bytes,"
+        "bandwidth_bytes_per_s,tdp_watts",
+        lambda name, generation, cores, freq, tflops, dram, bandwidth, tdp: DeviceProfile(
+            name, generation, int(cores), float(freq), float(tflops), int(dram),
+            float(bandwidth), float(tdp)),
+    )
+    return {device.name: device for device in devices}
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +343,16 @@ def load_models(path) -> list[CalibratedModel]:
     """Read models written by :func:`save_models`.
 
     Raises:
-        DataFormatError: the JSON is not ``{"models": [...]}``, or a model
-            has a missing, unknown or mistyped key (non-finite numbers
-            included); the message names the file and the key.
+        DataFormatError: the file is not UTF-8 JSON, the JSON is not
+            ``{"models": [...]}``, or a model has a missing, unknown or
+            mistyped key (non-finite numbers included); the message names
+            the file and the key.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataFormatError(f"{path}: {exc}") from None
     entries = payload.get("models") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
         raise DataFormatError(f"{path}: expected an object with a 'models' list")

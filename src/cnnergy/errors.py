@@ -112,4 +112,5 @@ class NoDataForConfigError(CnnergyError):
 
 
 class NothingFeasibleError(CnnergyError):
-    """No feasible configuration remains to rank."""
+    """A command has nothing to produce: no feasible configuration remains to
+    rank, or no group can be fitted."""

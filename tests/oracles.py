@@ -236,48 +236,3 @@ def parse_plans_reference(text):
         plan = TrainingPlan(net, int(batch), int(iters), int(epochs))
         plans[(plan.network, plan.batch)] = plan
     return plans
-
-
-_PROFILE_FIELDS = {
-    "name": str,
-    "generation": str,
-    "cores": int,
-    "core_freq_mhz": float,
-    "peak_tflops": float,
-    "dram_bytes": int,
-    "bandwidth_bytes_per_s": float,
-    "tdp_watts": float,
-}
-
-
-def parse_device_profile_reference(text):
-    """Parse a key=value device profile file.
-
-    Raises:
-        DataFormatError: unknown/missing keys or non-numeric values.
-    """
-    from cnnergy.energymodel import DeviceProfile
-    from cnnergy.errors import DataFormatError
-
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _PROFILE_FIELDS:
-            raise DataFormatError(f"line {lineno}: unknown profile key {key!r}")
-        try:
-            values[key] = _PROFILE_FIELDS[key](val)
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: bad value for {key}: {val!r}") from None
-    missing = set(_PROFILE_FIELDS) - set(values)
-    if missing:
-        raise DataFormatError(f"profile missing keys: {sorted(missing)}")
-    try:
-        return DeviceProfile(**values)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None

@@ -1,10 +1,15 @@
 """Architecture description, shape inference, and the parser/emitter."""
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnnergy.arch import (
     BUILTIN_NETWORK_NAMES,
     GAIT_CLASSES,
     IMAGE_CLASSES,
+    MAX_LAYERS,
     LayerSpec,
     NetworkSpec,
     TensorShape,
@@ -18,6 +23,7 @@ from cnnergy.arch import (
 from cnnergy.errors import (
     ArchSemanticError,
     ArchSyntaxError,
+    CnnergyError,
     GroupMismatchError,
     NonPositiveOutputError,
     ShapeConflictError,
@@ -136,6 +142,17 @@ def test_layer_spec_rejects_bad_stride_padding():
         conv("c", 3, 8, stride=0)
     with pytest.raises(ValueError):
         conv("c", 3, 8, pad=-1)
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("relu", {}), ("dropout", {}), ("batch_norm", {}), ("softmax", {}),
+    ("residual_sum", {}), ("fully_connected", {"units": 4}),
+    ("local_response_norm", {"kernel_w": 5, "kernel_h": 5}),
+])
+@pytest.mark.parametrize("geometry", [{"stride": 8}, {"padding": 1}])
+def test_layer_spec_stride_and_pad_are_conv_and_pool_only(kind, extra, geometry):
+    with pytest.raises(ValueError, match="stride and pad only apply to conv and pool"):
+        LayerSpec("x", kind, **extra, **geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +459,24 @@ def test_parse_resblock_cannot_lead():
         parse_network("input 8 8 4\nresblock b filters=4 count=1\n")
 
 
+def test_parse_refuses_a_resblock_past_the_layer_limit_before_building_it():
+    text = "input 8 8 4\nconv stem filters=4 k=3 pad=1\nresblock b filters=4 count=1000000000\n"
+    start = time.perf_counter()
+    with pytest.raises(ArchSemanticError, match=f"^line 3: .*limit is {MAX_LAYERS}$"):
+        parse_network(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_layer_limit_counts_every_layer():
+    # 1428 two-conv blocks are 9996 layers; the stem and 3 plain layers make
+    # MAX_LAYERS exactly, and one more plain layer goes over.
+    head = "input 8 8 4\nconv stem filters=4 k=3 pad=1\nresblock b filters=4 count=1428\n"
+    full = head + "relu r1\nrelu r2\nrelu r3\n"
+    assert len(parse_network(full).layers) == MAX_LAYERS
+    with pytest.raises(ArchSemanticError, match="^line 7: "):
+        parse_network(full + "relu r4\n")
+
+
 @pytest.mark.parametrize("name", BUILTIN_NETWORK_NAMES)
 def test_emit_parse_round_trip(name):
     net = builtin_network(name)
@@ -452,3 +487,77 @@ def test_emit_parse_round_trip(name):
     assert again.layers == net.layers
     # and the round trip is a fixed point
     assert emit_network(again) == text
+
+
+def test_emit_writes_no_skip_for_a_sum_without_one():
+    net = parse_network("input 8 8 4\nrelu a\nsum s\n")
+    assert emit_network(net).splitlines()[-1] == "sum s"
+    assert parse_network(emit_network(net)) == net
+
+
+# ---------------------------------------------------------------------------
+# Parser properties on generated architecture text
+# ---------------------------------------------------------------------------
+
+GOOD_VALUES = {"bias": ["true", "false"], "type": ["max", "average"]}
+BAD_VALUES = ["0", "-1", "max", "true", "x", "None", ""]
+KIND_KEYS = {  # the keys a kind needs, then the keys it may take
+    "conv": (["filters", "k"], ["stride", "pad", "groups", "bias", "kw"]),
+    "pool": (["k"], ["stride", "pad", "type", "kh"]),
+    "fc": (["units"], []), "fully_connected": (["units"], []), "softmax": ([], ["units"]),
+    "lrn": (["k"], []), "sum": (["skip"], []), "residual_sum": (["skip"], []),
+    "relu": ([], []), "bn": ([], []), "batch_norm": ([], []), "dropout": ([], []),
+    "resblock": (["filters", "count"], ["convs"]),
+}
+
+
+@st.composite
+def arch_texts(draw):
+    """Architecture text that is mostly well formed: an input line, then
+    layers that usually carry the keys their kind needs, small values and
+    fresh names, with now and then a foreign key, a bad value, a repeated
+    name or a bad line (resblock counts stay far below MAX_LAYERS)."""
+    def rarely(a, b):
+        return b if not draw(st.integers(0, 29)) else a
+
+    dims = [draw(st.sampled_from(["1", "2", "4", "8", "16"])) for _ in range(3)]
+    lines = [" ".join(["input", rarely(dims[0], "0")] + dims[1:])]
+    if not draw(st.integers(0, 3)):
+        lines.insert(0, "# network: " + draw(st.sampled_from(["toy", "", "a b"])))
+    names = []
+    for i in range(draw(st.integers(0, 8))):
+        kind = rarely(draw(st.sampled_from(sorted(KIND_KEYS))), "bogus")
+        need, may = KIND_KEYS.get(kind, ([], []))
+        keys = [k for k in need if draw(st.integers(0, 19))]
+        keys += draw(st.lists(st.sampled_from(may), max_size=2, unique=True)) if may else []
+        keys += [] if draw(st.integers(0, 29)) else [draw(st.sampled_from(
+            ["stride", "pad", "dilation"]))]
+        name = rarely(f"l{i}", draw(st.sampled_from(names or ["l0"])))
+        tokens = [kind, name]
+        for key in dict.fromkeys(keys):
+            pool = names or ["l0"] if key == "skip" else rarely(
+                GOOD_VALUES.get(key, ["1", "2", "3", "4"]), BAD_VALUES)
+            tokens.append(f"{key}={rarely(draw(st.sampled_from(pool)), 'x')}")
+        lines.append(" ".join(tokens))
+        names.append(name)
+    return "\n".join(lines) + "\n"
+
+
+@given(arch_texts())
+@settings(max_examples=250, deadline=None)
+def test_parse_network_returns_a_network_or_raises_cnnergy_error(text):
+    try:
+        net = parse_network(text)
+    except CnnergyError:
+        return
+    assert isinstance(net, NetworkSpec)
+
+
+@given(arch_texts())
+@settings(max_examples=250, deadline=None)
+def test_emit_parse_round_trips_every_parsed_network(text):
+    try:
+        net = parse_network(text)
+    except CnnergyError:
+        return
+    assert parse_network(emit_network(net)) == net

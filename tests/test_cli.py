@@ -1,9 +1,17 @@
 """End-to-end command-line checks (in-process, no subprocesses)."""
+import contextlib
 import io
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cnnergy import cli, energymodel, powertrace
+
+from test_arch import arch_texts
 
 TOY_ARCH = """\
 # network: toy
@@ -202,6 +210,22 @@ def test_calibrate_reports_skipped_groups(tmp_path, capsys):
     assert "only 1 distinct batch size(s)" in lines[2]
 
 
+def test_calibrate_with_nothing_to_fit_exits_3(tmp_path, capsys):
+    code, out, err = run(["calibrate", "--bundled", "--gpus", "0"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: no model to fit (0 group(s) skipped)\n"
+
+    measurements = tmp_path / "m.csv"
+    measurements.write_text(MEASUREMENTS.replace("pascal,net_a,forward,1,128,0.02,8.0\n", ""),
+                            encoding="utf-8")
+    model_file = tmp_path / "models.json"
+    code, out, err = run(["calibrate", "--measurements", str(measurements),
+                          "--model-out", str(model_file)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: no model to fit (4 group(s) skipped)\n"
+    assert not model_file.exists()
+
+
 def test_calibrate_model_out_round_trips_through_predict(tmp_path, capsys):
     measurements = tmp_path / "m.csv"
     measurements.write_text(MEASUREMENTS, encoding="utf-8")
@@ -246,6 +270,8 @@ def test_predict_missing_model_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("payload", [
+    'not json',
+    pytest.param('[' * 5000, id="deeply-nested"),
     '{"nope": 1}',
     '{"models": [{"device": "pascal"}]}',
     '{"models": [{"colour": "red"}]}',
@@ -258,6 +284,16 @@ def test_predict_bad_model_json_exits_2(tmp_path, capsys, payload):
                           "--step", "forward", "--gpus", "1", "--batch", "64"],
                          capsys)
     assert code == 2 and out == ""
+    assert err.startswith(f"error: {model_file}: ")
+
+
+def test_predict_model_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    model_file = tmp_path / "models.json"
+    model_file.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(["predict", "--models", str(model_file), "--device", "pascal",
+                          "--network", "net_a", "--step", "forward", "--gpus", "1",
+                          "--batch", "64"], capsys)
+    assert (code, out) == (2, "")
     assert err.startswith(f"error: {model_file}: ")
 
 
@@ -330,3 +366,123 @@ def test_rank_output_file_and_repeatability(tmp_path, capsys):
         assert out == ""  # written to the file, not stdout
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text(encoding="utf-8").startswith("# metric: energy\n")
+
+
+# ---------------------------------------------------------------------------
+# every command, hostile arguments and malformed files
+# ---------------------------------------------------------------------------
+
+HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1", "2", "64", "1e308", "9" * 30, "9" * 400, "x"]
+MODEL = {"device": "pascal", "network": "net_a", "step": "forward", "gpus": 1,
+         "quantity": "seconds", "slope": 1e-4, "intercept": 0.001, "r_squared": 1.0,
+         "residuals": [0.0, 0.0], "batch_min": 64, "batch_max": 128, "n_points": 2}
+
+
+def hostile(draw, good=()):
+    return draw(st.sampled_from(list(good) + HOSTILE))
+
+
+@st.composite
+def csv_files(draw, header, good_cells):
+    """A small CSV: the right header or a wrong one, then up to 12 rows whose
+    cells are good or hostile numbers, now and then of the wrong width."""
+    lines = [draw(st.sampled_from([header] * 4 + ["", "a,b", header + ",x"]))]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [hostile(draw, [good] * 12) for good in good_cells]
+        lines.append(",".join(cells[:draw(st.sampled_from([len(cells)] * 9 + [1]))]))
+    return "\n".join(lines).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
+
+
+def model_files():
+    bad_value = st.sampled_from(sorted(MODEL)).flatmap(
+        lambda key: st.sampled_from([float("nan"), "x", None, -1, 1e308]).map(
+            lambda v: {**MODEL, key: v}))
+    return st.one_of(
+        st.sampled_from([b"not json", b"[" * 5000, b"\xff{}", b"", b"{}", b'{"models": []}']),
+        st.lists(st.one_of(st.just(MODEL), bad_value), max_size=3).map(
+            lambda ms: json.dumps({"models": ms}).encode()),
+    )
+
+
+@st.composite
+def cli_runs(draw):
+    """``(argv, files)``: argv for one command, and the bytes of each file it
+    names (as ``@name``). Every trace stays within 1e5 samples x channels
+    and every resblock count far below the layer limit."""
+    command = draw(st.sampled_from(["analyze", "integrate", "gen-trace",
+                                    "calibrate", "predict", "rank"]))
+    files, argv = {}, [command]
+
+    def option(flag, value):
+        if draw(st.booleans()):
+            argv.extend([flag, value])
+
+    if command == "analyze":
+        if draw(st.booleans()):
+            argv += ["--builtin", draw(st.sampled_from(["caffenet", "two_d_cnn"]))]
+        else:
+            files["arch"] = draw(arch_texts()).encode() + draw(st.sampled_from([b"", b"\xff"]))
+            argv += ["--arch", "@arch"]
+        option("--batch", hostile(draw))
+        option("--element-bytes", hostile(draw))
+    elif command == "integrate":
+        files["trace"] = draw(csv_files("t_s,gpu_w,cpu_w", ["0", "1", "100"]))
+        files["regions"] = draw(csv_files("id,label,t_start_s,t_end_s",
+                                          ["r1", "forward", "0", "1"]))
+        argv += ["--trace", "@trace", "--regions", "@regions"]
+    elif command == "gen-trace":
+        segments = [f"{hostile(draw, ['100'])}:{hostile(draw, ['1'])}"
+                    if draw(st.booleans()) else
+                    f"{hostile(draw, ['50'])}-{hostile(draw, ['150'])}:{hostile(draw, ['2'])}"
+                    for _ in range(draw(st.integers(1, 3)))]
+        argv += ["--segments", ",".join(segments)]
+        option("--rate", hostile(draw, ["10"]))
+        option("--channels", hostile(draw, ["4"]))
+        option("--noise", hostile(draw))
+        option("--seed", hostile(draw))
+    else:
+        if command == "predict":
+            files["models"] = draw(model_files())
+            argv += ["--models", "@models", "--device", "pascal", "--network", "net_a",
+                     "--step", "forward", "--gpus", hostile(draw), "--batch", hostile(draw)]
+        elif draw(st.booleans()):
+            argv.append("--bundled")
+        else:
+            files["measurements"] = draw(csv_files(
+                "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch",
+                ["pascal", "net_a", "forward", "1", "64", "0.01", "4.0"]))
+            argv += ["--measurements", "@measurements"]
+        ints = ",".join(hostile(draw, ["1", "2", "4"]) for _ in range(draw(st.integers(1, 3))))
+        if command == "calibrate":
+            option("--gpus", ints)
+            option("--model-out", "@out")
+        elif command == "rank":
+            argv += ["--device", draw(st.sampled_from(["pascal", "maxwell", "x"]))]
+            option("--gpus", ints)
+            option("--batches", ",".join(hostile(draw, ["64", "256"]) for _ in range(2)))
+            option("--networks", draw(st.sampled_from(["two_d_cnn", "caffenet,x", ""])))
+            option("--update-overhead-pct", hostile(draw))
+    return argv, files
+
+
+@given(cli_runs())
+@example((["analyze", "--builtin", "caffenet", "--batch", "9" * 400], {}))
+@example((["predict", "--models", "@models", "--device", "pascal", "--network", "net_a",
+           "--step", "forward", "--gpus", "1", "--batch", "9" * 400],
+          {"models": json.dumps({"models": [MODEL]}).encode()}))
+@example((["predict", "--models", "@models", "--device", "pascal", "--network", "net_a",
+           "--step", "forward", "--gpus", "1", "--batch", "1"], {"models": b"[" * 5000}))
+@settings(max_examples=500, deadline=None)
+def test_main_exits_0_2_or_3_on_any_input(run_spec):
+    argv, files = run_spec
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        argv = [str(Path(tmp) / a[1:]) if a.startswith("@") else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses an option's value
+                code = exc.code
+    assert code in (0, 2, 3)

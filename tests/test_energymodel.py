@@ -7,6 +7,7 @@ import pytest
 from cnnergy.arch import builtin_network, infer_shapes
 from cnnergy.costmodel import network_cost
 from cnnergy.energymodel import (
+    DeviceProfile,
     MeasurementRecord,
     QUANTITIES,
     STEPS,
@@ -19,7 +20,6 @@ from cnnergy.energymodel import (
     gflops_per_watt,
     iterations_for,
     load_models,
-    parse_device_profile,
     parse_measurements,
     predict,
     records_by_key,
@@ -46,43 +46,32 @@ def record(device="pascal", network="two_d_cnn", step="forward", gpus=1,
 # Device profiles
 # ---------------------------------------------------------------------------
 
-PROFILE_TEXT = """\
-name=demo
-generation=demo-2020
-cores=1024
-core_freq_mhz=1000
-peak_tflops=5.5
-dram_bytes=8589934592
-bandwidth_bytes_per_s=3e11
-tdp_watts=200
-"""
+def test_device_profile_rejects_non_finite():
+    values = dict(name="demo", generation="demo-2020", cores=1024, core_freq_mhz=1000.0,
+                  peak_tflops=5.5, dram_bytes=8589934592, bandwidth_bytes_per_s=3e11,
+                  tdp_watts=200.0)
+    for field in ("core_freq_mhz", "peak_tflops", "tdp_watts"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                DeviceProfile(**{**values, field: bad})
 
 
-def test_parse_device_profile():
-    profile = parse_device_profile(PROFILE_TEXT)
-    assert profile.name == "demo"
-    assert profile.cores == 1024
-    assert profile.peak_tflops == 5.5
-    assert profile.dram_bytes == 8589934592
-    assert profile.bandwidth_bytes_per_s == 3e11
-
-
-def test_parse_device_profile_missing_key():
-    text = PROFILE_TEXT.replace("tdp_watts=200\n", "")
-    with pytest.raises(DataFormatError):
-        parse_device_profile(text)
-
-
-def test_parse_device_profile_bad_value():
-    with pytest.raises(DataFormatError):
-        parse_device_profile(PROFILE_TEXT.replace("cores=1024", "cores=many"))
-    with pytest.raises(DataFormatError):
-        parse_device_profile(PROFILE_TEXT + "bogus_key=1\n")
-    for key, value in (("core_freq_mhz", "1000"), ("peak_tflops", "5.5"),
-                       ("tdp_watts", "200")):
-        for bad in ("nan", "inf", "-inf"):
-            with pytest.raises(DataFormatError, match=f"{key} must be positive and finite"):
-                parse_device_profile(PROFILE_TEXT.replace(f"{key}={value}", f"{key}={bad}"))
+def test_bundled_devices_keep_every_value():
+    # the values the bundled tables have always held, field by field
+    assert bundled_devices() == {
+        "pascal": DeviceProfile(
+            name="pascal", generation="pascal-2016", cores=3584, core_freq_mhz=1911.0,
+            peak_tflops=11.0, dram_bytes=12884901888, bandwidth_bytes_per_s=480000000000.0,
+            tdp_watts=250.0),
+        "maxwell": DeviceProfile(
+            name="maxwell", generation="maxwell-2015", cores=3072, core_freq_mhz=1392.0,
+            peak_tflops=6.6, dram_bytes=12884901888, bandwidth_bytes_per_s=336500000000.0,
+            tdp_watts=250.0),
+    }
+    for device in bundled_devices().values():
+        assert [type(getattr(device, f)) for f in ("cores", "dram_bytes")] == [int, int]
+        assert all(type(getattr(device, f)) is float for f in (
+            "core_freq_mhz", "peak_tflops", "bandwidth_bytes_per_s", "tdp_watts"))
 
 
 def test_bundled_devices():

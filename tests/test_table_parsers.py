@@ -1,10 +1,10 @@
 """Differential fuzz of the table parsers against their hand-written originals.
 
-Each parser now reads through the shared CSV or key=value reader. On
-generated text (blank and whitespace-only lines, CRLF endings, padded cells,
-wrong widths, wrong headers, non-numeric, ``nan``/``inf`` and ``#`` cells) it
-must return what the original line loop in ``oracles.py`` returned, or raise
-the same error class with the same message, and every failure must be a
+Each parser now reads through the shared CSV reader. On generated text
+(blank and whitespace-only lines, CRLF endings, padded cells, wrong widths,
+wrong headers, non-numeric, ``nan``/``inf`` and ``#`` cells) it must return
+what the original line loop in ``oracles.py`` returned, or raise the same
+error class with the same message, and every failure must be a
 ``CnnergyError``.
 """
 import re
@@ -14,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnergy._tables import data_text
-from cnnergy.energymodel import _parse_plans, parse_device_profile, parse_measurements
+from cnnergy.energymodel import _parse_plans, parse_measurements
 from cnnergy.errors import CnnergyError, DataFormatError
 from cnnergy.powertrace import parse_regions
 from cnnergy.tuner import parse_accuracy
 
 from oracles import (
     parse_accuracy_reference,
-    parse_device_profile_reference,
     parse_measurements_reference,
     parse_plans_reference,
     parse_regions_reference,
@@ -73,25 +72,6 @@ def csv_texts(draw, header, columns):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-@st.composite
-def key_value_texts(draw, fields, extra_keys):
-    """Mostly complete key=value files: each known key once (sometimes
-    dropped or repeated), plus comments, blanks, unknown keys and lines
-    without ``=``."""
-    lines = []
-    for key, pool in fields.items():
-        for _ in range(draw(st.sampled_from((1,) * 8 + (0, 2)))):
-            sep = draw(st.sampled_from(["=", " = ", "= "])) if draw(st.integers(0, 29)) else "=="
-            comment = draw(st.sampled_from([""] * 6 + [" # note", "#x=1"]))
-            lines.append(draw(PADDING) + key + sep + cell(draw, pool) + comment)
-    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
-            BLANKS + ["# comment", "# a=b", "no equals sign", "=1"]
-            + [f"{k}=1" for k in extra_keys])))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
-
-
 NETWORKS = ["resnet_gait", "caffenet", "two_d_cnn"]
 INTS = ["64", "1", "2", "128"]
 FLOATS = ["0.029", "4.255", "12", "1e-3", "+7.5"]
@@ -110,18 +90,6 @@ REGION_TEXTS = csv_texts(
 PLAN_TEXTS = csv_texts(
     "network,batch,iterations,epochs",
     [NETWORKS, ["64", "128"], ["72368", "1"], ["20", "90"]])
-
-PROFILE_TEXTS = key_value_texts({
-    "name": ["pascal", "x"],
-    "generation": ["pascal-2016"],
-    "cores": ["3584", "1"],
-    "core_freq_mhz": ["1911", "1.5e3"],
-    "peak_tflops": ["11", "0.5"],
-    "dram_bytes": ["12884901888"],
-    "bandwidth_bytes_per_s": ["480000000000", "4.8e11"],
-    "tdp_watts": ["250", "75.5"],
-}, extra_keys=["colour", "members"])
-
 
 def assert_same(parse, reference, text):
     got = outcome(parse, text)
@@ -146,12 +114,6 @@ def test_parse_accuracy_matches_original(text):
 @settings(max_examples=300, deadline=None)
 def test_parse_regions_matches_original(text):
     assert_same(parse_regions, parse_regions_reference, text)
-
-
-@given(PROFILE_TEXTS)
-@settings(max_examples=300, deadline=None)
-def test_parse_device_profile_matches_original(text):
-    assert_same(parse_device_profile, parse_device_profile_reference, text)
 
 
 def _strip_header_cells(text: str) -> str:
@@ -193,9 +155,6 @@ def test_bundled_tables_read_as_before():
         assert parse_accuracy(text) == parse_accuracy_reference(text)
     assert _parse_plans(data_text("iterations.csv")) \
         == parse_plans_reference(data_text("iterations.csv"))
-    for device in ("pascal", "maxwell"):
-        text = data_text(f"devices/{device}.profile")
-        assert parse_device_profile(text) == parse_device_profile_reference(text)
 
 
 def test_plans_bad_row_is_a_data_format_error():
