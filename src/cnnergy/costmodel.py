@@ -49,15 +49,9 @@ class OpCount:
         return (self.macc + self.max_ops + self.add_div + self.exp_add_div
                 + self.mul01 + self.bias_add)
 
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            self.macc + other.macc,
-            self.max_ops + other.max_ops,
-            self.add_div + other.add_div,
-            self.exp_add_div + other.exp_add_div,
-            self.mul01 + other.mul01,
-            self.bias_add + other.bias_add,
-        )
+    def scaled(self, factor: int) -> "OpCount":
+        """Every count multiplied by ``factor``."""
+        return OpCount(*(count * factor for count in vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,6 @@ class DataVolume:
     def written_bytes(self) -> int:
         return self.written_elems * self.element_bytes
 
-    def __add__(self, other: "DataVolume") -> "DataVolume":
-        if self.element_bytes != other.element_bytes:
-            raise ValueError("cannot add DataVolumes with different element_bytes")
-        return DataVolume(self.read_elems + other.read_elems,
-                          self.written_elems + other.written_elems,
-                          self.element_bytes)
-
 
 @dataclass(frozen=True)
 class LayerCost:
@@ -102,16 +89,21 @@ class LayerCost:
 class CostSummary:
     """Whole-network per-sample cost: per-layer rows plus exact totals.
 
+    ``ops`` holds the per-kind operation totals and ``total_ops`` their sum.
     ``ctc`` is the compute-to-traffic ratio total_ops / total_read_elems
     (operations per tensor element read); ``None`` for an empty network.
     """
 
     per_layer: tuple[LayerCost, ...]
-    total_ops: int
+    ops: OpCount
     total_read_elems: int
     total_written_elems: int
     element_bytes: int
     ctc: float | None
+
+    @property
+    def total_ops(self) -> int:
+        return self.ops.total()
 
     @property
     def total_read_bytes(self) -> int:
@@ -211,25 +203,21 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
         ShapeMismatchError: a layer's output is not what it makes of its input.
     """
     rows = []
-    ops_total = OpCount()
-    data_total = DataVolume(0, 0, element_bytes)
     for sl in shaped.per_layer:
         _check_shapes(sl.spec, sl.input, sl.output)
-        ops = _layer_ops(sl.spec, sl.input, sl.output)
-        data = _layer_data(sl.spec, sl.input, sl.output, element_bytes)
-        rows.append(LayerCost(sl.spec.name, sl.spec.kind, ops, data))
-        ops_total = ops_total + ops
-        data_total = data_total + data
-    ctc = None
-    if data_total.read_elems > 0:
-        ctc = ops_total.total() / data_total.read_elems
+        rows.append(LayerCost(sl.spec.name, sl.spec.kind,
+                              _layer_ops(sl.spec, sl.input, sl.output),
+                              _layer_data(sl.spec, sl.input, sl.output, element_bytes)))
+    ops = OpCount(*map(sum, zip(*(vars(row.ops).values() for row in rows))))
+    read = sum(row.data.read_elems for row in rows)
+    written = sum(row.data.written_elems for row in rows)
     return CostSummary(
         per_layer=tuple(rows),
-        total_ops=ops_total.total(),
-        total_read_elems=data_total.read_elems,
-        total_written_elems=data_total.written_elems,
+        ops=ops,
+        total_read_elems=read,
+        total_written_elems=written,
         element_bytes=element_bytes,
-        ctc=ctc,
+        ctc=ops.total() / read if read > 0 else None,
     )
 
 
@@ -239,8 +227,7 @@ def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rows = tuple(
-        LayerCost(row.name, row.kind,
-                  OpCount(*(count * batch_size for count in vars(row.ops).values())),
+        LayerCost(row.name, row.kind, row.ops.scaled(batch_size),
                   DataVolume(row.data.read_elems * batch_size,
                              row.data.written_elems * batch_size,
                              row.data.element_bytes))
@@ -248,7 +235,7 @@ def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:
     )
     return CostSummary(
         per_layer=rows,
-        total_ops=summary.total_ops * batch_size,
+        ops=summary.ops.scaled(batch_size),
         total_read_elems=summary.total_read_elems * batch_size,
         total_written_elems=summary.total_written_elems * batch_size,
         element_bytes=summary.element_bytes,
@@ -261,13 +248,12 @@ def cost_csv(summary: CostSummary) -> str:
     out = io.StringIO()
     out.write("layer,kind,macc,max_ops,add_div,exp_add_div,mul01,bias_add,"
               "read_bytes,written_bytes\n")
-    total = OpCount()
     for row in summary.per_layer:
         o = row.ops
         out.write(f"{row.name},{row.kind},{o.macc},{o.max_ops},{o.add_div},"
                   f"{o.exp_add_div},{o.mul01},{o.bias_add},"
                   f"{row.data.read_bytes},{row.data.written_bytes}\n")
-        total = total + o
+    total = summary.ops
     out.write(f"total,,{total.macc},{total.max_ops},{total.add_div},"
               f"{total.exp_add_div},{total.mul01},{total.bias_add},"
               f"{summary.total_read_bytes},{summary.total_written_bytes}\n")

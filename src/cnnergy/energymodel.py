@@ -242,18 +242,21 @@ class Prediction:
     extrapolation_warning: bool
 
 
-def _fit_affine(batches, values) -> tuple[float, float, float, tuple[float, ...]]:
+def _fit_affine(batches, series) -> list[tuple[float, float, float, tuple[float, ...]]]:
+    """(slope, intercept, R², residuals) of a least-squares line through each
+    value list in ``series`` against ``batches``, all in one polyfit call."""
     import numpy as np  # only fitting needs numpy; keep it off the import path
 
     x = np.asarray(batches, dtype=float)
-    y = np.asarray(values, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    residuals = y - fitted
-    ss_res = float(np.sum(residuals ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r_squared, tuple(float(r) for r in residuals)
+    ys = np.asarray(series, dtype=float).reshape(-1, len(x))
+    fits = []
+    for (slope, intercept), y in zip(np.polyfit(x, ys.T, 1).T, ys):
+        residuals = y - (slope * x + intercept)
+        ss_res = float(np.sum(residuals ** 2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+        fits.append((float(slope), float(intercept), r_squared, tuple(map(float, residuals))))
+    return fits
 
 
 def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
@@ -274,29 +277,33 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
     for (device, network, step, gpus), recs in sorted(groups.items()):
         recs = sorted(recs, key=lambda r: r.batch)
         batches = [r.batch for r in recs]
-        for quantity in quantities:
-            if len(set(batches)) < 2:
-                skipped.append(SkippedGroup(
-                    device, network, step, gpus, quantity,
-                    f"only {len(set(batches))} distinct batch size(s)",
-                ))
-                continue
-            values = [r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
-                      for r in recs]
-            slope, intercept, r2, residuals = _fit_affine(batches, values)
-            models.append(CalibratedModel(
-                device, network, step, gpus, quantity, slope, intercept, r2,
-                residuals, min(batches), max(batches), len(batches),
-            ))
+        distinct = len(set(batches))
+        if distinct < 2:
+            skipped += [SkippedGroup(device, network, step, gpus, quantity,
+                                     f"only {distinct} distinct batch size(s)")
+                        for quantity in quantities]
+            continue
+        series = [[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
+                   for r in recs] for quantity in quantities]
+        for quantity, fit in zip(quantities, _fit_affine(batches, series)):
+            models.append(CalibratedModel(device, network, step, gpus, quantity, *fit,
+                                          min(batches), max(batches), len(batches)))
     return models, skipped
 
 
 def predict(model: CalibratedModel, batch: int) -> Prediction:
     """Evaluate a calibrated model (clamped at 0), flagging extrapolation
-    outside [batch_min/2, 2*batch_max]."""
+    outside [batch_min/2, 2*batch_max].
+
+    Raises:
+        DataFormatError: the prediction overflows to a non-finite value.
+    """
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    value = max(0.0, model.slope * batch + model.intercept)
+    value = model.slope * batch + model.intercept
+    if not math.isfinite(value):
+        raise DataFormatError(f"predicted {model.quantity} at batch {batch} overflows ({value})")
+    value = max(0.0, value)
     warn = not (model.batch_min / 2 <= batch <= 2 * model.batch_max)
     return Prediction(value, warn)
 
@@ -319,8 +326,7 @@ def find_model(models, device: str, network: str, step: str, gpus: int,
 def save_models(models, path) -> None:
     payload = {"models": [m.__dict__ for m in models]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _JSON_KINDS = {"str": str, "int": int, "float": float, "tuple[float, ...]": list}

@@ -8,6 +8,7 @@ cost of exchanging gradients over a PCIe link is given in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IndivisibleBatchError, MissingDeviceError
 
@@ -38,11 +39,11 @@ class GpuSet:
     def homogeneous(cls, device: str, count: int) -> "GpuSet":
         return cls(members=((device, count),))
 
-    @property
+    @cached_property
     def total_gpus(self) -> int:
         return sum(count for _, count in self.members)
 
-    @property
+    @cached_property
     def device_names(self) -> tuple[str, ...]:
         return tuple(name for name, count in self.members if count > 0)
 

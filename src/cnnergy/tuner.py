@@ -180,7 +180,8 @@ def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | Non
 
     Raises:
         NoDataForConfigError: neither records nor models cover the config.
-        DataFormatError: ``update_overhead_pct`` is out of range.
+        DataFormatError: ``update_overhead_pct`` is out of range, or a total
+            overflows to a non-finite value.
     """
     if not -100.0 < update_overhead_pct < math.inf:
         raise DataFormatError("update_overhead_pct (--update-overhead-pct) must be finite "
@@ -209,11 +210,16 @@ def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | Non
     factor = 1.0 + update_overhead_pct / 100.0
     total_seconds = step_seconds * factor * config.plan.iterations
     total_joules = batch_joules * factor * config.plan.iterations
+    total_edp = edp(total_seconds, total_joules)
+    for quantity, value in (("total seconds", total_seconds),
+                            ("total joules", total_joules), ("EDP", total_edp)):
+        if not math.isfinite(value):
+            raise DataFormatError(f"{quantity} of {config.network} at batch "
+                                  f"{config.batch} overflows ({value})")
     return ConfigReport(
         config, feasible=True, reason="fits device memory",
         total_seconds=total_seconds, total_joules=total_joules,
-        edp_joule_seconds=edp(total_seconds, total_joules),
-        warnings=tuple(warnings),
+        edp_joule_seconds=total_edp, warnings=tuple(warnings),
     )
 
 

@@ -297,6 +297,22 @@ def test_predict_model_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: {model_file}: ")
 
 
+def test_predict_overflowing_model_exits_2(tmp_path, capsys):
+    measurements = tmp_path / "m.csv"
+    measurements.write_text(MEASUREMENTS, encoding="utf-8")
+    model_file = tmp_path / "models.json"
+    run(["calibrate", "--measurements", str(measurements),
+         "--model-out", str(model_file)], capsys)
+    payload = json.loads(model_file.read_text(encoding="utf-8"))
+    payload["models"][0]["slope"] = 1e308
+    model_file.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(["predict", "--models", str(model_file), "--device", "pascal",
+                          "--network", "net_a", "--step", "forward", "--gpus", "1",
+                          "--batch", "1000"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: predicted seconds at batch 1000 overflows (inf)")
+
+
 def test_calibrate_non_finite_measurement_exits_2(tmp_path, capsys):
     measurements = tmp_path / "m.csv"
     measurements.write_text(MEASUREMENTS.replace("0.02,8.0", "nan,8.0"), encoding="utf-8")
@@ -338,6 +354,14 @@ def test_rank_bad_update_overhead_exits_2(pct, capsys):
                           f"--update-overhead-pct={pct}"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: update_overhead_pct (--update-overhead-pct) must be finite")
+
+
+def test_rank_overflowing_update_overhead_exits_2(capsys):
+    code, out, err = run(["rank", "--bundled", "--device", "pascal",
+                          "--update-overhead-pct", "1e308"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: total seconds of ")
+    assert err.rstrip().endswith("overflows (inf)")
 
 
 def test_rank_nothing_feasible_exits_3(capsys):

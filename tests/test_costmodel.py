@@ -1,4 +1,6 @@
 """Operation counts, data volumes, and whole-network cost summaries."""
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from cnnergy.arch import (
     builtin_network,
     infer_shapes,
     layer_weight_elems,
+    parse_network,
 )
 from cnnergy.costmodel import (
     DataVolume,
@@ -22,7 +25,7 @@ from cnnergy.costmodel import (
     layer_ops,
     network_cost,
 )
-from cnnergy.errors import ShapeMismatchError
+from cnnergy.errors import CnnergyError, ShapeMismatchError
 
 from oracles import (
     conv_macc_by_enumeration,
@@ -30,6 +33,7 @@ from oracles import (
     pool_ops_per_placement,
     slide_positions,
 )
+from test_arch import arch_texts
 
 
 def conv(k, co, stride=1, pad=0, groups=1, bias=False, name="c"):
@@ -229,13 +233,6 @@ def test_layer_weight_elems():
     assert layer_weight_elems(LayerSpec("r", "relu"), TensorShape(2, 2, 3)) == 0
 
 
-def test_data_volume_add_requires_same_element_size():
-    a = DataVolume(1, 1, element_bytes=4)
-    b = DataVolume(1, 1, element_bytes=2)
-    with pytest.raises(ValueError):
-        a + b
-
-
 # ---------------------------------------------------------------------------
 # Whole-network summaries (exact frozen totals)
 # ---------------------------------------------------------------------------
@@ -261,6 +258,29 @@ def test_builtin_network_cost_totals(name):
     # totals equal the per-layer sums
     assert sum(r.ops.total() for r in summary.per_layer) == ops
     assert sum(r.data.read_elems for r in summary.per_layer) == read
+
+
+@given(arch_texts(), st.integers(min_value=1, max_value=4096))
+@settings(max_examples=250, deadline=None)
+def test_network_cost_totals_are_the_per_layer_sums(text, batch):
+    try:
+        shaped = infer_shapes(parse_network(text))
+    except CnnergyError:
+        return
+    summary = network_cost(shaped)
+    rows = summary.per_layer
+    kinds = [f.name for f in fields(OpCount)]
+    sums = [sum(getattr(row.ops, kind) for row in rows) for kind in kinds]
+    read = sum(row.data.read_elems for row in rows)
+    written = sum(row.data.written_elems for row in rows)
+    assert summary.ops == OpCount(*sums)
+    assert summary.total_ops == sum(sums)
+    assert (summary.total_read_elems, summary.total_written_elems) == (read, written)
+    scaled = batch_cost(summary, batch)
+    assert scaled.ops == OpCount(*(batch * total for total in sums))
+    assert scaled.total_ops == batch * sum(sums)
+    assert (scaled.total_read_elems, scaled.total_written_elems) == \
+        (batch * read, batch * written)
 
 
 def test_resnet_im_parameter_and_activation_counts():
@@ -326,10 +346,3 @@ def test_cost_csv_shape_and_totals_row():
     assert sum(buckets) == summary.total_ops
     assert int(total[8]) == summary.total_read_bytes
 
-
-def test_op_count_addition():
-    a = OpCount(macc=1, max_ops=2)
-    b = OpCount(macc=10, add_div=5)
-    c = a + b
-    assert (c.macc, c.max_ops, c.add_div) == (11, 2, 5)
-    assert c.total() == 18

@@ -1,4 +1,5 @@
 """Device profiles, measurement tables, affine calibration, efficiency."""
+import dataclasses
 import json
 import math
 
@@ -216,6 +217,40 @@ def test_calibrate_skips_single_batch_groups():
     assert {s.quantity for s in skipped} == set(QUANTITIES)
 
 
+def test_calibrate_one_quantity_keeps_models_and_skipped_order():
+    recs = (linear_records(step="backward") + [record(batch=64)]
+            + [record(gpus=2, batch=64), record(gpus=2, batch=64, seconds=0.02)])
+    models, skipped = calibrate(recs, quantities=("seconds",))
+    both, _ = calibrate(recs)
+    assert models == [find_model(both, "pascal", "two_d_cnn", "backward", 1, "seconds")]
+    assert [(s.step, s.gpus, s.quantity, s.reason) for s in skipped] == [
+        ("forward", 1, "seconds", "only 1 distinct batch size(s)"),
+        ("forward", 2, "seconds", "only 1 distinct batch size(s)"),
+    ]
+    _, skipped = calibrate(recs)
+    assert [(s.step, s.gpus, s.quantity) for s in skipped] == [
+        ("forward", 1, "seconds"), ("forward", 1, "joules"),
+        ("forward", 2, "seconds"), ("forward", 2, "joules"),
+    ]
+
+
+def test_calibrate_fits_equal_one_polyfit_per_quantity_bit_for_bit():
+    np = pytest.importorskip("numpy")
+    models, skipped = calibrate(bundled_measurements(), gpu_counts=(1, 2, 4))
+    assert not skipped and len(models) == 2 * 48
+    groups = {}
+    for rec in bundled_measurements():
+        groups.setdefault((rec.device, rec.network, rec.step, rec.gpus), []).append(rec)
+    for model in models:
+        recs = sorted(groups[model.key[:4]], key=lambda r: r.batch)
+        x = np.array([r.batch for r in recs], dtype=float)
+        y = np.array([r.seconds_per_batch if model.quantity == "seconds"
+                      else r.joules_per_batch for r in recs])
+        slope, intercept = np.polyfit(x, y, 1)
+        assert (model.slope, model.intercept) == (slope, intercept), model.key
+        assert model.residuals == tuple(y - (slope * x + intercept)), model.key
+
+
 def test_calibrate_filters_gpu_counts():
     recs = linear_records() + linear_records(gpus=4)
     models, _ = calibrate(recs)
@@ -246,6 +281,13 @@ def test_predict_clamps_and_warns():
     assert predict(fitted, 47).value == 0.0
     with pytest.raises(ValueError):
         predict(fitted, 0)
+
+
+def test_predict_rejects_an_overflowing_value():
+    models, _ = calibrate(linear_records())
+    steep = dataclasses.replace(models[0], slope=1e308)
+    with pytest.raises(DataFormatError, match="predicted seconds at batch 1000"):
+        predict(steep, 1000)
 
 
 def test_find_model_missing_group():
