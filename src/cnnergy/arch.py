@@ -5,6 +5,10 @@ performed. A :class:`NetworkSpec` holds an input shape and an ordered list of
 :class:`LayerSpec`; :func:`infer_shapes` propagates the input shape through
 the layer list, producing the per-layer input/output geometry every other
 module consumes.
+
+Every network, the four built-ins included, is written in one line-oriented
+text format read by :func:`parse_network`; the built-ins ship as
+``cnnergy/data/networks/<name>.net`` and :func:`builtin_network` reads them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 
+from . import _tables
 from .errors import (
     ArchSemanticError,
     ArchSyntaxError,
@@ -37,13 +42,11 @@ LAYER_KINDS = frozenset({
 #: local_response_norm keeps its window purely for op accounting.
 KERNEL_KINDS = frozenset({"conv", "pool", "local_response_norm"})
 
+#: The bundled architectures, each shipped as ``cnnergy/data/networks/<name>.net``.
 BUILTIN_NETWORK_NAMES = ("two_d_cnn", "resnet_gait", "caffenet", "resnet_im")
 
-GAIT_CLASSES = 155
-IMAGE_CLASSES = 1000
-
 #: Most layers a parsed network may have, ``resblock`` expansions included;
-#: about 60x the 167 layers of resnet_gait.
+#: about 67x the 149 layers of resnet_gait.
 MAX_LAYERS = 10_000
 
 
@@ -311,177 +314,19 @@ def infer_shapes(net: NetworkSpec) -> ShapedNetwork:
 # Built-in networks
 # ---------------------------------------------------------------------------
 
-def _conv(name, filters, k, stride=1, pad=0, groups=1):
-    return LayerSpec(name, "conv", kernel_w=k, kernel_h=k, stride=stride,
-                     padding=pad, out_channels=filters, groups=groups)
-
-
-def _pool(name, k, stride, kind="max", pad=0):
-    return LayerSpec(name, "pool", kernel_w=k, kernel_h=k, stride=stride,
-                     padding=pad, pool_kind=kind)
-
-
-def _fc(name, units):
-    return LayerSpec(name, "fully_connected", units=units)
-
-
-def _plain(name, kind):
-    return LayerSpec(name, kind)
-
-
-def _lrn(name, k):
-    return LayerSpec(name, "local_response_norm", kernel_w=k, kernel_h=k)
-
-
-def _residual_block(prefix: str, channels: int, skip_from: str, convs: int = 2) -> list[LayerSpec]:
-    """Expand one residual block into explicit layers.
-
-    ``convs=2`` gives the classic expansion conv-bn-relu-conv-bn-sum-relu;
-    ``convs=1`` gives the lighter conv-bn-relu-sum-relu variant. The sum's
-    second input is the output of ``skip_from`` (the block's input), so the
-    caller must keep channel counts aligned across the block.
-    """
-    layers: list[LayerSpec] = []
-    if convs == 2:
-        layers += [
-            _conv(f"{prefix}_conv1", channels, 3, stride=1, pad=1),
-            _plain(f"{prefix}_bn1", "batch_norm"),
-            _plain(f"{prefix}_relu1", "relu"),
-            _conv(f"{prefix}_conv2", channels, 3, stride=1, pad=1),
-            _plain(f"{prefix}_bn2", "batch_norm"),
-        ]
-    elif convs == 1:
-        layers += [
-            _conv(f"{prefix}_conv", channels, 3, stride=1, pad=1),
-            _plain(f"{prefix}_bn", "batch_norm"),
-            _plain(f"{prefix}_relu", "relu"),
-        ]
-    else:
-        raise ValueError("residual blocks support convs=1 or convs=2")
-    layers.append(LayerSpec(f"{prefix}_sum", "residual_sum", skip=skip_from))
-    layers.append(_plain(f"{prefix}_relu_out", "relu"))
-    return layers
-
-
-def _residual_trunk(block_counts, channels, convs, stem: list[LayerSpec],
-                    stem_out: str) -> tuple[list[LayerSpec], str]:
-    """Append block groups (with 1x1 stride-2 adapters between groups)."""
-    layers = stem
-    prev = stem_out
-    for group_idx, (count, ch) in enumerate(zip(block_counts, channels), start=1):
-        if group_idx > 1:
-            # Adapter: halve the spatial size and move to the new channel width
-            # before the first block of the group.
-            a = f"adapt{group_idx}"
-            layers += [
-                _conv(f"{a}_conv", ch, 1, stride=2, pad=0),
-                _plain(f"{a}_bn", "batch_norm"),
-                _plain(f"{a}_relu", "relu"),
-            ]
-            prev = f"{a}_relu"
-        for block_idx in range(1, count + 1):
-            prefix = f"g{group_idx}b{block_idx}"
-            layers += _residual_block(prefix, ch, skip_from=prev, convs=convs)
-            prev = f"{prefix}_relu_out"
-    return layers, prev
-
-
-def _build_two_d_cnn(classes: int) -> NetworkSpec:
-    # Plain feed-forward net for 60x60 optical-flow stacks. The 2x2x4096 conv
-    # reduces its 2x2x512 input to 1x1x4096, i.e. it already is the first
-    # fully-connected stage.
-    layers = [
-        _conv("conv1", 96, 7, stride=1), _pool("pool1", 2, 2), _plain("relu1", "relu"),
-        _conv("conv2", 192, 5, stride=2), _pool("pool2", 2, 2), _plain("relu2", "relu"),
-        _conv("conv3", 512, 3, stride=1), _pool("pool3", 2, 2), _plain("relu3", "relu"),
-        _conv("conv4", 4096, 2, stride=1), _plain("relu4", "relu"), _plain("drop4", "dropout"),
-        _fc("fc5", 2048), _plain("drop5", "dropout"),
-        _fc("fc6", classes),
-        LayerSpec("softmax", "softmax", units=classes),
-    ]
-    return NetworkSpec("two_d_cnn", TensorShape(60, 60, 50), tuple(layers))
-
-
-def _build_caffenet(classes: int) -> NetworkSpec:
-    layers = [
-        _conv("conv1", 96, 11, stride=4), _plain("relu1", "relu"),
-        _pool("pool1", 3, 2), _lrn("norm1", 5),
-        _conv("conv2", 256, 5, stride=1, pad=2, groups=2), _plain("relu2", "relu"),
-        _pool("pool2", 3, 2), _lrn("norm2", 5),
-        _conv("conv3", 384, 3, stride=1, pad=1), _plain("relu3", "relu"),
-        _conv("conv4", 384, 3, stride=1, pad=1, groups=2), _plain("relu4", "relu"),
-        _conv("conv5", 256, 3, stride=1, pad=1, groups=2), _plain("relu5", "relu"),
-        _pool("pool5", 3, 2),
-        _fc("fc6", 4096), _plain("relu6", "relu"), _plain("drop6", "dropout"),
-        _fc("fc7", 4096), _plain("relu7", "relu"), _plain("drop7", "dropout"),
-        _fc("fc8", classes),
-        LayerSpec("softmax", "softmax", units=classes),
-    ]
-    return NetworkSpec("caffenet", TensorShape(227, 227, 3), tuple(layers))
-
-
-def _build_resnet_gait(classes: int) -> NetworkSpec:
-    stem = [
-        _conv("conv1", 64, 7, stride=2), _plain("bn1", "batch_norm"),
-        _plain("relu1", "relu"), _pool("pool1", 3, 2),
-    ]
-    # 60 -> conv1/s2 -> 27 -> pool/s2 -> 13, then 13/7/4/2 across the groups.
-    layers, _ = _residual_trunk(
-        block_counts=(4, 6, 7, 2), channels=(64, 128, 256, 512), convs=2,
-        stem=stem, stem_out="pool1",
-    )
-    layers += [
-        _pool("gap", 2, 1, kind="average"),
-        _fc("fc", classes),
-        LayerSpec("softmax", "softmax", units=classes),
-    ]
-    return NetworkSpec("resnet_gait", TensorShape(60, 60, 50), tuple(layers))
-
-
-def _build_resnet_im(classes: int) -> NetworkSpec:
-    stem = [
-        _conv("conv1", 64, 7, stride=2, pad=3), _plain("bn1", "batch_norm"),
-        _plain("relu1", "relu"), _pool("pool1", 3, 2, pad=1),
-    ]
-    # 224 -> conv1/s2 -> 112 -> pool/s2 -> 56, then 56/28/14/7. The image
-    # variant uses the single-conv block form; see the shipped measurement
-    # tables, which this net reproduces within tolerance only in that form.
-    layers, _ = _residual_trunk(
-        block_counts=(3, 4, 6, 3), channels=(64, 128, 256, 512), convs=1,
-        stem=stem, stem_out="pool1",
-    )
-    layers += [
-        _pool("gap", 7, 1, kind="average"),
-        _fc("fc", classes),
-        LayerSpec("softmax", "softmax", units=classes),
-    ]
-    return NetworkSpec("resnet_im", TensorShape(224, 224, 3), tuple(layers))
-
-
-_BUILDERS = {
-    "two_d_cnn": (_build_two_d_cnn, GAIT_CLASSES),
-    "resnet_gait": (_build_resnet_gait, GAIT_CLASSES),
-    "caffenet": (_build_caffenet, IMAGE_CLASSES),
-    "resnet_im": (_build_resnet_im, IMAGE_CLASSES),
-}
-
-
-def builtin_network(name: str, classes: int | None = None) -> NetworkSpec:
-    """Return one of the four bundled architectures by name.
-
-    ``classes`` overrides the classifier width (defaults: 155 for the gait
-    networks, 1000 for the image networks).
+def builtin_network(name: str) -> NetworkSpec:
+    """Return one of the four bundled architectures by name, parsed from
+    its architecture file ``cnnergy/data/networks/<name>.net``.
 
     Raises:
-        UnknownNetworkError: ``name`` is not a bundled architecture.
+        UnknownNetworkError: ``name`` is not in :data:`BUILTIN_NETWORK_NAMES`
+            (checked before any file is opened).
     """
-    try:
-        builder, default_classes = _BUILDERS[name]
-    except KeyError:
+    if name not in BUILTIN_NETWORK_NAMES:
         raise UnknownNetworkError(
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NETWORK_NAMES)}"
-        ) from None
-    return builder(classes if classes is not None else default_classes)
+        )
+    return parse_network(_tables.data_text(f"networks/{name}.net"))
 
 
 @cache
@@ -584,6 +429,36 @@ def _check_room(n_layers: int, lineno: int) -> None:
                                 f"{MAX_LAYERS}", lineno)
 
 
+def _residual_block(prefix: str, channels: int, skip_from: str, convs: int = 2) -> list[LayerSpec]:
+    """Expand one residual block into explicit layers.
+
+    ``convs=2`` gives the classic expansion conv-bn-relu-conv-bn-sum-relu;
+    ``convs=1`` gives the lighter conv-bn-relu-sum-relu variant. The sum's
+    second input is the output of ``skip_from`` (the block's input), so the
+    caller must keep channel counts aligned across the block.
+    """
+    conv = dict(kernel_w=3, kernel_h=3, padding=1, out_channels=channels)
+    if convs == 2:
+        layers = [
+            LayerSpec(f"{prefix}_conv1", "conv", **conv),
+            LayerSpec(f"{prefix}_bn1", "batch_norm"),
+            LayerSpec(f"{prefix}_relu1", "relu"),
+            LayerSpec(f"{prefix}_conv2", "conv", **conv),
+            LayerSpec(f"{prefix}_bn2", "batch_norm"),
+        ]
+    elif convs == 1:
+        layers = [
+            LayerSpec(f"{prefix}_conv", "conv", **conv),
+            LayerSpec(f"{prefix}_bn", "batch_norm"),
+            LayerSpec(f"{prefix}_relu", "relu"),
+        ]
+    else:
+        raise ValueError("residual blocks support convs=1 or convs=2")
+    layers.append(LayerSpec(f"{prefix}_sum", "residual_sum", skip=skip_from))
+    layers.append(LayerSpec(f"{prefix}_relu_out", "relu"))
+    return layers
+
+
 def parse_network(text: str, name: str | None = None) -> NetworkSpec:
     """Parse the line-oriented architecture format.
 
@@ -591,10 +466,10 @@ def parse_network(text: str, name: str | None = None) -> NetworkSpec:
     ``input <w> <h> <ch>``; each following line is ``<kind> <name>
     key=value ...`` with keys ``filters,units,k,kw,kh,stride,pad,groups,
     bias,type,skip``. ``resblock <name> filters=<n> count=<m> [convs=1|2]``
-    expands to that many residual blocks wired to the running tensor.
-    A ``# network: <name>`` comment names the network. ``stride`` and
-    ``pad`` apply only to conv and pool, and a network has at most
-    :data:`MAX_LAYERS` layers.
+    expands to that many residual blocks, ``<name>1``, ``<name>2``, ...,
+    wired to the running tensor. A ``# network: <name>`` comment names the
+    network. ``stride`` and ``pad`` apply only to conv and pool, and a
+    network has at most :data:`MAX_LAYERS` layers.
 
     Raises:
         ArchSyntaxError: malformed line (with its line number).
@@ -645,7 +520,7 @@ def parse_network(text: str, name: str | None = None) -> NetworkSpec:
             prev = prev_layer_name
             try:
                 for i in range(1, count + 1):
-                    block = _residual_block(f"{layer_name}_{i}", filters, skip_from=prev,
+                    block = _residual_block(f"{layer_name}{i}", filters, skip_from=prev,
                                             convs=convs)
                     layers += block
                     prev = block[-1].name

@@ -211,9 +211,9 @@ def cmd_rank(args) -> str:
     ranked = tuner.rank(reports, metric=args.metric)
     lines = [f"# metric: {args.metric}",
              "rank,network,batch,gpus,gpu_set,kiloseconds,megajoules,edp_mj_ks"]
-    for report in ranked:
+    for position, report in enumerate(ranked, start=1):
         cfg = report.config
-        lines.append(f"{report.ranks[args.metric]},{cfg.network},{cfg.batch},"
+        lines.append(f"{position},{cfg.network},{cfg.batch},"
                      f"{cfg.gpu_set.total_gpus},{_gpu_set_label(cfg.gpu_set)},"
                      f"{_fmt(report.kiloseconds)},{_fmt(report.megajoules)},"
                      f"{_fmt(report.edp_mj_ks)}")

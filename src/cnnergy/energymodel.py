@@ -3,9 +3,9 @@
 The package bundles per-batch forward/backward time and energy measurements
 for four networks on two GPU generations (plus the mixed 4-GPU testbed),
 together with the device capability table and per-(network, batch) training
-plans. This module loads those tables, derives throughput and whole-training
-totals from them, fits affine-in-batch predictors per configuration group,
-and computes GFLOPS-per-watt and cross-generation deltas.
+plans. This module loads those tables, fits affine-in-batch predictors per
+configuration group, and computes GFLOPS-per-watt and cross-generation
+deltas; whole-training totals are :func:`cnnergy.tuner.score`'s.
 """
 
 from __future__ import annotations
@@ -180,24 +180,6 @@ def _parse_plans(text: str) -> dict[tuple[str, int], TrainingPlan]:
             network, int(batch), int(iterations), int(epochs)),
     )
     return {(plan.network, plan.batch): plan for plan in plans}
-
-
-def iterations_for(dataset_samples: int, batch: int, epochs: int) -> int:
-    """Iterations to run: epochs x ceil(dataset_samples / batch)."""
-    if dataset_samples < 1 or batch < 1 or epochs < 1:
-        raise ValueError("dataset_samples, batch and epochs must be >= 1")
-    return epochs * math.ceil(dataset_samples / batch)
-
-
-def samples_per_second(batch: int, seconds_per_batch: float) -> float:
-    if seconds_per_batch <= 0:
-        raise ValueError("seconds_per_batch must be > 0")
-    return batch / seconds_per_batch
-
-
-def whole_training(per_batch_value: float, plan: TrainingPlan) -> float:
-    """Total over a training run: per-batch value x iterations."""
-    return per_batch_value * plan.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -324,11 +324,12 @@ def default_labels(channels: int) -> tuple[str, ...]:
 
 
 def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: int = 8,
-                             labels=None, noise_sigma: float = 0.0,
+                             noise_sigma: float = 0.0,
                              seed: int | None = None) -> PowerTrace:
     """Sample a piecewise profile into a trace (deterministic given ``seed``).
 
-    Total power is split evenly across ``channels``. Sampling runs at
+    Total power is split evenly across ``channels``, labelled as
+    :func:`default_labels` gives them. Sampling runs at
     ``sample_rate`` Hz from t=0; at each discontinuous segment junction a
     single sample carries the midpoint of the adjacent power levels, so step
     profiles integrate exactly under the trapezoidal rule. Gaussian noise of
@@ -353,11 +354,6 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
             f"a trace of {seconds:g} s at {sample_rate:g} Hz x {channels} channels "
             f"exceeds the limit of {MAX_SYNTHETIC_VALUES} samples x channels"
         )
-    chan_labels = tuple(labels) if labels is not None else default_labels(channels)
-    if len(chan_labels) != channels:
-        raise ChannelCountMismatchError(
-            f"{len(chan_labels)} labels for {channels} channels"
-        )
     times, totals = [], []
     t0 = 0.0
     for i, seg in enumerate(segs):
@@ -378,7 +374,7 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         watts = np.clip(watts + rng.normal(0.0, noise_sigma, watts.shape), 0.0, None)
-    return PowerTrace.build(chan_labels, t_arr, watts)
+    return PowerTrace.build(default_labels(channels), t_arr, watts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ optional percentage adjustment covers it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._tables import data_text, read_csv
-from .arch import ShapedNetwork, _builtin_shapes
+from .arch import BUILTIN_NETWORK_NAMES, ShapedNetwork, _builtin_shapes
 from .energymodel import (
     DeviceProfile,
     MeasurementRecord,
@@ -103,10 +103,9 @@ class TrainingConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigReport:
-    """Scored configuration. Totals are None when infeasible; ``ranks`` is
-    filled in by :func:`rank` (metric name -> 1-based position)."""
+    """Scored configuration. Totals are None when infeasible."""
 
     config: TrainingConfig
     feasible: bool
@@ -115,7 +114,6 @@ class ConfigReport:
     total_joules: float | None = None
     edp_joule_seconds: float | None = None
     warnings: tuple[str, ...] = ()
-    ranks: dict[str, int] = field(default_factory=dict)
 
     @property
     def edp_mj_ks(self) -> float | None:
@@ -163,8 +161,7 @@ def _per_batch_values(config: TrainingConfig, device: str, step: str,
 
 
 def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | None = None,
-          models=None, element_bytes: int = 4,
-          update_overhead_pct: float = 0.0) -> ConfigReport:
+          models=None, update_overhead_pct: float = 0.0) -> ConfigReport:
     """Score one configuration into a ConfigReport.
 
     ``records`` is a list or a (device, network, step, gpus, batch)-keyed
@@ -193,7 +190,7 @@ def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | Non
         shaped = _builtin_shapes(config.network)
     sub_batch = split_batch(config.batch, config.gpu_set.total_gpus)
     for name in config.gpu_set.device_names:
-        estimate = memory_feasible(shaped, sub_batch, profiles[name], element_bytes)
+        estimate = memory_feasible(shaped, sub_batch, profiles[name])
         if not estimate.feasible:
             return ConfigReport(config, feasible=False,
                                 reason=f"{name}: {estimate.reason}")
@@ -234,8 +231,8 @@ def rank(reports, metric: str = "edp") -> list[ConfigReport]:
     """Feasible reports sorted ascending by ``metric``.
 
     Ties break toward smaller batch, then fewer GPUs, then network name, so
-    the order is deterministic regardless of input order. Each returned
-    report gets its 1-based position recorded in ``ranks[metric]``.
+    the order is deterministic regardless of input order. The reports
+    themselves are left unchanged.
 
     Raises:
         NothingFeasibleError: no feasible scored report to rank.
@@ -246,12 +243,9 @@ def rank(reports, metric: str = "edp") -> list[ConfigReport]:
     feasible = [r for r in reports if r.feasible and value(r) is not None]
     if not feasible:
         raise NothingFeasibleError("no feasible configuration to rank")
-    ordered = sorted(feasible, key=lambda r: (
+    return sorted(feasible, key=lambda r: (
         value(r), r.config.batch, r.config.gpu_set.total_gpus, r.config.network,
     ))
-    for position, report in enumerate(ordered, start=1):
-        report.ranks[metric] = position
-    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +390,7 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
     """The measurement grid for one device: homogeneous 1/2-GPU sets of
     ``device`` plus the mixed 4-GPU testbed, for every (network, batch)
     with a bundled plan."""
-    networks = tuple(networks) if networks else \
-        ("resnet_gait", "two_d_cnn", "caffenet", "resnet_im")
+    networks = tuple(networks) if networks else BUILTIN_NETWORK_NAMES
     configs = []
     for network in networks:
         for n_gpus in gpu_counts:

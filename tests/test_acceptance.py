@@ -89,11 +89,11 @@ def test_criterion_2_derived_columns():
                int(row["gpus"]), int(row["batch"]))
         rec = RECORDS[key]
         plan = PLANS[(row["network"], int(row["batch"]))]
-        sps = em.samples_per_second(rec.batch, rec.seconds_per_batch)
+        sps = rec.batch / rec.seconds_per_batch
         assert within(sps, float(row["samples_per_second"]), 0.01, 0.5), row
-        whole_s = em.whole_training(rec.seconds_per_batch, plan)
+        whole_s = rec.seconds_per_batch * plan.iterations
         assert within(whole_s, float(row["whole_seconds"]), 0.01, 0.5), row
-        whole_j = em.whole_training(rec.joules_per_batch, plan)
+        whole_j = rec.joules_per_batch * plan.iterations
         assert within(whole_j, float(row["whole_joules"]), 0.01, 0.5), row
         checked += 1
     assert checked == 140
@@ -318,8 +318,7 @@ def test_criterion_7_property_suites():
         scaled = [dataclasses.replace(
             r, total_joules=None if r.total_joules is None else r.total_joules * factor,
             edp_joule_seconds=None if r.edp_joule_seconds is None
-            else r.total_seconds * r.total_joules * factor,
-            ranks={}) for r in reports]
+            else r.total_seconds * r.total_joules * factor) for r in reports]
         assert [r.config for r in tuner.rank(scaled, metric="edp")] == baseline
 
     # batch splitting conserves samples

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnnergy import arch
 from cnnergy.arch import (
     BUILTIN_NETWORK_NAMES,
-    GAIT_CLASSES,
-    IMAGE_CLASSES,
     MAX_LAYERS,
     LayerSpec,
     NetworkSpec,
@@ -191,7 +190,7 @@ def test_two_d_cnn_shapes():
     assert out["conv3"] == TensorShape(4, 4, 512)
     assert out["conv4"] == TensorShape(1, 1, 4096)
     assert out["fc5"] == TensorShape(1, 1, 2048)
-    assert shaped.output == TensorShape(1, 1, GAIT_CLASSES)
+    assert shaped.output == TensorShape(1, 1, 155)
 
 
 def test_caffenet_shapes():
@@ -204,7 +203,7 @@ def test_caffenet_shapes():
     assert out["conv3"] == TensorShape(13, 13, 384)
     assert out["conv5"] == TensorShape(13, 13, 256)
     assert out["pool5"] == TensorShape(6, 6, 256)
-    assert shaped.output == TensorShape(1, 1, IMAGE_CLASSES)
+    assert shaped.output == TensorShape(1, 1, 1000)
 
 
 def test_resnet_im_shapes():
@@ -217,7 +216,7 @@ def test_resnet_im_shapes():
     assert out["adapt3_conv"] == TensorShape(14, 14, 256)
     assert out["adapt4_conv"] == TensorShape(7, 7, 512)
     assert out["gap"] == TensorShape(1, 1, 512)
-    assert shaped.output == TensorShape(1, 1, IMAGE_CLASSES)
+    assert shaped.output == TensorShape(1, 1, 1000)
 
 
 def test_resnet_gait_shapes():
@@ -228,22 +227,23 @@ def test_resnet_gait_shapes():
     assert out["adapt2_conv"] == TensorShape(7, 7, 128)
     assert out["adapt4_conv"] == TensorShape(2, 2, 512)
     assert out["gap"] == TensorShape(1, 1, 512)
-    assert shaped.output == TensorShape(1, 1, GAIT_CLASSES)
+    assert shaped.output == TensorShape(1, 1, 155)
 
 
-def test_builtin_network_unknown_name():
-    with pytest.raises(UnknownNetworkError):
-        builtin_network("alexnet")
+def test_builtin_network_unknown_name(monkeypatch):
+    # a path-like name is refused by name, before any bundled file is read
+    def no_read(relpath):
+        raise AssertionError(f"read {relpath!r}")
+
+    monkeypatch.setattr(arch._tables, "data_text", no_read)
+    for name in ("alexnet", "../devices", "networks/caffenet", ""):
+        with pytest.raises(UnknownNetworkError):
+            builtin_network(name)
 
 
 def test_builtin_network_names_constant():
     assert set(BUILTIN_NETWORK_NAMES) == {
         "two_d_cnn", "resnet_gait", "caffenet", "resnet_im"}
-
-
-def test_builtin_classes_override():
-    shaped = infer_shapes(builtin_network("caffenet", classes=100))
-    assert shaped.output == TensorShape(1, 1, 100)
 
 
 def test_shape_preserving_layers_keep_shape():
@@ -436,10 +436,10 @@ conv stem filters=4 k=3 pad=1
 resblock b filters=4 count=2
 """)
     names = [l.name for l in net.layers]
-    assert "b_1_sum" in names and "b_2_sum" in names
+    assert "b1_sum" in names and "b2_sum" in names
     sums = [l for l in net.layers if l.kind == "residual_sum"]
     assert sums[0].skip == "stem"
-    assert sums[1].skip == "b_1_relu_out"
+    assert sums[1].skip == "b1_relu_out"
     shaped = infer_shapes(net)
     assert shaped.output == TensorShape(10, 10, 4)
 

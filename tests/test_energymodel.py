@@ -19,14 +19,11 @@ from cnnergy.energymodel import (
     find_model,
     generation_gap,
     gflops_per_watt,
-    iterations_for,
     load_models,
     parse_measurements,
     predict,
     records_by_key,
-    samples_per_second,
     save_models,
-    whole_training,
 )
 from cnnergy.errors import (
     DataFormatError,
@@ -157,18 +154,6 @@ def test_bundled_plans():
     for network in ("resnet_gait", "two_d_cnn", "caffenet", "resnet_im"):
         assert plans[(network, 64)].iterations == 2 * plans[(network, 128)].iterations
         assert plans[(network, 128)].iterations == 2 * plans[(network, 256)].iterations
-
-
-def test_iterations_for_rounds_up_partial_batches():
-    assert iterations_for(1000, 100, 5) == 50
-    assert iterations_for(1001, 100, 5) == 55
-    assert iterations_for(1, 256, 1) == 1
-
-
-def test_whole_training_and_samples_per_second():
-    plan = bundled_plans()[("two_d_cnn", 64)]
-    assert whole_training(0.013, plan) == pytest.approx(0.013 * 72368)
-    assert samples_per_second(64, 0.013) == pytest.approx(64 / 0.013)
 
 
 # ---------------------------------------------------------------------------
