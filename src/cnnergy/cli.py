@@ -8,8 +8,8 @@ regions -> joules), ``gen-trace`` (synthetic power trace), ``calibrate``
 All commands accept ``--output PATH`` (default stdout) and ``--format
 csv|table``. Floats are printed with 6 significant digits so identical
 invocations produce identical bytes. Exit codes: 0 success, 2 input or
-data error, 3 nothing to produce (an empty or infeasible rank grid, or no
-group to fit).
+data error (an ``--output`` that cannot be written included), 3 nothing
+to produce (an empty or infeasible rank grid, or no group to fit).
 """
 from __future__ import annotations
 
@@ -323,7 +323,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = args.func(args)
+        _deliver(args.func(args), args)
     except NothingFeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -331,7 +331,6 @@ def main(argv=None) -> int:
         # OverflowError: an input number too large for a float, e.g. --batch 9...9
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _deliver(text, args)
     return 0
 
 

@@ -8,6 +8,13 @@ size (``k_w*k_h*(ch_in/groups)*ch_out`` plus bias for conv,
 pass (batch_norm reads and writes twice, softmax three times, residual_sum
 reads its two addends).
 
+One private function, ``_layer_counts``, works out every count of a layer:
+its six operation counts (in :class:`OpCount` field order) and the elements
+it reads and writes, as plain integers. :func:`network_cost` keeps them as
+one flat :class:`LayerCost` row per layer and sums the columns into the
+totals of a :class:`CostSummary`; :func:`layer_ops` and :func:`layer_data`
+wrap the same counts in an :class:`OpCount` and a :class:`DataVolume`.
+
 All counts are exact integers per sample; :func:`batch_cost` scales them
 exactly by the batch size. Shapes are checked against
 :func:`cnnergy.arch.layer_output`, the one home of layer geometry.
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arch
 from .arch import LayerSpec, ShapedNetwork, TensorShape
@@ -77,19 +85,28 @@ class DataVolume:
         return self.written_elems * self.element_bytes
 
 
-@dataclass(frozen=True)
-class LayerCost:
+class LayerCost(NamedTuple):
+    """One layer's row of a :class:`CostSummary`: the six operation counts
+    of :class:`OpCount`, then the tensor elements read and written."""
+
     name: str
     kind: str
-    ops: OpCount
-    data: DataVolume
+    macc: int
+    max_ops: int
+    add_div: int
+    exp_add_div: int
+    mul01: int
+    bias_add: int
+    read_elems: int
+    written_elems: int
 
 
 @dataclass(frozen=True)
 class CostSummary:
     """Whole-network per-sample cost: per-layer rows plus exact totals.
 
-    ``ops`` holds the per-kind operation totals and ``total_ops`` their sum.
+    ``per_layer`` holds one :class:`LayerCost` row per layer, ``ops`` the
+    per-kind operation totals and ``total_ops`` their sum.
     ``ctc`` is the compute-to-traffic ratio total_ops / total_read_elems
     (operations per tensor element read); ``None`` for an empty network.
     """
@@ -127,45 +144,6 @@ def _check_shapes(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> None:
         )
 
 
-def layer_ops(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> OpCount:
-    """Operation counts of one layer applied to one sample.
-
-    Raises:
-        ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
-    """
-    _check_shapes(layer, inp, out)
-    return _layer_ops(layer, inp, out)
-
-
-def _layer_ops(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> OpCount:
-    kind = layer.kind
-    if kind == "conv":
-        window = layer.kernel_w * layer.kernel_h * out.width * out.height
-        macc = window * (inp.channels // layer.groups) * out.channels
-        bias = out.channels if layer.has_bias else 0
-        return OpCount(macc=macc, bias_add=bias)
-    if kind == "fully_connected":
-        return OpCount(macc=inp.elements * layer.units)
-    if kind == "pool":
-        window = layer.kernel_w * layer.kernel_h * out.width * out.height * inp.channels
-        if layer.pool_kind == "average":
-            return OpCount(add_div=window)
-        return OpCount(max_ops=window)
-    if kind == "relu":
-        return OpCount(max_ops=out.elements)
-    if kind == "dropout":
-        return OpCount(mul01=out.elements)
-    if kind == "batch_norm":
-        return OpCount(add_div=2 * out.elements)
-    if kind == "softmax":
-        return OpCount(exp_add_div=3 * out.elements)
-    if kind == "residual_sum":
-        return OpCount(add_div=out.elements)
-    # local_response_norm: one add/div per window cell, like average pooling.
-    window = layer.kernel_w * layer.kernel_h * out.width * out.height * out.channels
-    return OpCount(add_div=window)
-
-
 #: (reads of the input tensor, writes of the output tensor) for kinds that
 #: touch an activation more than once.
 _PASSES = {
@@ -173,6 +151,53 @@ _PASSES = {
     "softmax": (3, 3),       # max, exp-sum, divide
     "residual_sum": (2, 1),  # two addends in, one sum out
 }
+
+
+def _layer_counts(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> tuple[int, ...]:
+    """``(macc, max_ops, add_div, exp_add_div, mul01, bias_add, read_elems,
+    written_elems)`` of one layer on one sample; shapes are not checked."""
+    kind = layer.kind
+    macc = max_ops = add_div = exp_add_div = mul01 = bias_add = 0
+    if kind == "conv":
+        window = layer.kernel_w * layer.kernel_h * out.width * out.height
+        macc = window * (inp.channels // layer.groups) * out.channels
+        if layer.has_bias:
+            bias_add = out.channels
+    elif kind == "fully_connected":
+        macc = inp.elements * layer.units
+    elif kind == "pool":
+        window = layer.kernel_w * layer.kernel_h * out.width * out.height * inp.channels
+        if layer.pool_kind == "average":
+            add_div = window
+        else:
+            max_ops = window
+    elif kind == "relu":
+        max_ops = out.elements
+    elif kind == "dropout":
+        mul01 = out.elements
+    elif kind == "batch_norm":
+        add_div = 2 * out.elements
+    elif kind == "softmax":
+        exp_add_div = 3 * out.elements
+    elif kind == "residual_sum":
+        add_div = out.elements
+    else:
+        # local_response_norm: one add/div per window cell, like average pooling.
+        add_div = layer.kernel_w * layer.kernel_h * out.width * out.height * out.channels
+    read_mult, write_mult = _PASSES.get(kind, (1, 1))
+    return (macc, max_ops, add_div, exp_add_div, mul01, bias_add,
+            inp.elements * read_mult + arch.layer_weight_elems(layer, inp),
+            out.elements * write_mult)
+
+
+def layer_ops(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> OpCount:
+    """Operation counts of one layer applied to one sample.
+
+    Raises:
+        ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
+    """
+    _check_shapes(layer, inp, out)
+    return OpCount(*_layer_counts(layer, inp, out)[:6])
 
 
 def layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
@@ -185,14 +210,8 @@ def layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
         ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
     """
     _check_shapes(layer, inp, out)
-    return _layer_data(layer, inp, out, element_bytes)
-
-
-def _layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
-                element_bytes: int) -> DataVolume:
-    read_mult, write_mult = _PASSES.get(layer.kind, (1, 1))
-    read = inp.elements * read_mult + arch.layer_weight_elems(layer, inp)
-    return DataVolume(read, out.elements * write_mult, element_bytes)
+    read, written = _layer_counts(layer, inp, out)[6:]
+    return DataVolume(read, written, element_bytes)
 
 
 def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
@@ -201,16 +220,19 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
 
     Raises:
         ShapeMismatchError: a layer's output is not what it makes of its input.
+        ValueError: ``element_bytes`` is below 1.
     """
+    if element_bytes < 1:
+        raise ValueError("element_bytes must be >= 1")
     rows = []
     for sl in shaped.per_layer:
-        _check_shapes(sl.spec, sl.input, sl.output)
-        rows.append(LayerCost(sl.spec.name, sl.spec.kind,
-                              _layer_ops(sl.spec, sl.input, sl.output),
-                              _layer_data(sl.spec, sl.input, sl.output, element_bytes)))
-    ops = OpCount(*map(sum, zip(*(vars(row.ops).values() for row in rows))))
-    read = sum(row.data.read_elems for row in rows)
-    written = sum(row.data.written_elems for row in rows)
+        spec = sl.spec
+        _check_shapes(spec, sl.input, sl.output)
+        rows.append(LayerCost(spec.name, spec.kind, *_layer_counts(spec, sl.input, sl.output)))
+    # The eight count columns; an input-only network has no rows to zip.
+    columns = list(zip(*rows))[2:] if rows else [()] * 8
+    *op_totals, read, written = map(sum, columns)
+    ops = OpCount(*op_totals)
     return CostSummary(
         per_layer=tuple(rows),
         ops=ops,
@@ -227,11 +249,8 @@ def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rows = tuple(
-        LayerCost(row.name, row.kind, row.ops.scaled(batch_size),
-                  DataVolume(row.data.read_elems * batch_size,
-                             row.data.written_elems * batch_size,
-                             row.data.element_bytes))
-        for row in summary.per_layer
+        LayerCost(name, kind, *[count * batch_size for count in counts])
+        for name, kind, *counts in summary.per_layer
     )
     return CostSummary(
         per_layer=rows,
@@ -248,11 +267,11 @@ def cost_csv(summary: CostSummary) -> str:
     out = io.StringIO()
     out.write("layer,kind,macc,max_ops,add_div,exp_add_div,mul01,bias_add,"
               "read_bytes,written_bytes\n")
+    nbytes = summary.element_bytes
     for row in summary.per_layer:
-        o = row.ops
-        out.write(f"{row.name},{row.kind},{o.macc},{o.max_ops},{o.add_div},"
-                  f"{o.exp_add_div},{o.mul01},{o.bias_add},"
-                  f"{row.data.read_bytes},{row.data.written_bytes}\n")
+        out.write(f"{row.name},{row.kind},{row.macc},{row.max_ops},{row.add_div},"
+                  f"{row.exp_add_div},{row.mul01},{row.bias_add},"
+                  f"{row.read_elems * nbytes},{row.written_elems * nbytes}\n")
     total = summary.ops
     out.write(f"total,,{total.macc},{total.max_ops},{total.add_div},"
               f"{total.exp_add_div},{total.mul01},{total.bias_add},"

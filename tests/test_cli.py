@@ -96,6 +96,14 @@ def test_analyze_rejects_bad_batch(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_analyze_rejects_element_bytes_below_one(tmp_path, capsys):
+    path = tmp_path / "empty.net"
+    path.write_text("input 4 4 1\n", encoding="utf-8")
+    for source in (["--builtin", "caffenet"], ["--arch", str(path)]):
+        code, out, err = run(["analyze", *source, "--element-bytes", "0"], capsys)
+        assert (code, out, err) == (2, "", "error: element_bytes must be >= 1\n")
+
+
 def test_table_format_has_no_commas(capsys):
     code, out, _ = run(["analyze", "--builtin", "two_d_cnn",
                         "--format", "table"], capsys)
@@ -392,6 +400,15 @@ def test_rank_output_file_and_repeatability(tmp_path, capsys):
     assert first.read_text(encoding="utf-8").startswith("# metric: energy\n")
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    for argv, path in ((["analyze", "--builtin", "caffenet"], tmp_path),
+                       (["rank", "--bundled", "--device", "pascal"],
+                        tmp_path / "missing" / "x.csv")):
+        code, out, err = run([*argv, "--output", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
+
+
 # ---------------------------------------------------------------------------
 # every command, hostile arguments and malformed files
 # ---------------------------------------------------------------------------
@@ -440,6 +457,9 @@ def cli_runs(draw):
     def option(flag, value):
         if draw(st.booleans()):
             argv.extend([flag, value])
+
+    # a file, the temporary directory itself, a path under a missing directory
+    option("--output", draw(st.sampled_from(["@report", "@", "@missing/report"])))
 
     if command == "analyze":
         if draw(st.booleans()):

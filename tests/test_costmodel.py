@@ -17,7 +17,7 @@ from cnnergy.arch import (
     parse_network,
 )
 from cnnergy.costmodel import (
-    DataVolume,
+    LayerCost,
     OpCount,
     batch_cost,
     cost_csv,
@@ -256,8 +256,9 @@ def test_builtin_network_cost_totals(name):
     assert summary.ctc == pytest.approx(ops / read, rel=1e-12)
     assert summary.total_read_bytes == read * 4
     # totals equal the per-layer sums
-    assert sum(r.ops.total() for r in summary.per_layer) == ops
-    assert sum(r.data.read_elems for r in summary.per_layer) == read
+    assert sum(r.macc + r.max_ops + r.add_div + r.exp_add_div + r.mul01 + r.bias_add
+               for r in summary.per_layer) == ops
+    assert sum(r.read_elems for r in summary.per_layer) == read
 
 
 @given(arch_texts(), st.integers(min_value=1, max_value=4096))
@@ -270,9 +271,9 @@ def test_network_cost_totals_are_the_per_layer_sums(text, batch):
     summary = network_cost(shaped)
     rows = summary.per_layer
     kinds = [f.name for f in fields(OpCount)]
-    sums = [sum(getattr(row.ops, kind) for row in rows) for kind in kinds]
-    read = sum(row.data.read_elems for row in rows)
-    written = sum(row.data.written_elems for row in rows)
+    sums = [sum(getattr(row, kind) for row in rows) for kind in kinds]
+    read = sum(row.read_elems for row in rows)
+    written = sum(row.written_elems for row in rows)
     assert summary.ops == OpCount(*sums)
     assert summary.total_ops == sum(sums)
     assert (summary.total_read_elems, summary.total_written_elems) == (read, written)
@@ -287,6 +288,35 @@ def test_resnet_im_parameter_and_activation_counts():
     shaped = infer_shapes(builtin_network("resnet_im"))
     assert shaped.weight_elems == 12_010_688
     assert shaped.activation_elems == 10_037_712
+
+
+@given(arch_texts(), st.integers(min_value=1, max_value=4096))
+@settings(max_examples=200, deadline=None)
+def test_network_cost_rows_are_the_per_layer_counts(text, batch):
+    """Each row holds what layer_ops and layer_data give for its layer, and
+    batch_cost's row is that row times the batch."""
+    try:
+        shaped = infer_shapes(parse_network(text))
+    except CnnergyError:
+        return
+    summary = network_cost(shaped)
+    scaled = batch_cost(summary, batch)
+    assert len(summary.per_layer) == len(scaled.per_layer) == len(shaped.per_layer)
+    for sl, row, got in zip(shaped.per_layer, summary.per_layer, scaled.per_layer):
+        ops = layer_ops(sl.spec, sl.input, sl.output)
+        data = layer_data(sl.spec, sl.input, sl.output)
+        assert row == LayerCost(sl.spec.name, sl.spec.kind, *(
+            getattr(ops, f.name) for f in fields(OpCount)),
+            data.read_elems, data.written_elems)
+        assert got == LayerCost(row.name, row.kind, *(v * batch for v in row[2:]))
+
+
+def test_network_cost_rejects_element_bytes_below_one():
+    shaped = infer_shapes(builtin_network("two_d_cnn"))
+    empty = infer_shapes(parse_network("input 4 4 1\n"))
+    for net in (shaped, empty):
+        with pytest.raises(ValueError, match="element_bytes must be >= 1"):
+            network_cost(net, element_bytes=0)
 
 
 def test_network_cost_element_bytes_scales_bytes_not_elems():
@@ -314,12 +344,13 @@ def test_batch_cost_exact_linearity(batch):
     assert len(scaled.per_layer) == len(summary.per_layer)
     for got, row in zip(scaled.per_layer, summary.per_layer):
         assert (got.name, got.kind) == (row.name, row.kind)
-        assert got.ops == OpCount(*(v * batch for v in (
-            row.ops.macc, row.ops.max_ops, row.ops.add_div, row.ops.exp_add_div,
-            row.ops.mul01, row.ops.bias_add)))
-        assert got.data == DataVolume(row.data.read_elems * batch,
-                                      row.data.written_elems * batch,
-                                      row.data.element_bytes)
+        assert (got.macc, got.max_ops, got.add_div, got.exp_add_div, got.mul01,
+                got.bias_add) == tuple(v * batch for v in (
+                    row.macc, row.max_ops, row.add_div, row.exp_add_div,
+                    row.mul01, row.bias_add))
+        assert (got.read_elems, got.written_elems) == \
+            (row.read_elems * batch, row.written_elems * batch)
+    assert scaled.element_bytes == summary.element_bytes
 
 
 def test_batch_cost_rejects_nonpositive_batch():
