@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from ._tables import data_text, read_csv
 from .costmodel import CostSummary
@@ -224,23 +225,6 @@ class Prediction:
     extrapolation_warning: bool
 
 
-def _fit_affine(batches, series) -> list[tuple[float, float, float, tuple[float, ...]]]:
-    """(slope, intercept, R², residuals) of a least-squares line through each
-    value list in ``series`` against ``batches``, all in one polyfit call."""
-    import numpy as np  # only fitting needs numpy; keep it off the import path
-
-    x = np.asarray(batches, dtype=float)
-    ys = np.asarray(series, dtype=float).reshape(-1, len(x))
-    fits = []
-    for (slope, intercept), y in zip(np.polyfit(x, ys.T, 1).T, ys):
-        residuals = y - (slope * x + intercept)
-        ss_res = float(np.sum(residuals ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-        fits.append((float(slope), float(intercept), r_squared, tuple(map(float, residuals))))
-    return fits
-
-
 def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
               ) -> tuple[list[CalibratedModel], list[SkippedGroup]]:
     """Least-squares affine fits per (device, network, step, gpus) group.
@@ -248,28 +232,60 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
     Only groups whose gpus value is in ``gpu_counts`` are fitted — the
     default (1, 2) leaves out the 4-GPU rows, which mix device generations
     and synchronization stalls. Groups with fewer than two distinct batch
-    sizes are skipped with a diagnostic rather than raised.
+    sizes are skipped with a diagnostic rather than raised. Groups that share
+    a sorted batch vector are fitted together, in one polyfit call.
+
+    Raises:
+        DataFormatError: a fit overflows, so its slope, intercept, R² or a
+            residual is not finite; the message names the first such group.
     """
+    import numpy as np  # only fitting needs numpy; keep it off the import path
+
     groups: dict[tuple, list[MeasurementRecord]] = {}
     for rec in records:
         if rec.gpus in gpu_counts:
             groups.setdefault((rec.device, rec.network, rec.step, rec.gpus), []).append(rec)
-    models: list[CalibratedModel] = []
     skipped: list[SkippedGroup] = []
-    for (device, network, step, gpus), recs in sorted(groups.items()):
-        recs = sorted(recs, key=lambda r: r.batch)
-        batches = [r.batch for r in recs]
+    fitted: list[tuple] = []  # the groups to fit, sorted
+    by_batches: dict[tuple[int, ...], list] = {}  # batch vector -> [(group, records)]
+    for group, recs in sorted(groups.items()):
+        recs.sort(key=lambda r: r.batch)
+        batches = tuple(r.batch for r in recs)
         distinct = len(set(batches))
         if distinct < 2:
-            skipped += [SkippedGroup(device, network, step, gpus, quantity,
-                                     f"only {distinct} distinct batch size(s)")
+            skipped += [SkippedGroup(*group, quantity, f"only {distinct} distinct batch size(s)")
                         for quantity in quantities]
             continue
-        series = [[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
-                   for r in recs] for quantity in quantities]
-        for quantity, fit in zip(quantities, _fit_affine(batches, series)):
-            models.append(CalibratedModel(device, network, step, gpus, quantity, *fit,
-                                          min(batches), max(batches), len(batches)))
+        fitted.append(group)
+        by_batches.setdefault(batches, []).append((group, recs))
+
+    fits: dict[tuple, CalibratedModel] = {}  # model key -> model
+    overflowed = set()  # model keys
+    for batches, members in by_batches.items():
+        x = np.array(batches, dtype=float)
+        keys = [(*group, quantity) for group, _ in members for quantity in quantities]
+        y = np.array([[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
+                       for r in recs] for _, recs in members for quantity in quantities],
+                     dtype=float).reshape(-1, len(batches))
+        with np.errstate(all="ignore"):  # an overflow is raised below, naming its group
+            slope, intercept = np.polyfit(x, y.T, 1)
+            residuals = y - (slope[:, None] * x + intercept[:, None])
+            ss_res = np.sum(residuals ** 2, axis=1)
+            ss_tot = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
+            r_squared = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
+        finite = (np.isfinite(slope) & np.isfinite(intercept) & np.isfinite(r_squared)
+                  & np.isfinite(residuals).all(axis=1))
+        for key, *fit, ok in zip(keys, slope.tolist(), intercept.tolist(), r_squared.tolist(),
+                                 map(tuple, residuals.tolist()), finite.tolist()):
+            fits[key] = CalibratedModel(*key, *fit, batches[0], batches[-1], len(batches))
+            if not ok:
+                overflowed.add(key)
+    models = [fits[(*group, quantity)] for group in fitted for quantity in quantities]
+    if overflowed:
+        m = next(m for m in models if m.key in overflowed)
+        raise DataFormatError(
+            f"the fit of {'/'.join(map(str, m.key))} overflows: slope {m.slope!r}, "
+            f"intercept {m.intercept!r}, r_squared {m.r_squared!r}")
     return models, skipped
 
 
@@ -305,14 +321,52 @@ def find_model(models, device: str, network: str, step: str, gpus: int,
     )
 
 
+def _json_number(value) -> str:
+    """A number as ``json`` writes it (``float.__repr__``/``int.__repr__``)."""
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
+def _model_json(m: CalibratedModel) -> str:
+    """One model as ``json.dumps(m.__dict__, indent=2, sort_keys=True)``
+    writes it two levels deep."""
+    for value in (m.slope, m.intercept, m.r_squared, *m.residuals):
+        if not math.isfinite(value):
+            raise ValueError(f"model {m.key}: cannot save the non-finite number {value!r}")
+    residuals = ("[\n        " + ",\n        ".join(map(_json_number, m.residuals)) + "\n      ]"
+                 if m.residuals else "[]")
+    return (f'    {{\n'
+            f'      "batch_max": {_json_number(m.batch_max)},\n'
+            f'      "batch_min": {_json_number(m.batch_min)},\n'
+            f'      "device": {encode_basestring_ascii(m.device)},\n'
+            f'      "gpus": {_json_number(m.gpus)},\n'
+            f'      "intercept": {_json_number(m.intercept)},\n'
+            f'      "n_points": {_json_number(m.n_points)},\n'
+            f'      "network": {encode_basestring_ascii(m.network)},\n'
+            f'      "quantity": {encode_basestring_ascii(m.quantity)},\n'
+            f'      "r_squared": {_json_number(m.r_squared)},\n'
+            f'      "residuals": {residuals},\n'
+            f'      "slope": {_json_number(m.slope)},\n'
+            f'      "step": {encode_basestring_ascii(m.step)}\n'
+            f'    }}')
+
+
 def save_models(models, path) -> None:
-    payload = {"models": [m.__dict__ for m in models]}
+    """Write ``{"models": [...]}`` JSON, indented by two spaces with sorted
+    keys, one object per model with the :class:`CalibratedModel` fields.
+
+    Raises:
+        ValueError: a model holds a non-finite number; the message names
+            the model's key. Nothing is written then.
+    """
+    entries = ",\n".join(map(_model_json, models))
+    text = f'{{\n  "models": [\n{entries}\n  ]\n}}\n' if entries else '{\n  "models": []\n}\n'
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 _JSON_KINDS = {"str": str, "int": int, "float": float, "tuple[float, ...]": list}
 _MODEL_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(CalibratedModel)}
+_MODEL_KINDS = tuple(_MODEL_FIELDS.values())
 
 
 def _json_fits(kind, value) -> bool:
@@ -325,6 +379,32 @@ def _json_fits(kind, value) -> bool:
     if kind is list:
         return isinstance(value, list) and all(_json_fits(float, v) for v in value)
     return isinstance(value, kind)
+
+
+def _as_written(entry) -> bool:
+    """Whether a model entry is as :func:`save_models` writes it: exactly the
+    fields, each of its JSON type (floats as floats), every number finite."""
+    return (type(entry) is dict and entry.keys() == _MODEL_FIELDS.keys()
+            and tuple(map(type, map(entry.__getitem__, _MODEL_FIELDS))) == _MODEL_KINDS
+            and all(type(v) is float for v in entry["residuals"])
+            and all(map(math.isfinite, (entry["slope"], entry["intercept"],
+                                        entry["r_squared"], *entry["residuals"]))))
+
+
+def _check_entry(where: str, entry) -> None:
+    """Raise naming the first missing, unknown or mistyped key of an entry
+    that is not as :func:`save_models` writes it; return if it is still a
+    model (an integer in a float field, say)."""
+    if not isinstance(entry, dict):
+        raise DataFormatError(f"{where}: expected an object")
+    for key in entry:
+        if key not in _MODEL_FIELDS:
+            raise DataFormatError(f"{where}: unknown key {key!r}")
+    for key, kind in _MODEL_FIELDS.items():
+        if key not in entry:
+            raise DataFormatError(f"{where}: missing key {key!r}")
+        if not _json_fits(kind, entry[key]):
+            raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
 
 
 def load_models(path) -> list[CalibratedModel]:
@@ -346,17 +426,8 @@ def load_models(path) -> list[CalibratedModel]:
         raise DataFormatError(f"{path}: expected an object with a 'models' list")
     models = []
     for i, entry in enumerate(entries):
-        where = f"{path}: models[{i}]"
-        if not isinstance(entry, dict):
-            raise DataFormatError(f"{where}: expected an object")
-        for key in entry:
-            if key not in _MODEL_FIELDS:
-                raise DataFormatError(f"{where}: unknown key {key!r}")
-        for key, kind in _MODEL_FIELDS.items():
-            if key not in entry:
-                raise DataFormatError(f"{where}: missing key {key!r}")
-            if not _json_fits(kind, entry[key]):
-                raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
+        if not _as_written(entry):
+            _check_entry(f"{path}: models[{i}]", entry)
         models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
     return models
 

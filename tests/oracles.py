@@ -5,6 +5,12 @@ sliding-window enumeration, textbook closed forms and one line loop per
 table format — so a bug in the package's vectorized/algebraic versions or
 its shared table reader cannot hide in a shared implementation.
 """
+import json
+import math
+from dataclasses import fields
+
+from cnnergy.energymodel import QUANTITIES, CalibratedModel, MeasurementRecord, SkippedGroup
+from cnnergy.errors import DataFormatError
 
 
 def slide_positions(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -236,3 +242,114 @@ def parse_plans_reference(text):
         plan = TrainingPlan(net, int(batch), int(iters), int(epochs))
         plans[(plan.network, plan.batch)] = plan
     return plans
+
+
+# ---------------------------------------------------------------------------
+# Calibration and the model file: calibrate with one polyfit call per group,
+# the model file written by json.dumps(indent=2) and read by a per-key walk.
+# The bodies are the package's as they stood before the array pass.
+# ---------------------------------------------------------------------------
+
+def fit_affine_reference(batches, series) -> list[tuple[float, float, float, tuple[float, ...]]]:
+    """(slope, intercept, R², residuals) of a least-squares line through each
+    value list in ``series`` against ``batches``, all in one polyfit call."""
+    import numpy as np  # only fitting needs numpy; keep it off the import path
+
+    x = np.asarray(batches, dtype=float)
+    ys = np.asarray(series, dtype=float).reshape(-1, len(x))
+    fits = []
+    for (slope, intercept), y in zip(np.polyfit(x, ys.T, 1).T, ys):
+        residuals = y - (slope * x + intercept)
+        ss_res = float(np.sum(residuals ** 2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+        fits.append((float(slope), float(intercept), r_squared, tuple(map(float, residuals))))
+    return fits
+
+
+def calibrate_reference(records, gpu_counts=(1, 2), quantities=QUANTITIES
+                        ) -> tuple[list[CalibratedModel], list[SkippedGroup]]:
+    """Least-squares affine fits per (device, network, step, gpus) group.
+
+    Only groups whose gpus value is in ``gpu_counts`` are fitted — the
+    default (1, 2) leaves out the 4-GPU rows, which mix device generations
+    and synchronization stalls. Groups with fewer than two distinct batch
+    sizes are skipped with a diagnostic rather than raised.
+    """
+    groups: dict[tuple, list[MeasurementRecord]] = {}
+    for rec in records:
+        if rec.gpus in gpu_counts:
+            groups.setdefault((rec.device, rec.network, rec.step, rec.gpus), []).append(rec)
+    models: list[CalibratedModel] = []
+    skipped: list[SkippedGroup] = []
+    for (device, network, step, gpus), recs in sorted(groups.items()):
+        recs = sorted(recs, key=lambda r: r.batch)
+        batches = [r.batch for r in recs]
+        distinct = len(set(batches))
+        if distinct < 2:
+            skipped += [SkippedGroup(device, network, step, gpus, quantity,
+                                     f"only {distinct} distinct batch size(s)")
+                        for quantity in quantities]
+            continue
+        series = [[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
+                   for r in recs] for quantity in quantities]
+        for quantity, fit in zip(quantities, fit_affine_reference(batches, series)):
+            models.append(CalibratedModel(device, network, step, gpus, quantity, *fit,
+                                          min(batches), max(batches), len(batches)))
+    return models, skipped
+
+
+def save_models_reference(models, path) -> None:
+    payload = {"models": [m.__dict__ for m in models]}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+_JSON_KINDS = {"str": str, "int": int, "float": float, "tuple[float, ...]": list}
+_MODEL_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(CalibratedModel)}
+
+
+def _json_fits(kind, value) -> bool:
+    """Whether a JSON value can stand for a ``kind`` field of CalibratedModel;
+    a number must be finite, and JSON booleans are not numbers here."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if kind is list:
+        return isinstance(value, list) and all(_json_fits(float, v) for v in value)
+    return isinstance(value, kind)
+
+
+def load_models_reference(path) -> list[CalibratedModel]:
+    """Read models written by :func:`save_models`.
+
+    Raises:
+        DataFormatError: the file is not UTF-8 JSON, the JSON is not
+            ``{"models": [...]}``, or a model has a missing, unknown or
+            mistyped key (non-finite numbers included); the message names
+            the file and the key.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataFormatError(f"{path}: {exc}") from None
+    entries = payload.get("models") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise DataFormatError(f"{path}: expected an object with a 'models' list")
+    models = []
+    for i, entry in enumerate(entries):
+        where = f"{path}: models[{i}]"
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{where}: expected an object")
+        for key in entry:
+            if key not in _MODEL_FIELDS:
+                raise DataFormatError(f"{where}: unknown key {key!r}")
+        for key, kind in _MODEL_FIELDS.items():
+            if key not in entry:
+                raise DataFormatError(f"{where}: missing key {key!r}")
+            if not _json_fits(kind, entry[key]):
+                raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
+        models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
+    return models

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,14 @@ MEASUREMENTS = (
     "pascal,net_a,forward,1,64,0.01,4.0\n"
     "pascal,net_a,forward,1,128,0.02,8.0\n"
     "pascal,net_a,backward,1,64,0.03,9.0\n"
+)
+
+# finite cells whose fit overflows: the residuals square past the float range
+OVERFLOWING_MEASUREMENTS = (
+    "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch\n"
+    "pascal,net_a,forward,1,64,1e300,4.0\n"
+    "pascal,net_a,forward,1,128,1.7e308,8.0\n"
+    "pascal,net_a,forward,1,256,1e300,9.0\n"
 )
 
 
@@ -329,6 +338,20 @@ def test_calibrate_non_finite_measurement_exits_2(tmp_path, capsys):
     assert err.startswith("error: line 3: ")
 
 
+def test_calibrate_overflowing_fit_exits_2(tmp_path, capsys):
+    measurements = tmp_path / "m.csv"
+    measurements.write_text(OVERFLOWING_MEASUREMENTS, encoding="utf-8")
+    model_file = tmp_path / "models.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        code, out, err = run(["calibrate", "--measurements", str(measurements),
+                              "--model-out", str(model_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the fit of pascal/net_a/forward/1/seconds overflows: ")
+    assert "nan" in err and err.count("\n") == 1
+    assert not model_file.exists()
+
+
 # ---------------------------------------------------------------------------
 # rank
 # ---------------------------------------------------------------------------
@@ -516,6 +539,8 @@ def cli_runs(draw):
           {"models": json.dumps({"models": [MODEL]}).encode()}))
 @example((["predict", "--models", "@models", "--device", "pascal", "--network", "net_a",
            "--step", "forward", "--gpus", "1", "--batch", "1"], {"models": b"[" * 5000}))
+@example((["calibrate", "--measurements", "@measurements", "--model-out", "@out"],
+          {"measurements": OVERFLOWING_MEASUREMENTS.encode()}))
 @settings(max_examples=500, deadline=None)
 def test_main_exits_0_2_or_3_on_any_input(run_spec):
     argv, files = run_spec
@@ -523,10 +548,16 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
         for name, data in files.items():
             (Path(tmp) / name).write_bytes(data)
         argv = [str(Path(tmp) / a[1:]) if a.startswith("@") else a for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse refuses an option's value
                 code = exc.code
-    assert code in (0, 2, 3)
+        assert code in (0, 2, 3)
+        if code == 0 and argv[0] == "calibrate":
+            # a fit that succeeds is finite, and its model file reads back
+            cells = stdout.getvalue().replace(",", " ").split()
+            assert not {"nan", "inf", "-inf"} & set(cells)
+            if "--model-out" in argv:
+                energymodel.load_models(argv[argv.index("--model-out") + 1])

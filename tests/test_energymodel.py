@@ -2,12 +2,16 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cnnergy.arch import builtin_network, infer_shapes
 from cnnergy.costmodel import network_cost
 from cnnergy.energymodel import (
+    CalibratedModel,
     DeviceProfile,
     MeasurementRecord,
     QUANTITIES,
@@ -32,7 +36,12 @@ from cnnergy.errors import (
     MismatchedRecordsError,
 )
 
-from oracles import affine_fit_closed_form
+from oracles import (
+    affine_fit_closed_form,
+    calibrate_reference,
+    load_models_reference,
+    save_models_reference,
+)
 
 
 def record(device="pascal", network="two_d_cnn", step="forward", gpus=1,
@@ -236,6 +245,79 @@ def test_calibrate_fits_equal_one_polyfit_per_quantity_bit_for_bit():
         assert model.residuals == tuple(y - (slope * x + intercept)), model.key
 
 
+@pytest.mark.parametrize("gpu_counts", [(1, 2), (1, 2, 4)])
+def test_calibrate_calls_polyfit_once_per_batch_vector(monkeypatch, gpu_counts):
+    np = pytest.importorskip("numpy")
+    polyfit, calls = np.polyfit, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return polyfit(*args, **kwargs)
+
+    monkeypatch.setattr(np, "polyfit", counting)
+    models, _ = calibrate(bundled_measurements(), gpu_counts=gpu_counts)
+    # the bundled groups hold only the (64, 128) and (64, 128, 256) vectors
+    assert sorted(shape[0] for shape in calls) == [2, 3]
+    assert sum(shape[1] for shape in calls) == len(models)
+
+
+def fit_bits(models):
+    """Every model as a tuple, each float as its ``float.hex``."""
+    return [tuple(tuple(map(float.hex, v)) if isinstance(v, tuple)
+                  else v.hex() if isinstance(v, float) else v
+                  for v in dataclasses.astuple(m)) for m in models]
+
+
+FIT_VALUES = st.one_of(st.floats(1e-4, 1e4), st.sampled_from([1e-300, 1e300, 1.7e308]))
+
+
+@st.composite
+def record_sets(draw):
+    """Measurement records over a few groups, batch vectors mixed: some
+    batches repeat within a group, and some groups have only one."""
+    recs = []
+    for device, network, step, gpus in draw(st.lists(st.tuples(
+            st.sampled_from(["pascal", "maxwell"]), st.sampled_from(["net_a", "net_b"]),
+            st.sampled_from(STEPS), st.sampled_from([1, 2, 4])), max_size=8, unique=True)):
+        for batch in draw(st.lists(st.sampled_from([1, 32, 64, 96, 128, 256]),
+                                   min_size=1, max_size=5)):
+            recs.append(MeasurementRecord(device, network, step, gpus, batch,
+                                          draw(FIT_VALUES), draw(FIT_VALUES)))
+    return draw(st.permutations(recs))
+
+
+@given(record_sets(), st.sampled_from([(1, 2), (1, 2, 4), (4,)]),
+       st.sampled_from([QUANTITIES, ("seconds",), ("joules",), ("joules", "seconds")]))
+@settings(max_examples=300, deadline=None)
+def test_calibrate_fits_equal_the_per_group_oracle_bit_for_bit(recs, gpu_counts, quantities):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's overflow warnings
+        expected, expected_skipped = calibrate_reference(recs, gpu_counts, quantities)
+    overflowed = [m for m in expected if not all(map(math.isfinite, (
+        m.slope, m.intercept, m.r_squared, *m.residuals)))]
+    if overflowed:
+        with pytest.raises(DataFormatError, match="^the fit of {} overflows: ".format(
+                "/".join(map(str, overflowed[0].key)))):
+            calibrate(recs, gpu_counts, quantities)
+        return
+    models, skipped = calibrate(recs, gpu_counts, quantities)
+    assert fit_bits(models) == fit_bits(expected)
+    assert skipped == expected_skipped
+
+
+def test_calibrate_overflowing_fit_raises_naming_the_group():
+    recs = [record(batch=b, seconds=s) for b, s in ((64, 1e300), (128, 1.7e308), (256, 1e300))]
+    recs += [record(network="net_z", batch=b, seconds=1e300) for b in (64, 128)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning gets out
+        with pytest.raises(DataFormatError, match=(
+                r"^the fit of pascal/net_z/forward/1/seconds overflows: .*r_squared nan")):
+            calibrate(recs + [record(network="net_z", batch=256, seconds=1.7e308)])
+        with pytest.raises(DataFormatError, match=(
+                r"^the fit of pascal/two_d_cnn/forward/1/seconds overflows: ")):
+            calibrate(recs)
+
+
 def test_calibrate_filters_gpu_counts():
     recs = linear_records() + linear_records(gpus=4)
     models, _ = calibrate(recs)
@@ -287,6 +369,90 @@ def test_save_load_models_round_trip(tmp_path):
     save_models(models, path)
     again = load_models(path)
     assert again == models
+
+
+def test_save_models_refuses_a_non_finite_number(tmp_path):
+    models, _ = calibrate(linear_records())
+    path = tmp_path / "models.json"
+    for field, value in (("slope", math.inf), ("r_squared", math.nan),
+                         ("residuals", (0.0, -math.inf))):
+        bad = dataclasses.replace(models[1], **{field: value})
+        with pytest.raises(ValueError, match=r"^model \('pascal', 'two_d_cnn', 'forward', 1, "
+                                             r"'joules'\): cannot save the non-finite number"):
+            save_models([models[0], bad], path)
+        assert not path.exists()
+
+
+JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300, -1.7e308]))
+
+SAVED_MODELS = st.builds(
+    CalibratedModel, device=st.text(), network=st.text(), step=st.sampled_from(STEPS),
+    gpus=st.integers(1, 8), quantity=st.sampled_from(QUANTITIES), slope=JSON_FLOATS,
+    intercept=JSON_FLOATS, r_squared=JSON_FLOATS,
+    residuals=st.lists(JSON_FLOATS, max_size=4).map(tuple),
+    batch_min=st.integers(1, 2 ** 70), batch_max=st.integers(1, 2 ** 70),
+    n_points=st.integers(0, 9))
+
+
+@given(st.lists(SAVED_MODELS, max_size=4))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_models_writes_the_bytes_json_dumps_wrote(tmp_path, models):
+    save_models(models, tmp_path / "models.json")
+    save_models_reference(models, tmp_path / "reference.json")
+    written = (tmp_path / "models.json").read_bytes()
+    assert written == (tmp_path / "reference.json").read_bytes()
+    assert load_models(tmp_path / "models.json") == models
+
+
+OTHER_JSON = st.one_of(st.none(), st.booleans(), st.integers(), st.just(10 ** 400),
+                      st.floats(), st.text(max_size=3), st.lists(st.floats(), max_size=2),
+                      st.lists(st.one_of(st.integers(), st.booleans(), st.none()), max_size=2),
+                      st.just({}))
+
+
+@st.composite
+def model_entries(draw):
+    """A saved model entry, left as written or with one key dropped, added or
+    given a value of another JSON type (booleans, NaN and huge integers
+    included, in the residual list too); now and then not an object at all."""
+    entry = draw(SAVED_MODELS).__dict__
+    entry = {**entry, "residuals": list(entry["residuals"])}
+    key = draw(st.sampled_from(sorted(entry)))
+    mutation = draw(st.sampled_from(["none", "drop", "add", "retype", "bool", "nan", "int",
+                                     "other"]))
+    value = draw({"add": OTHER_JSON, "retype": OTHER_JSON, "bool": st.booleans(),
+                  "nan": st.sampled_from([math.nan, math.inf, -math.inf]),
+                  "int": st.sampled_from([0, -3, 2 ** 1100])}.get(mutation, st.none()))
+    if mutation == "drop":
+        del entry[key]
+    elif mutation == "add":
+        entry[draw(st.sampled_from(["colour", "", "Slope", key]))] = value
+    elif mutation == "other":
+        entry = draw(OTHER_JSON)
+    elif mutation != "none":
+        if key == "residuals" and mutation != "retype":
+            value = [*entry[key], value]
+        entry[key] = value
+    return entry
+
+
+@given(st.lists(model_entries(), max_size=3))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_models_matches_the_per_key_oracle(tmp_path, entries):
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({"models": entries}), encoding="utf-8")
+    try:
+        expected = load_models_reference(path)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        with pytest.raises(type(exc)) as info:
+            load_models(path)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        # repr tells an integer or a boolean from the float it equals
+        assert repr(load_models(path)) == repr(expected)
 
 
 # ---------------------------------------------------------------------------
