@@ -205,8 +205,7 @@ def cmd_rank(args) -> str:
                                  batches=args.batches, gpu_counts=args.gpus)
     if not configs:
         raise NothingFeasibleError("the requested grid is empty")
-    reports = [tuner.score(c, records, profiles, shaped=arch._builtin_shapes(c.network),
-                           update_overhead_pct=args.update_overhead_pct)
+    reports = [tuner.score(c, records, profiles, update_overhead_pct=args.update_overhead_pct)
                for c in configs]
     ranked = tuner.rank(reports, metric=args.metric)
     lines = [f"# metric: {args.metric}",

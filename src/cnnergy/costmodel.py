@@ -8,12 +8,11 @@ size (``k_w*k_h*(ch_in/groups)*ch_out`` plus bias for conv,
 pass (batch_norm reads and writes twice, softmax three times, residual_sum
 reads its two addends).
 
-One private function, ``_layer_counts``, works out every count of a layer:
-its six operation counts (in :class:`OpCount` field order) and the elements
-it reads and writes, as plain integers. :func:`network_cost` keeps them as
-one flat :class:`LayerCost` row per layer and sums the columns into the
-totals of a :class:`CostSummary`; :func:`layer_ops` and :func:`layer_data`
-wrap the same counts in an :class:`OpCount` and a :class:`DataVolume`.
+One function, :func:`layer_cost`, works out every count of a layer: its six
+operation counts and the elements it reads and writes, as one flat
+:class:`LayerCost` row of plain integers. :func:`network_cost` keeps one
+such row per layer and sums the columns into ``CostSummary.total``, a row
+of the same type; ``LayerCost.total_ops`` adds a row's six operation counts.
 
 All counts are exact integers per sample; :func:`batch_cost` scales them
 exactly by the batch size. Shapes are checked against
@@ -36,58 +35,9 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class OpCount:
-    """Per-kind operation tally for one layer (or a sum of layers)."""
-
-    macc: int = 0
-    max_ops: int = 0
-    add_div: int = 0
-    exp_add_div: int = 0
-    mul01: int = 0
-    bias_add: int = 0
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if value < 0:
-                raise ValueError(f"OpCount.{name} must be >= 0, got {value}")
-
-    def total(self) -> int:
-        """All operations summed; one macc counts as one operation."""
-        return (self.macc + self.max_ops + self.add_div + self.exp_add_div
-                + self.mul01 + self.bias_add)
-
-    def scaled(self, factor: int) -> "OpCount":
-        """Every count multiplied by ``factor``."""
-        return OpCount(*(count * factor for count in vars(self).values()))
-
-
-@dataclass(frozen=True)
-class DataVolume:
-    """Tensor elements read and written by one layer (or a sum of layers)."""
-
-    read_elems: int
-    written_elems: int
-    element_bytes: int = 4
-
-    def __post_init__(self):
-        if self.read_elems < 0 or self.written_elems < 0:
-            raise ValueError("element counts must be >= 0")
-        if self.element_bytes < 1:
-            raise ValueError("element_bytes must be >= 1")
-
-    @property
-    def read_bytes(self) -> int:
-        return self.read_elems * self.element_bytes
-
-    @property
-    def written_bytes(self) -> int:
-        return self.written_elems * self.element_bytes
-
-
 class LayerCost(NamedTuple):
-    """One layer's row of a :class:`CostSummary`: the six operation counts
-    of :class:`OpCount`, then the tensor elements read and written."""
+    """One layer's costs on one sample (or a sum or multiple of such rows):
+    six operation counts, then the tensor elements read and written."""
 
     name: str
     kind: str
@@ -100,35 +50,52 @@ class LayerCost(NamedTuple):
     read_elems: int
     written_elems: int
 
+    @property
+    def total_ops(self) -> int:
+        """All operations summed; one macc counts as one operation."""
+        return (self.macc + self.max_ops + self.add_div + self.exp_add_div
+                + self.mul01 + self.bias_add)
+
 
 @dataclass(frozen=True)
 class CostSummary:
-    """Whole-network per-sample cost: per-layer rows plus exact totals.
+    """Whole-network cost: per-layer rows plus their column sums.
 
-    ``per_layer`` holds one :class:`LayerCost` row per layer, ``ops`` the
-    per-kind operation totals and ``total_ops`` their sum.
-    ``ctc`` is the compute-to-traffic ratio total_ops / total_read_elems
-    (operations per tensor element read); ``None`` for an empty network.
+    ``per_layer`` holds one :class:`LayerCost` row per layer and ``total``
+    the row ``LayerCost("total", "", ...)`` of their column sums; the
+    ``total_*`` properties read it. ``ctc`` is the compute-to-traffic ratio
+    total_ops / total_read_elems (operations per tensor element read);
+    ``None`` for an empty network.
     """
 
     per_layer: tuple[LayerCost, ...]
-    ops: OpCount
-    total_read_elems: int
-    total_written_elems: int
+    total: LayerCost
     element_bytes: int
-    ctc: float | None
 
     @property
     def total_ops(self) -> int:
-        return self.ops.total()
+        return self.total.total_ops
+
+    @property
+    def total_read_elems(self) -> int:
+        return self.total.read_elems
+
+    @property
+    def total_written_elems(self) -> int:
+        return self.total.written_elems
 
     @property
     def total_read_bytes(self) -> int:
-        return self.total_read_elems * self.element_bytes
+        return self.total.read_elems * self.element_bytes
 
     @property
     def total_written_bytes(self) -> int:
-        return self.total_written_elems * self.element_bytes
+        return self.total.written_elems * self.element_bytes
+
+    @property
+    def ctc(self) -> float | None:
+        read = self.total.read_elems
+        return self.total_ops / read if read > 0 else None
 
 
 def _check_shapes(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> None:
@@ -153,9 +120,15 @@ _PASSES = {
 }
 
 
-def _layer_counts(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> tuple[int, ...]:
-    """``(macc, max_ops, add_div, exp_add_div, mul01, bias_add, read_elems,
-    written_elems)`` of one layer on one sample; shapes are not checked."""
+def layer_cost(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> LayerCost:
+    """Costs of one layer applied to one sample: its operation counts, the
+    elements it reads (its input activations once per pass plus its full
+    weight set) and the elements it writes (its output once per pass).
+
+    Raises:
+        ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
+    """
+    _check_shapes(layer, inp, out)
     kind = layer.kind
     macc = max_ops = add_div = exp_add_div = mul01 = bias_add = 0
     if kind == "conv":
@@ -185,33 +158,9 @@ def _layer_counts(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> tuple
         # local_response_norm: one add/div per window cell, like average pooling.
         add_div = layer.kernel_w * layer.kernel_h * out.width * out.height * out.channels
     read_mult, write_mult = _PASSES.get(kind, (1, 1))
-    return (macc, max_ops, add_div, exp_add_div, mul01, bias_add,
-            inp.elements * read_mult + arch.layer_weight_elems(layer, inp),
-            out.elements * write_mult)
-
-
-def layer_ops(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> OpCount:
-    """Operation counts of one layer applied to one sample.
-
-    Raises:
-        ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
-    """
-    _check_shapes(layer, inp, out)
-    return OpCount(*_layer_counts(layer, inp, out)[:6])
-
-
-def layer_data(layer: LayerSpec, inp: TensorShape, out: TensorShape,
-               element_bytes: int = 4) -> DataVolume:
-    """Elements read and written by one layer on one sample: its input
-    activations once per pass plus its full weight set, and its output
-    activations once per pass (see module docstring).
-
-    Raises:
-        ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
-    """
-    _check_shapes(layer, inp, out)
-    read, written = _layer_counts(layer, inp, out)[6:]
-    return DataVolume(read, written, element_bytes)
+    return LayerCost(layer.name, kind, macc, max_ops, add_div, exp_add_div, mul01, bias_add,
+                     inp.elements * read_mult + arch.layer_weight_elems(layer, inp),
+                     out.elements * write_mult)
 
 
 def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
@@ -224,23 +173,10 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
     """
     if element_bytes < 1:
         raise ValueError("element_bytes must be >= 1")
-    rows = []
-    for sl in shaped.per_layer:
-        spec = sl.spec
-        _check_shapes(spec, sl.input, sl.output)
-        rows.append(LayerCost(spec.name, spec.kind, *_layer_counts(spec, sl.input, sl.output)))
+    rows = tuple(layer_cost(sl.spec, sl.input, sl.output) for sl in shaped.per_layer)
     # The eight count columns; an input-only network has no rows to zip.
     columns = list(zip(*rows))[2:] if rows else [()] * 8
-    *op_totals, read, written = map(sum, columns)
-    ops = OpCount(*op_totals)
-    return CostSummary(
-        per_layer=tuple(rows),
-        ops=ops,
-        total_read_elems=read,
-        total_written_elems=written,
-        element_bytes=element_bytes,
-        ctc=ops.total() / read if read > 0 else None,
-    )
+    return CostSummary(rows, LayerCost("total", "", *map(sum, columns)), element_bytes)
 
 
 def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:
@@ -248,32 +184,21 @@ def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:
     and every total is multiplied exactly; ``ctc``, a ratio, is unchanged."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rows = tuple(
+    *rows, total = (
         LayerCost(name, kind, *[count * batch_size for count in counts])
-        for name, kind, *counts in summary.per_layer
+        for name, kind, *counts in (*summary.per_layer, summary.total)
     )
-    return CostSummary(
-        per_layer=rows,
-        ops=summary.ops.scaled(batch_size),
-        total_read_elems=summary.total_read_elems * batch_size,
-        total_written_elems=summary.total_written_elems * batch_size,
-        element_bytes=summary.element_bytes,
-        ctc=summary.ctc,
-    )
+    return CostSummary(tuple(rows), total, summary.element_bytes)
 
 
 def cost_csv(summary: CostSummary) -> str:
-    """Per-layer cost report as CSV with a trailing totals row."""
+    """Per-layer cost report as CSV, ending with the ``total`` row."""
     out = io.StringIO()
     out.write("layer,kind,macc,max_ops,add_div,exp_add_div,mul01,bias_add,"
               "read_bytes,written_bytes\n")
     nbytes = summary.element_bytes
-    for row in summary.per_layer:
+    for row in (*summary.per_layer, summary.total):
         out.write(f"{row.name},{row.kind},{row.macc},{row.max_ops},{row.add_div},"
                   f"{row.exp_add_div},{row.mul01},{row.bias_add},"
                   f"{row.read_elems * nbytes},{row.written_elems * nbytes}\n")
-    total = summary.ops
-    out.write(f"total,,{total.macc},{total.max_ops},{total.add_div},"
-              f"{total.exp_add_div},{total.mul01},{total.bias_add},"
-              f"{summary.total_read_bytes},{summary.total_written_bytes}\n")
     return out.getvalue()

@@ -367,15 +367,19 @@ def save_models(models, path) -> None:
 _JSON_KINDS = {"str": str, "int": int, "float": float, "tuple[float, ...]": list}
 _MODEL_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(CalibratedModel)}
 _MODEL_KINDS = tuple(_MODEL_FIELDS.values())
+_FLOAT_FIELDS = [key for key, kind in _MODEL_FIELDS.items() if kind is float]
 
 
 def _json_fits(kind, value) -> bool:
     """Whether a JSON value can stand for a ``kind`` field of CalibratedModel;
-    a number must be finite, and JSON booleans are not numbers here."""
+    a number must be finite as a float, and JSON booleans are not numbers here."""
     if isinstance(value, bool):
         return False
     if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(float(value))
+        except OverflowError:  # an integer beyond the float range
+            return False
     if kind is list:
         return isinstance(value, list) and all(_json_fits(float, v) for v in value)
     return isinstance(value, kind)
@@ -394,7 +398,7 @@ def _as_written(entry) -> bool:
 def _check_entry(where: str, entry) -> None:
     """Raise naming the first missing, unknown or mistyped key of an entry
     that is not as :func:`save_models` writes it; return if it is still a
-    model (an integer in a float field, say)."""
+    model (a finite integer in a float field, say)."""
     if not isinstance(entry, dict):
         raise DataFormatError(f"{where}: expected an object")
     for key in entry:
@@ -414,7 +418,7 @@ def load_models(path) -> list[CalibratedModel]:
         DataFormatError: the file is not UTF-8 JSON, the JSON is not
             ``{"models": [...]}``, or a model has a missing, unknown or
             mistyped key (non-finite numbers included); the message names
-            the file and the key.
+            the file and the key. Integers in float fields are read as floats.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -428,6 +432,8 @@ def load_models(path) -> list[CalibratedModel]:
     for i, entry in enumerate(entries):
         if not _as_written(entry):
             _check_entry(f"{path}: models[{i}]", entry)
+            entry = {**entry, **{key: float(entry[key]) for key in _FLOAT_FIELDS},
+                     "residuals": list(map(float, entry["residuals"]))}
         models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
     return models
 

@@ -305,19 +305,18 @@ class Recommendation:
     rationale: str
 
 
-def recommend(dataset_class: str, net_family: str, accuracy=None,
+def recommend(dataset_class: str, net_family: str, accuracy,
               tolerance_pct: float = 5.0, reports=None,
               metric: str | None = None) -> Recommendation:
     """Suggest a batch size for a (dataset size, network family) pair.
 
-    Without accuracy data the defaults apply: large datasets take the
-    largest feasible batch; small datasets take it too for plain
-    convolutional stacks, but residual networks on small datasets keep the
-    smallest batch because their accuracy degrades as the batch grows (at a
-    stated time/energy cost). With ``accuracy`` records, batches within
-    ``tolerance_pct`` percent of the best accuracy qualify, and the
-    qualifier with the lowest EDP wins (EDP taken from ``reports`` when
-    given, otherwise the largest qualifier is suggested).
+    Batches within ``tolerance_pct`` percent of the best ``accuracy`` record
+    qualify, and the qualifier with the lowest EDP wins (EDP taken from
+    ``reports`` when given, otherwise the largest qualifier is suggested).
+
+    Raises:
+        DataFormatError: ``accuracy`` holds no record for the pair's network
+            and metric.
     """
     if dataset_class not in ("small", "large"):
         raise ValueError('dataset_class must be "small" or "large"')
@@ -326,58 +325,38 @@ def recommend(dataset_class: str, net_family: str, accuracy=None,
     network = FAMILY_NETWORKS[(dataset_class, net_family)]
     metric = metric or PRIMARY_METRIC[dataset_class]
 
-    if accuracy is not None:
-        by_batch: dict[int, float] = {}
-        for rec in accuracy:
-            if rec.network == network and rec.metric == metric:
-                by_batch[rec.batch] = rec.value
-        if not by_batch:
-            raise DataFormatError(
-                f"no accuracy records for network {network!r} with metric {metric!r}"
+    by_batch: dict[int, float] = {}
+    for rec in accuracy:
+        if rec.network == network and rec.metric == metric:
+            by_batch[rec.batch] = rec.value
+    if not by_batch:
+        raise DataFormatError(
+            f"no accuracy records for network {network!r} with metric {metric!r}"
+        )
+    best = max(by_batch.values())
+    floor = best * (1.0 - tolerance_pct / 100.0)
+    qualifying = tuple(sorted(b for b, v in by_batch.items() if v >= floor))
+    if reports is not None:
+        candidates = [r for r in reports
+                      if r.feasible and r.config.network == network
+                      and r.config.batch in qualifying
+                      and r.edp_joule_seconds is not None]
+        if candidates:
+            winner = min(candidates, key=lambda r: (
+                r.edp_joule_seconds, r.config.batch, r.config.gpu_set.total_gpus))
+            return Recommendation(
+                dataset_class, net_family, network, winner.config.batch, qualifying,
+                f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
+                f"{metric} accuracy ({best:g}%); "
+                f"batch {winner.config.batch} has the lowest EDP among them; "
+                f"{MULTI_GPU_ADVISORY}",
             )
-        best = max(by_batch.values())
-        floor = best * (1.0 - tolerance_pct / 100.0)
-        qualifying = tuple(sorted(b for b, v in by_batch.items() if v >= floor))
-        if reports is not None:
-            candidates = [r for r in reports
-                          if r.feasible and r.config.network == network
-                          and r.config.batch in qualifying
-                          and r.edp_joule_seconds is not None]
-            if candidates:
-                winner = min(candidates, key=lambda r: (
-                    r.edp_joule_seconds, r.config.batch, r.config.gpu_set.total_gpus))
-                return Recommendation(
-                    dataset_class, net_family, network, winner.config.batch, qualifying,
-                    f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
-                    f"{metric} accuracy ({best:g}%); "
-                    f"batch {winner.config.batch} has the lowest EDP among them; "
-                    f"{MULTI_GPU_ADVISORY}",
-                )
-        suggested = qualifying[-1]
-        return Recommendation(
-            dataset_class, net_family, network, suggested, qualifying,
-            f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
-            f"{metric} accuracy ({best:g}%); the largest of them saves the most "
-            f"time and energy; {MULTI_GPU_ADVISORY}",
-        )
-
-    if dataset_class == "large":
-        return Recommendation(
-            dataset_class, net_family, network, 256, (64, 128, 256),
-            "on a large dataset the largest feasible batch is fastest and "
-            f"cheapest without hurting accuracy; {MULTI_GPU_ADVISORY}",
-        )
-    if net_family == "plain_conv":
-        return Recommendation(
-            dataset_class, net_family, network, 256, (64, 128, 256),
-            "plain convolutional stacks on small datasets tolerate large "
-            f"batches, which save time and energy; {MULTI_GPU_ADVISORY}",
-        )
+    suggested = qualifying[-1]
     return Recommendation(
-        dataset_class, net_family, network, 64, (64,),
-        "residual networks on small datasets lose accuracy as the batch "
-        "grows; keep the smallest batch and accept the longer, more "
-        f"energy-hungry run; {MULTI_GPU_ADVISORY}",
+        dataset_class, net_family, network, suggested, qualifying,
+        f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
+        f"{metric} accuracy ({best:g}%); the largest of them saves the most "
+        f"time and energy; {MULTI_GPU_ADVISORY}",
     )
 
 

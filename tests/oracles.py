@@ -315,7 +315,10 @@ def _json_fits(kind, value) -> bool:
     if isinstance(value, bool):
         return False
     if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(float(value))
+        except OverflowError:
+            return False
     if kind is list:
         return isinstance(value, list) and all(_json_fits(float, v) for v in value)
     return isinstance(value, kind)
@@ -328,7 +331,7 @@ def load_models_reference(path) -> list[CalibratedModel]:
         DataFormatError: the file is not UTF-8 JSON, the JSON is not
             ``{"models": [...]}``, or a model has a missing, unknown or
             mistyped key (non-finite numbers included); the message names
-            the file and the key.
+            the file and the key. Integers in float fields are read as floats.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -351,5 +354,7 @@ def load_models_reference(path) -> list[CalibratedModel]:
                 raise DataFormatError(f"{where}: missing key {key!r}")
             if not _json_fits(kind, entry[key]):
                 raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
-        models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
+        floats = {key: float(entry[key]) for key, kind in _MODEL_FIELDS.items() if kind is float}
+        models.append(CalibratedModel(**{**entry, **floats,
+                                         "residuals": tuple(map(float, entry["residuals"]))}))
     return models

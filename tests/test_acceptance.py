@@ -24,7 +24,7 @@ from cnnergy.arch import (
     builtin_network,
     infer_shapes,
 )
-from cnnergy.costmodel import batch_cost, layer_ops, network_cost
+from cnnergy.costmodel import batch_cost, layer_cost, network_cost
 from cnnergy.multigpu import (
     DEFAULT_LINK_BANDWIDTH,
     DEFAULT_LINK_LATENCY,
@@ -261,7 +261,7 @@ def _conv_pool_oracle_grid():
                                           out_channels=co, groups=g)
                         net = NetworkSpec("n", TensorShape(size, size, ci), (layer,))
                         sl = infer_shapes(net).per_layer[0]
-                        got = layer_ops(layer, sl.input, sl.output).macc
+                        got = layer_cost(layer, sl.input, sl.output).macc
                         assert got == conv_macc_per_placement(
                             size, size, ci, co, k, k, stride, pad, g)
                         cases += 1
@@ -269,7 +269,7 @@ def _conv_pool_oracle_grid():
                                      stride=stride, padding=pad, pool_kind="max")
                     net = NetworkSpec("n", TensorShape(size, size, 3), (pool,))
                     sl = infer_shapes(net).per_layer[0]
-                    got = layer_ops(pool, sl.input, sl.output).max_ops
+                    got = layer_cost(pool, sl.input, sl.output).max_ops
                     assert got == pool_ops_per_placement(size, size, 3, k, k,
                                                          stride, pad)
                     cases += 1
@@ -282,7 +282,7 @@ def _conv_pool_oracle_grid():
                               out_channels=2, groups=1)
             net = NetworkSpec("n", TensorShape(size, size, 2), (layer,))
             sl = infer_shapes(net).per_layer[0]
-            assert layer_ops(layer, sl.input, sl.output).macc == \
+            assert layer_cost(layer, sl.input, sl.output).macc == \
                 conv_macc_by_enumeration(size, size, 2, 2, k, k, 1, 0)
             cases += 1
     return cases

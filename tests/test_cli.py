@@ -330,6 +330,29 @@ def test_predict_overflowing_model_exits_2(tmp_path, capsys):
     assert err.startswith("error: predicted seconds at batch 1000 overflows (inf)")
 
 
+@pytest.mark.parametrize("digits,batch,message", [
+    (400, "64", "{file}: models[0]: bad value for 'slope': 1" + "0" * 400),
+    (308, "1000", "predicted seconds at batch 1000 overflows (inf)"),
+])
+def test_predict_integer_slope_beyond_float_exits_2(tmp_path, capsys, digits, batch, message):
+    """An integer slope is read as a float: one past the float range is a bad
+    value named with its file and key, and one just inside it overflows the
+    prediction rather than the integer-to-float conversion."""
+    measurements = tmp_path / "m.csv"
+    measurements.write_text(MEASUREMENTS, encoding="utf-8")
+    model_file = tmp_path / "models.json"
+    run(["calibrate", "--measurements", str(measurements),
+         "--model-out", str(model_file)], capsys)
+    payload = json.loads(model_file.read_text(encoding="utf-8"))
+    payload["models"][0]["slope"] = 10 ** digits
+    model_file.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(["predict", "--models", str(model_file), "--device", "pascal",
+                          "--network", "net_a", "--step", "forward", "--gpus", "1",
+                          "--batch", batch], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(file=model_file)}\n"
+
+
 def test_calibrate_non_finite_measurement_exits_2(tmp_path, capsys):
     measurements = tmp_path / "m.csv"
     measurements.write_text(MEASUREMENTS.replace("0.02,8.0", "nan,8.0"), encoding="utf-8")

@@ -1,6 +1,4 @@
 """Operation counts, data volumes, and whole-network cost summaries."""
-from dataclasses import fields
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +16,9 @@ from cnnergy.arch import (
 )
 from cnnergy.costmodel import (
     LayerCost,
-    OpCount,
     batch_cost,
     cost_csv,
-    layer_data,
-    layer_ops,
+    layer_cost,
     network_cost,
 )
 from cnnergy.errors import CnnergyError, ShapeMismatchError
@@ -41,6 +37,12 @@ def conv(k, co, stride=1, pad=0, groups=1, bias=False, name="c"):
                      padding=pad, out_channels=co, groups=groups, has_bias=bias)
 
 
+def csv_row(row, element_bytes):
+    """One line of ``cost_csv``: the row's counts, with elements as bytes."""
+    return ",".join(map(str, (*row[:8], row.read_elems * element_bytes,
+                              row.written_elems * element_bytes)))
+
+
 def shaped_single(layer, inp):
     """Run shape inference for one layer and return (input, output)."""
     net = NetworkSpec("n", inp, (layer,))
@@ -55,30 +57,30 @@ def shaped_single(layer, inp):
 def test_conv_ops_small_case():
     layer = conv(2, 3, bias=True)
     inp, out = shaped_single(layer, TensorShape(4, 4, 2))
-    ops = layer_ops(layer, inp, out)
+    ops = layer_cost(layer, inp, out)
     assert ops.macc == (2 * 2) * (3 * 3) * 2 * 3
     assert ops.bias_add == 3
-    assert ops.total() == ops.macc + 3
+    assert ops.total_ops == ops.macc + 3
 
 
 def test_conv_ops_groups_divide_channels():
     plain = conv(3, 8, name="a")
     grouped = conv(3, 8, groups=2, name="b")
     inp, out = shaped_single(plain, TensorShape(6, 6, 4))
-    assert layer_ops(grouped, inp, out).macc * 2 == layer_ops(plain, inp, out).macc
+    assert layer_cost(grouped, inp, out).macc * 2 == layer_cost(plain, inp, out).macc
 
 
 def test_two_d_cnn_first_conv_macc():
     shaped = infer_shapes(builtin_network("two_d_cnn"))
     first = shaped.per_layer[0]
-    ops = layer_ops(first.spec, first.input, first.output)
+    ops = layer_cost(first.spec, first.input, first.output)
     assert ops.macc == (7 * 7) * (54 * 54) * 50 * 96  # 685,843,200
 
 
 def test_caffenet_grouped_conv2_macc():
     shaped = infer_shapes(builtin_network("caffenet"))
     conv2 = next(sl for sl in shaped.per_layer if sl.spec.name == "conv2")
-    ops = layer_ops(conv2.spec, conv2.input, conv2.output)
+    ops = layer_cost(conv2.spec, conv2.input, conv2.output)
     assert ops.macc == (5 * 5) * (27 * 27) * (96 // 2) * 256
 
 
@@ -87,9 +89,9 @@ def test_pool_ops_bucket(pool_kind, bucket):
     layer = LayerSpec("p", "pool", kernel_w=2, kernel_h=2, stride=2,
                       pool_kind=pool_kind)
     inp, out = shaped_single(layer, TensorShape(4, 4, 2))
-    ops = layer_ops(layer, inp, out)
+    ops = layer_cost(layer, inp, out)
     assert getattr(ops, bucket) == (2 * 2) * (2 * 2) * 2
-    assert ops.total() == getattr(ops, bucket)
+    assert ops.total_ops == getattr(ops, bucket)
 
 
 def test_elementwise_ops_buckets():
@@ -102,32 +104,32 @@ def test_elementwise_ops_buckets():
         (LayerSpec("s", "softmax"), "exp_add_div", 3 * elems),
     ]
     for layer, bucket, expected in cases:
-        ops = layer_ops(layer, shape, shape)
+        ops = layer_cost(layer, shape, shape)
         assert getattr(ops, bucket) == expected, layer.kind
-        assert ops.total() == expected
+        assert ops.total_ops == expected
 
 
 def test_residual_sum_ops():
     shape = TensorShape(5, 5, 3)
     layer = LayerSpec("sum", "residual_sum", skip="x")
-    ops = layer_ops(layer, shape, shape)
+    ops = layer_cost(layer, shape, shape)
     assert ops.add_div == shape.elements
 
 
 def test_local_response_norm_ops():
     shape = TensorShape(5, 5, 2)
     layer = LayerSpec("n", "local_response_norm", kernel_w=3, kernel_h=3)
-    ops = layer_ops(layer, shape, shape)
+    ops = layer_cost(layer, shape, shape)
     assert ops.add_div == (3 * 3) * (5 * 5) * 2
 
 
 def test_fully_connected_ops():
     layer = LayerSpec("f", "fully_connected", units=5)
-    ops = layer_ops(layer, TensorShape(2, 2, 3), TensorShape(1, 1, 5))
+    ops = layer_cost(layer, TensorShape(2, 2, 3), TensorShape(1, 1, 5))
     assert ops.macc == 12 * 5
 
 
-def test_layer_ops_rejects_inconsistent_output():
+def test_layer_cost_rejects_inconsistent_output():
     cases = [
         (conv(2, 3, name="wrong_out"), TensorShape(4, 4, 2), TensorShape(5, 5, 3)),
         (conv(3, 4, groups=3, name="bad_groups"), TensorShape(6, 6, 4), TensorShape(4, 4, 4)),
@@ -137,8 +139,7 @@ def test_layer_ops_rejects_inconsistent_output():
     ]
     for layer, inp, out in cases:
         shaped = ShapedNetwork(NetworkSpec("n", inp, (layer,)), (ShapedLayer(layer, inp, out),))
-        for check in (lambda: layer_ops(layer, inp, out), lambda: layer_data(layer, inp, out),
-                      lambda: network_cost(shaped)):
+        for check in (lambda: layer_cost(layer, inp, out), lambda: network_cost(shaped)):
             with pytest.raises(ShapeMismatchError) as err:
                 check()
             assert str(err.value).count(repr(layer.name)) == 1, str(err.value)
@@ -160,7 +161,7 @@ def test_conv_macc_matches_oracles_small_grid():
                         for ci, co, g in ((1, 1, 1), (2, 3, 1), (4, 2, 2)):
                             layer = conv(k, co, stride=s, pad=p, groups=g)
                             inp, out = shaped_single(layer, TensorShape(w, h, ci))
-                            got = layer_ops(layer, inp, out).macc
+                            got = layer_cost(layer, inp, out).macc
                             assert got == conv_macc_per_placement(
                                 w, h, ci, co, k, k, s, p, g)
                             assert got == conv_macc_by_enumeration(
@@ -176,7 +177,7 @@ def test_pool_ops_matches_oracle_small_grid():
                 layer = LayerSpec("p", "pool", kernel_w=k, kernel_h=k,
                                   stride=s, pool_kind="max")
                 inp, out = shaped_single(layer, TensorShape(w, w, 3))
-                got = layer_ops(layer, inp, out).max_ops
+                got = layer_cost(layer, inp, out).max_ops
                 assert got == pool_ops_per_placement(w, w, 3, k, k, s, 0)
 
 
@@ -187,18 +188,19 @@ def test_pool_ops_matches_oracle_small_grid():
 def test_conv_data_counts_full_weight_set():
     layer = conv(2, 3, bias=True)
     inp, out = shaped_single(layer, TensorShape(4, 4, 2))
-    vol = layer_data(layer, inp, out)
+    vol = layer_cost(layer, inp, out)
     # the input once plus every weight: k*k*ci*co and the bias vector
     assert vol.read_elems == 4 * 4 * 2 + (2 * 2 * 2 * 3 + 3)
     assert vol.written_elems == out.elements
-    assert vol.read_bytes == vol.read_elems * 4
+    net = ShapedNetwork(NetworkSpec("n", inp, (layer,)), (ShapedLayer(layer, inp, out),))
+    assert network_cost(net).total_read_bytes == vol.read_elems * 4
 
 
 def test_pool_data_reads_only_its_input():
     layer = LayerSpec("p", "pool", kernel_w=3, kernel_h=3, stride=2,
                       pool_kind="max")
     inp, out = shaped_single(layer, TensorShape(7, 7, 2))
-    vol = layer_data(layer, inp, out)
+    vol = layer_cost(layer, inp, out)
     assert vol.read_elems == 7 * 7 * 2
     assert vol.written_elems == out.elements
 
@@ -210,16 +212,16 @@ def test_elementwise_data_multiplicities():
     expect = {"relu": (1, 1), "dropout": (1, 1), "batch_norm": (2, 2),
               "softmax": (3, 3)}
     for kind, (r, w) in expect.items():
-        vol = layer_data(LayerSpec("x", kind), shape, shape)
+        vol = layer_cost(LayerSpec("x", kind), shape, shape)
         assert (vol.read_elems, vol.written_elems) == (r * elems, w * elems), kind
-    vol = layer_data(LayerSpec("s", "residual_sum", skip="y"), shape, shape)
+    vol = layer_cost(LayerSpec("s", "residual_sum", skip="y"), shape, shape)
     assert (vol.read_elems, vol.written_elems) == (2 * elems, elems)
 
 
 def test_fc_data_physical_includes_weights():
     layer = LayerSpec("f", "fully_connected", units=5)
     inp, out = TensorShape(2, 2, 3), TensorShape(1, 1, 5)
-    assert layer_data(layer, inp, out).read_elems == 12 + 12 * 5
+    assert layer_cost(layer, inp, out).read_elems == 12 + 12 * 5
 
 
 def test_layer_weight_elems():
@@ -270,18 +272,25 @@ def test_network_cost_totals_are_the_per_layer_sums(text, batch):
         return
     summary = network_cost(shaped)
     rows = summary.per_layer
-    kinds = [f.name for f in fields(OpCount)]
-    sums = [sum(getattr(row, kind) for row in rows) for kind in kinds]
+    sums = [sum(row[i] for row in rows) for i in range(2, 8)]
     read = sum(row.read_elems for row in rows)
     written = sum(row.written_elems for row in rows)
-    assert summary.ops == OpCount(*sums)
+    assert summary.total == LayerCost("total", "", *sums, read, written)
     assert summary.total_ops == sum(sums)
     assert (summary.total_read_elems, summary.total_written_elems) == (read, written)
     scaled = batch_cost(summary, batch)
-    assert scaled.ops == OpCount(*(batch * total for total in sums))
+    assert scaled.total == LayerCost("total", "", *(batch * total for total in sums),
+                                     batch * read, batch * written)
     assert scaled.total_ops == batch * sum(sums)
     assert (scaled.total_read_elems, scaled.total_written_elems) == \
         (batch * read, batch * written)
+    # int/int true division is correctly rounded, so scaling both sides
+    # leaves the ratio bit for bit.
+    assert scaled.ctc == summary.ctc
+    # The CSV ends with the total row, written like every layer row.
+    lines = cost_csv(summary).splitlines()
+    assert lines[1:] == [csv_row(row, summary.element_bytes)
+                         for row in (*rows, summary.total)]
 
 
 def test_resnet_im_parameter_and_activation_counts():
@@ -293,8 +302,8 @@ def test_resnet_im_parameter_and_activation_counts():
 @given(arch_texts(), st.integers(min_value=1, max_value=4096))
 @settings(max_examples=200, deadline=None)
 def test_network_cost_rows_are_the_per_layer_counts(text, batch):
-    """Each row holds what layer_ops and layer_data give for its layer, and
-    batch_cost's row is that row times the batch."""
+    """Each row is what layer_cost gives for its layer, and batch_cost's row
+    is that row times the batch."""
     try:
         shaped = infer_shapes(parse_network(text))
     except CnnergyError:
@@ -303,11 +312,7 @@ def test_network_cost_rows_are_the_per_layer_counts(text, batch):
     scaled = batch_cost(summary, batch)
     assert len(summary.per_layer) == len(scaled.per_layer) == len(shaped.per_layer)
     for sl, row, got in zip(shaped.per_layer, summary.per_layer, scaled.per_layer):
-        ops = layer_ops(sl.spec, sl.input, sl.output)
-        data = layer_data(sl.spec, sl.input, sl.output)
-        assert row == LayerCost(sl.spec.name, sl.spec.kind, *(
-            getattr(ops, f.name) for f in fields(OpCount)),
-            data.read_elems, data.written_elems)
+        assert row == layer_cost(sl.spec, sl.input, sl.output)
         assert got == LayerCost(row.name, row.kind, *(v * batch for v in row[2:]))
 
 

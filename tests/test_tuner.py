@@ -383,20 +383,12 @@ def test_recommend_reports_pick_lowest_edp_qualifier():
     assert "lowest EDP" in rec.rationale
 
 
-def test_recommend_defaults_without_accuracy():
-    assert recommend("large", "residual").batch == 256
-    assert recommend("large", "plain_conv").batch == 256
-    assert recommend("small", "plain_conv").batch == 256
-    small_res = recommend("small", "residual")
-    assert small_res.batch == 64
-    assert MULTI_GPU_ADVISORY in small_res.rationale
-
-
 def test_recommend_validation():
+    acc = bundled_accuracy("tumgaid")
     with pytest.raises(ValueError):
-        recommend("medium", "residual")
+        recommend("medium", "residual", acc)
     with pytest.raises(ValueError):
-        recommend("small", "transformer")
+        recommend("small", "transformer", acc)
     with pytest.raises(DataFormatError):
         recommend("small", "residual", bundled_accuracy("imagenet"))
 
