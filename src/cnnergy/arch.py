@@ -9,11 +9,14 @@ module consumes.
 Every network, the four built-ins included, is written in one line-oriented
 text format read by :func:`parse_network`; the built-ins ship as
 ``cnnergy/data/networks/<name>.net`` and :func:`builtin_network` reads them.
+
+``_KINDS`` is the one home of each kind's keys; :class:`LayerSpec`'s checks,
+the parser's kind spellings and keys and :func:`emit_network` all derive from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 from . import _tables
@@ -26,21 +29,31 @@ from .errors import (
     UnknownNetworkError,
 )
 
-LAYER_KINDS = frozenset({
-    "conv",
-    "fully_connected",
-    "pool",
-    "relu",
-    "dropout",
-    "batch_norm",
-    "softmax",
-    "residual_sum",
-    "local_response_norm",
-})
+#: Every layer kind: its spelling in architecture files, the LayerSpec fields
+#: it always has, and the fields it may set. Every other field must keep its
+#: default.
+_KINDS = {
+    "conv": ("conv", ("kernel_w", "kernel_h", "out_channels", "stride", "padding"),
+             ("groups", "has_bias")),
+    "pool": ("pool", ("kernel_w", "kernel_h", "stride", "padding", "pool_kind"), ()),
+    # the window is kept for op accounting only
+    "local_response_norm": ("lrn", ("kernel_w", "kernel_h"), ()),
+    "fully_connected": ("fc", ("units",), ()),
+    # units, when given, must equal the input channel count (layer_output)
+    "softmax": ("softmax", (), ("units",)),
+    # skip names the earlier layer whose output is the second addend
+    "residual_sum": ("sum", (), ("skip",)),
+    "relu": ("relu", (), ()),
+    "dropout": ("dropout", (), ()),
+    "batch_norm": ("batch_norm", (), ()),
+}
 
-#: Kinds that carry a kernel window. conv and pool use it for geometry;
-#: local_response_norm keeps its window purely for op accounting.
-KERNEL_KINDS = frozenset({"conv", "pool", "local_response_norm"})
+#: Each field's key in architecture files and the values a set field may
+#: take (a lowest value or a tuple of choices), in the order they are written.
+_FIELDS = {"kernel_w": ("kw", 1), "kernel_h": ("kh", 1), "out_channels": ("filters", 1),
+           "stride": ("stride", 1), "padding": ("pad", 0), "groups": ("groups", 1),
+           "has_bias": ("bias", None), "pool_kind": ("type", ("max", "average")),
+           "units": ("units", 1), "skip": ("skip", None)}
 
 #: The bundled architectures, each shipped as ``cnnergy/data/networks/<name>.net``.
 BUILTIN_NETWORK_NAMES = ("two_d_cnn", "resnet_gait", "caffenet", "resnet_im")
@@ -76,17 +89,8 @@ class TensorShape:
 class LayerSpec:
     """One layer of a network: a kind plus the geometry that kind needs.
 
-    Field usage by kind:
-
-    * ``conv`` — kernel_w/h, stride, padding, out_channels, groups, has_bias
-    * ``pool`` — kernel_w/h, stride, padding, pool_kind ("max"/"average")
-    * ``local_response_norm`` — kernel_w/h (window used for op accounting only)
-    * ``fully_connected`` — units
-    * ``softmax`` — units optional; when given it must equal the input
-      channel count (softmax rescales its input, it never reshapes it)
-    * ``residual_sum`` — skip: name of the earlier layer whose output is the
-      second addend
-    * ``relu``/``dropout``/``batch_norm`` — no extra fields
+    ``_KINDS`` says which fields each kind has; the rest keep their defaults.
+    A name is non-empty and holds no comma (it is a cell of the cost CSV).
     """
 
     name: str
@@ -103,49 +107,41 @@ class LayerSpec:
     skip: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("layer name must be non-empty")
-        if self.kind not in LAYER_KINDS:
+        if not self.name or "," in self.name:
+            raise ValueError(f"layer name must be non-empty and without commas, got {self.name!r}")
+        if self.kind not in _RULES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind in KERNEL_KINDS:
-            if self.kernel_w is None or self.kernel_h is None:
-                raise ValueError(f"{self.kind} layer {self.name!r} needs a kernel size")
-            if self.kernel_w < 1 or self.kernel_h < 1:
-                raise ValueError(f"kernel of layer {self.name!r} must be >= 1")
-        elif self.kernel_w is not None or self.kernel_h is not None:
-            raise ValueError(f"{self.kind} layer {self.name!r} must not have a kernel")
-        if self.stride < 1:
-            raise ValueError(f"stride of layer {self.name!r} must be >= 1")
-        if self.padding < 0:
-            raise ValueError(f"padding of layer {self.name!r} must be >= 0")
-        if (self.stride, self.padding) != (1, 0) and self.kind not in ("conv", "pool"):
-            raise ValueError(f"stride and pad only apply to conv and pool layers, not {self.kind}")
-        if self.groups < 1:
-            raise ValueError(f"groups of layer {self.name!r} must be >= 1")
-        if self.groups != 1 and self.kind != "conv":
-            raise ValueError(f"groups only applies to conv layers, not {self.kind}")
-        if self.has_bias and self.kind != "conv":
-            raise ValueError(f"bias only applies to conv layers, not {self.kind}")
-        if self.kind == "conv":
-            if self.out_channels is None or self.out_channels < 1:
-                raise ValueError(f"conv layer {self.name!r} needs filters >= 1")
-        elif self.out_channels is not None:
-            raise ValueError(f"{self.kind} layer {self.name!r} must not set out_channels")
-        if self.kind == "fully_connected":
-            if self.units is None or self.units < 1:
-                raise ValueError(f"fully_connected layer {self.name!r} needs units >= 1")
-        elif self.kind == "softmax":
-            if self.units is not None and self.units < 1:
-                raise ValueError(f"softmax layer {self.name!r} units must be >= 1")
-        elif self.units is not None:
-            raise ValueError(f"{self.kind} layer {self.name!r} must not set units")
-        if self.kind == "pool":
-            if self.pool_kind not in ("max", "average"):
-                raise ValueError(f"pool layer {self.name!r} needs type=max or type=average")
-        elif self.pool_kind is not None:
-            raise ValueError(f"{self.kind} layer {self.name!r} must not set pool_kind")
-        if self.skip is not None and self.kind != "residual_sum":
-            raise ValueError(f"skip= only applies to residual_sum, not {self.kind}")
+        needed, ranged, fixed = _RULES[self.kind]
+        for field, key in needed:
+            if getattr(self, field) is None:
+                raise ValueError(f"{self.kind} layer {self.name!r} needs {key}=")
+        for field, bound, wanted in ranged:
+            value = getattr(self, field)
+            if value is not None and (value not in bound if type(bound) is tuple
+                                      else value < bound):
+                raise ValueError(f"{self.kind} layer {self.name!r} needs {wanted}, got {value!r}")
+        for field, key, default in fixed:
+            value = getattr(self, field)
+            if value is not None and value != default:
+                raise ValueError(f"{key}= does not apply to {self.kind} layer {self.name!r}")
+
+
+def _kind_rules(always: tuple[str, ...], may: tuple[str, ...]):
+    """A kind's checks: the fields that may not be None (those it always has
+    and the bounded ones with a default), the bounds of the fields it has,
+    and the fields that must keep their default (or be None)."""
+    has = always + may
+    needed = tuple((f, key) for f, (key, bound) in _FIELDS.items()
+                   if f in always or (bound is not None and _DEFAULTS[f] is not None))
+    ranged = tuple((f, bound, " or ".join(f"{key}={c}" for c in bound)
+                    if type(bound) is tuple else f"{key}={bound} or more")
+                   for f, (key, bound) in _FIELDS.items() if f in has and bound is not None)
+    fixed = tuple((f, key, _DEFAULTS[f]) for f, (key, _) in _FIELDS.items() if f not in has)
+    return needed, ranged, fixed
+
+
+_DEFAULTS = {f.name: f.default for f in fields(LayerSpec)}
+_RULES = {kind: _kind_rules(always, may) for kind, (_, always, may) in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -340,33 +336,17 @@ def _builtin_shapes(name: str) -> ShapedNetwork:
 # Line-oriented architecture files
 # ---------------------------------------------------------------------------
 
-_KIND_ALIASES = {
-    "conv": "conv",
-    "fc": "fully_connected",
-    "fully_connected": "fully_connected",
-    "pool": "pool",
-    "relu": "relu",
-    "dropout": "dropout",
-    "batch_norm": "batch_norm",
-    "bn": "batch_norm",
-    "softmax": "softmax",
-    "sum": "residual_sum",
-    "residual_sum": "residual_sum",
-    "lrn": "local_response_norm",
-    "local_response_norm": "local_response_norm",
-}
+#: Each kind's own name and its file spelling, plus ``bn`` for batch_norm.
+_KIND_ALIASES = {"bn": "batch_norm", **{kind: kind for kind in _KINDS},
+                 **{spelling: kind for kind, (spelling, _, _) in _KINDS.items()}}
 
-_EMIT_KIND = {
-    "conv": "conv",
-    "fully_connected": "fc",
-    "pool": "pool",
-    "relu": "relu",
-    "dropout": "dropout",
-    "batch_norm": "batch_norm",
-    "softmax": "softmax",
-    "residual_sum": "sum",
-    "local_response_norm": "lrn",
-}
+#: Architecture-file key -> LayerSpec field (``k`` sets both kernel fields).
+_FIELD_OF_KEY = {key: field for field, (key, _) in _FIELDS.items()}
+
+#: Per kind: its spelling, then (field, key, always written?, default) in order.
+_EMIT = {kind: (spelling, tuple((f, key, f in always, _DEFAULTS[f])
+                                for f, (key, _) in _FIELDS.items() if f in always + may))
+         for kind, (spelling, always, may) in _KINDS.items()}
 
 _INT_KEYS = {"filters", "units", "k", "kw", "kh", "stride", "pad", "groups", "count", "convs"}
 
@@ -396,29 +376,18 @@ def _parse_kv(tokens: list[str], lineno: int) -> dict[str, object]:
 
 
 def _layer_from_kv(kind: str, name: str, kv: dict[str, object], lineno: int) -> LayerSpec:
-    kernel_w = kv.pop("kw", None)
-    kernel_h = kv.pop("kh", None)
     k = kv.pop("k", None)
     if k is not None:
-        if kernel_w is not None or kernel_h is not None:
+        if "kw" in kv or "kh" in kv:
             raise ArchSyntaxError("give either k= or kw=/kh=, not both", lineno)
-        kernel_w = kernel_h = k
-    fields = dict(
-        kernel_w=kernel_w,
-        kernel_h=kernel_h,
-        stride=kv.pop("stride", 1),
-        padding=kv.pop("pad", 0),
-        out_channels=kv.pop("filters", None),
-        units=kv.pop("units", None),
-        groups=kv.pop("groups", 1),
-        has_bias=kv.pop("bias", False),
-        pool_kind=kv.pop("type", "max" if kind == "pool" else None),
-        skip=kv.pop("skip", None),
-    )
-    if kv:
-        raise ArchSyntaxError(f"unexpected keys for {kind}: {sorted(kv)}", lineno)
+        kv["kw"] = kv["kh"] = k
+    if kind == "pool":
+        kv.setdefault("type", "max")
+    unexpected = sorted(kv.keys() - _FIELD_OF_KEY.keys())
+    if unexpected:
+        raise ArchSyntaxError(f"unexpected keys for {kind}: {unexpected}", lineno)
     try:
-        return LayerSpec(name, kind, **fields)
+        return LayerSpec(name, kind, **{_FIELD_OF_KEY[key]: value for key, value in kv.items()})
     except ValueError as exc:
         raise ArchSemanticError(str(exc), lineno) from None
 
@@ -468,8 +437,8 @@ def parse_network(text: str, name: str | None = None) -> NetworkSpec:
     bias,type,skip``. ``resblock <name> filters=<n> count=<m> [convs=1|2]``
     expands to that many residual blocks, ``<name>1``, ``<name>2``, ...,
     wired to the running tensor. A ``# network: <name>`` comment names the
-    network. ``stride`` and ``pad`` apply only to conv and pool, and a
-    network has at most :data:`MAX_LAYERS` layers.
+    network. ``_KINDS`` says which keys each kind takes, and a network has
+    at most :data:`MAX_LAYERS` layers.
 
     Raises:
         ArchSyntaxError: malformed line (with its line number).
@@ -548,27 +517,13 @@ def emit_network(net: NetworkSpec) -> str:
     lines = [f"# network: {net.name}",
              f"input {net.input.width} {net.input.height} {net.input.channels}"]
     for layer in net.layers:
-        parts = [_EMIT_KIND[layer.kind], layer.name]
-        if layer.kind in KERNEL_KINDS:
-            if layer.kernel_w == layer.kernel_h:
-                parts.append(f"k={layer.kernel_w}")
-            else:
-                parts.append(f"kw={layer.kernel_w}")
-                parts.append(f"kh={layer.kernel_h}")
-        if layer.kind == "conv":
-            parts.append(f"filters={layer.out_channels}")
-        if layer.kind in ("conv", "pool"):
-            parts.append(f"stride={layer.stride}")
-            parts.append(f"pad={layer.padding}")
-        if layer.kind == "conv" and layer.groups != 1:
-            parts.append(f"groups={layer.groups}")
-        if layer.kind == "conv" and layer.has_bias:
-            parts.append("bias=true")
-        if layer.kind == "pool":
-            parts.append(f"type={layer.pool_kind}")
-        if layer.kind == "fully_connected" or (layer.kind == "softmax" and layer.units is not None):
-            parts.append(f"units={layer.units}")
-        if layer.skip is not None:
-            parts.append(f"skip={layer.skip}")
+        spelling, written = _EMIT[layer.kind]
+        parts = [spelling, layer.name]
+        for field, key, always, default in written:
+            value = getattr(layer, field)
+            if field == "kernel_h" and value == layer.kernel_w:
+                parts[-1] = f"k={layer.kernel_w}"
+            elif always or (value is not None and value != default):
+                parts.append(f"{key}={'true' if key == 'bias' else value}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

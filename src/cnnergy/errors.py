@@ -23,24 +23,23 @@ class UnknownNetworkError(CnnergyError):
     """Requested built-in network name does not exist."""
 
 
-class ArchSyntaxError(CnnergyError):
+class _LineError(CnnergyError):
+    """An error at an optional line number, kept as ``.line`` and prefixed
+    to the message as ``line N: ``."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class ArchSyntaxError(_LineError):
     """Architecture file could not be tokenized/parsed."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class ArchSemanticError(CnnergyError):
+class ArchSemanticError(_LineError):
     """Architecture file parsed but violates a structural invariant."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 # --- cost model -------------------------------------------------------------

@@ -358,3 +358,97 @@ def load_models_reference(path) -> list[CalibratedModel]:
         models.append(CalibratedModel(**{**entry, **floats,
                                          "residuals": tuple(map(float, entry["residuals"]))}))
     return models
+
+
+# ---------------------------------------------------------------------------
+# Layer kinds: LayerSpec's checks and emit_network as they stood before the
+# one table of kinds, a hand-written per-kind cascade each
+# ---------------------------------------------------------------------------
+
+REFERENCE_LAYER_KINDS = frozenset({"conv", "fully_connected", "pool", "relu", "dropout", "batch_norm",
+                          "softmax", "residual_sum", "local_response_norm"})
+_KERNEL_KINDS = frozenset({"conv", "pool", "local_response_norm"})
+_EMIT_KIND = {"conv": "conv", "fully_connected": "fc", "pool": "pool", "relu": "relu",
+              "dropout": "dropout", "batch_norm": "batch_norm", "softmax": "softmax",
+              "residual_sum": "sum", "local_response_norm": "lrn"}
+
+
+def check_layer_reference(name, kind, kernel_w=None, kernel_h=None, stride=1, padding=0,
+                          out_channels=None, units=None, groups=1, has_bias=False,
+                          pool_kind=None, skip=None):
+    """Raise as ``LayerSpec(...)`` used to for these fields, or return None.
+    A None stride, padding or groups raised TypeError from a comparison."""
+    if not name:
+        raise ValueError("layer name must be non-empty")
+    if kind not in REFERENCE_LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if kind in _KERNEL_KINDS:
+        if kernel_w is None or kernel_h is None:
+            raise ValueError(f"{kind} layer {name!r} needs a kernel size")
+        if kernel_w < 1 or kernel_h < 1:
+            raise ValueError(f"kernel of layer {name!r} must be >= 1")
+    elif kernel_w is not None or kernel_h is not None:
+        raise ValueError(f"{kind} layer {name!r} must not have a kernel")
+    if stride < 1:
+        raise ValueError(f"stride of layer {name!r} must be >= 1")
+    if padding < 0:
+        raise ValueError(f"padding of layer {name!r} must be >= 0")
+    if (stride, padding) != (1, 0) and kind not in ("conv", "pool"):
+        raise ValueError(f"stride and pad only apply to conv and pool layers, not {kind}")
+    if groups < 1:
+        raise ValueError(f"groups of layer {name!r} must be >= 1")
+    if groups != 1 and kind != "conv":
+        raise ValueError(f"groups only applies to conv layers, not {kind}")
+    if has_bias and kind != "conv":
+        raise ValueError(f"bias only applies to conv layers, not {kind}")
+    if kind == "conv":
+        if out_channels is None or out_channels < 1:
+            raise ValueError(f"conv layer {name!r} needs filters >= 1")
+    elif out_channels is not None:
+        raise ValueError(f"{kind} layer {name!r} must not set out_channels")
+    if kind == "fully_connected":
+        if units is None or units < 1:
+            raise ValueError(f"fully_connected layer {name!r} needs units >= 1")
+    elif kind == "softmax":
+        if units is not None and units < 1:
+            raise ValueError(f"softmax layer {name!r} units must be >= 1")
+    elif units is not None:
+        raise ValueError(f"{kind} layer {name!r} must not set units")
+    if kind == "pool":
+        if pool_kind not in ("max", "average"):
+            raise ValueError(f"pool layer {name!r} needs type=max or type=average")
+    elif pool_kind is not None:
+        raise ValueError(f"{kind} layer {name!r} must not set pool_kind")
+    if skip is not None and kind != "residual_sum":
+        raise ValueError(f"skip= only applies to residual_sum, not {kind}")
+
+
+def emit_network_reference(net):
+    """The canonical file form of ``net``, one ``if`` per kind and key."""
+    lines = [f"# network: {net.name}",
+             f"input {net.input.width} {net.input.height} {net.input.channels}"]
+    for layer in net.layers:
+        parts = [_EMIT_KIND[layer.kind], layer.name]
+        if layer.kind in _KERNEL_KINDS:
+            if layer.kernel_w == layer.kernel_h:
+                parts.append(f"k={layer.kernel_w}")
+            else:
+                parts.append(f"kw={layer.kernel_w}")
+                parts.append(f"kh={layer.kernel_h}")
+        if layer.kind == "conv":
+            parts.append(f"filters={layer.out_channels}")
+        if layer.kind in ("conv", "pool"):
+            parts.append(f"stride={layer.stride}")
+            parts.append(f"pad={layer.padding}")
+        if layer.kind == "conv" and layer.groups != 1:
+            parts.append(f"groups={layer.groups}")
+        if layer.kind == "conv" and layer.has_bias:
+            parts.append("bias=true")
+        if layer.kind == "pool":
+            parts.append(f"type={layer.pool_kind}")
+        if layer.kind == "fully_connected" or (layer.kind == "softmax" and layer.units is not None):
+            parts.append(f"units={layer.units}")
+        if layer.skip is not None:
+            parts.append(f"skip={layer.skip}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Architecture description, shape inference, and the parser/emitter."""
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,12 @@ from cnnergy.errors import (
     UnknownNetworkError,
 )
 
-from oracles import slide_positions
+from oracles import (
+    REFERENCE_LAYER_KINDS,
+    check_layer_reference,
+    emit_network_reference,
+    slide_positions,
+)
 
 
 def conv(name, k, co, stride=1, pad=0, groups=1, bias=False):
@@ -150,8 +156,87 @@ def test_layer_spec_rejects_bad_stride_padding():
 ])
 @pytest.mark.parametrize("geometry", [{"stride": 8}, {"padding": 1}])
 def test_layer_spec_stride_and_pad_are_conv_and_pool_only(kind, extra, geometry):
-    with pytest.raises(ValueError, match="stride and pad only apply to conv and pool"):
+    with pytest.raises(ValueError, match=f"^(stride|pad)= does not apply to {kind} layer 'x'$"):
         LayerSpec("x", kind, **extra, **geometry)
+
+
+#: One layer each kind accepts, which the reference property then perturbs.
+VALID_FIELDS = {
+    "conv": {"kernel_w": 3, "kernel_h": 3, "out_channels": 4},
+    "pool": {"kernel_w": 2, "kernel_h": 2, "pool_kind": "max"},
+    "local_response_norm": {"kernel_w": 5, "kernel_h": 5},
+    "fully_connected": {"units": 4},
+    "residual_sum": {"skip": "l0"},
+    "softmax": {}, "relu": {}, "dropout": {}, "batch_norm": {},
+}
+LAYER_FIELDS = [f.name for f in fields(LayerSpec)][2:]
+INT_VALUES = [None, -1, 0, 1, 3, True, False]
+TEXT_VALUES = [None, "max", "average", "other", "l0"]
+
+
+def test_valid_fields_cover_every_kind():
+    assert set(VALID_FIELDS) == REFERENCE_LAYER_KINDS
+    for kind, base in VALID_FIELDS.items():
+        check_layer_reference("x", kind, **base)
+        LayerSpec("x", kind, **base)
+
+
+def rejects(build, name, kind, kwargs):
+    """Whether ``build(name, kind, **kwargs)`` refuses the layer. The
+    reference raised TypeError for a None stride, padding or groups, where
+    LayerSpec raises ValueError, as for every bad field."""
+    errors = (ValueError, TypeError) if build is check_layer_reference else ValueError
+    try:
+        build(name, kind, **kwargs)
+    except errors:
+        return True
+    return False
+
+
+def emits_like_the_reference(layer):
+    net = NetworkSpec("n", TensorShape(8, 8, 3), (layer,))
+    return emit_network(net) == emit_network_reference(net)
+
+
+def test_layer_spec_rejects_what_the_reference_rejects_field_by_field():
+    for kind, base in [*VALID_FIELDS.items(), ("deconv", {})]:
+        for field in LAYER_FIELDS:
+            for value in TEXT_VALUES if field in ("pool_kind", "skip") else INT_VALUES:
+                kwargs = {**base, field: value}
+                rejected = rejects(LayerSpec, "x", kind, kwargs)
+                assert rejected == rejects(check_layer_reference, "x", kind, kwargs), kwargs
+                assert rejected or emits_like_the_reference(LayerSpec("x", kind, **kwargs))
+
+
+@st.composite
+def layer_args(draw):
+    """A name, a kind (or an unknown one) and a valid layer of that kind with
+    up to three fields set to values drawn from INT_VALUES or TEXT_VALUES."""
+    kind = draw(st.sampled_from(sorted(VALID_FIELDS) + ["deconv"]))
+    kwargs = dict(VALID_FIELDS.get(kind, {}))
+    for field in draw(st.lists(st.sampled_from(LAYER_FIELDS), max_size=3, unique=True)):
+        kwargs[field] = draw(st.sampled_from(
+            TEXT_VALUES if field in ("pool_kind", "skip") else INT_VALUES))
+    return draw(st.sampled_from(["x", "x", "x", "", "a,b"])), kind, kwargs
+
+
+@given(layer_args())
+@settings(max_examples=600, deadline=None)
+def test_layer_spec_rejects_what_the_reference_rejects(args):
+    # a comma in the name is refused besides
+    name, kind, kwargs = args
+    rejected = rejects(LayerSpec, name, kind, kwargs)
+    assert rejected == (rejects(check_layer_reference, name, kind, kwargs) or "," in name)
+    assert rejected or emits_like_the_reference(LayerSpec(name, kind, **kwargs))
+
+
+def test_layer_names_may_not_hold_commas():
+    with pytest.raises(ValueError, match="without commas"):
+        LayerSpec("a,b", "relu")
+    with pytest.raises(ArchSemanticError, match="^line 2: .*'a,b'"):
+        parse_network("input 8 8 4\nrelu a,b\n")
+    with pytest.raises(ArchSemanticError, match="^line 3: .*'a,b1_conv1'"):
+        parse_network("input 8 8 4\nrelu r\nresblock a,b filters=4 count=1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +636,16 @@ def test_parse_network_returns_a_network_or_raises_cnnergy_error(text):
     except CnnergyError:
         return
     assert isinstance(net, NetworkSpec)
+
+
+@given(arch_texts())
+@settings(max_examples=250, deadline=None)
+def test_emit_network_writes_what_the_reference_writes(text):
+    try:
+        net = parse_network(text)
+    except CnnergyError:
+        return
+    assert emit_network(net) == emit_network_reference(net)
 
 
 @given(arch_texts())

@@ -113,6 +113,16 @@ def test_analyze_rejects_element_bytes_below_one(tmp_path, capsys):
         assert (code, out, err) == (2, "", "error: element_bytes must be >= 1\n")
 
 
+def test_analyze_refuses_a_comma_in_a_layer_name(tmp_path, capsys):
+    # the name is a cell of the cost CSV: a comma in it would add a column
+    path = tmp_path / "comma.net"
+    path.write_text(TOY_ARCH.replace("relu r1", "relu a,b"), encoding="utf-8")
+    for fmt in ("csv", "table"):
+        code, out, err = run(["analyze", "--arch", str(path), "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 4: ") and "'a,b'" in err
+
+
 def test_table_format_has_no_commas(capsys):
     code, out, _ = run(["analyze", "--builtin", "two_d_cnn",
                         "--format", "table"], capsys)
