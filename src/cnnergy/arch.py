@@ -90,7 +90,8 @@ class LayerSpec:
     """One layer of a network: a kind plus the geometry that kind needs.
 
     ``_KINDS`` says which fields each kind has; the rest keep their defaults.
-    A name is non-empty and holds no comma (it is a cell of the cost CSV).
+    A name is a cell of the cost CSV: it is non-empty, holds no comma, double
+    quote or line break, and is not ``total``, the name of the totals row.
     """
 
     name: str
@@ -107,8 +108,11 @@ class LayerSpec:
     skip: str | None = None
 
     def __post_init__(self):
-        if not self.name or "," in self.name:
-            raise ValueError(f"layer name must be non-empty and without commas, got {self.name!r}")
+        name = self.name
+        if (not name or name == "total" or "," in name or '"' in name
+                or "\r" in name or "\n" in name):
+            raise ValueError("layer name must be non-empty, not 'total' and without commas, "
+                             f"double quotes or line breaks, got {name!r}")
         if self.kind not in _RULES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         needed, ranged, fixed = _RULES[self.kind]

@@ -71,10 +71,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 def cmd_analyze(args) -> str:
     if args.builtin:
         shaped = arch._builtin_shapes(args.builtin)
+        summary = costmodel.CostSummary(*costmodel._builtin_rows(args.builtin),
+                                        args.element_bytes)
     else:
         text = Path(args.arch).read_text(encoding="utf-8")
         shaped = arch.infer_shapes(arch.parse_network(text, name=Path(args.arch).stem))
-    summary = costmodel.network_cost(shaped, element_bytes=args.element_bytes)
+        summary = costmodel.network_cost(shaped, element_bytes=args.element_bytes)
     if args.batch is not None:
         if args.batch < 1:
             raise DataFormatError(f"--batch must be >= 1, got {args.batch}")
@@ -195,7 +197,8 @@ def _gpu_set_label(gpu_set: GpuSet) -> str:
 
 
 def cmd_rank(args) -> str:
-    records = energymodel.records_by_key(_load_records(args))
+    records = (energymodel._bundled_index() if args.bundled
+               else energymodel.records_by_key(_load_records(args)))
     profiles = energymodel.bundled_devices()
     if args.device not in profiles:
         raise MissingDeviceError(f"no bundled device profile named {args.device!r} "

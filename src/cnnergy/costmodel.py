@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from . import arch
@@ -65,12 +66,17 @@ class CostSummary:
     the row ``LayerCost("total", "", ...)`` of their column sums; the
     ``total_*`` properties read it. ``ctc`` is the compute-to-traffic ratio
     total_ops / total_read_elems (operations per tensor element read);
-    ``None`` for an empty network.
+    ``None`` for an empty network. An ``element_bytes`` below 1 raises
+    ``ValueError``.
     """
 
     per_layer: tuple[LayerCost, ...]
     total: LayerCost
     element_bytes: int
+
+    def __post_init__(self):
+        if self.element_bytes < 1:
+            raise ValueError("element_bytes must be >= 1")
 
     @property
     def total_ops(self) -> int:
@@ -171,12 +177,18 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
         ShapeMismatchError: a layer's output is not what it makes of its input.
         ValueError: ``element_bytes`` is below 1.
     """
-    if element_bytes < 1:
-        raise ValueError("element_bytes must be >= 1")
     rows = tuple(layer_cost(sl.spec, sl.input, sl.output) for sl in shaped.per_layer)
     # The eight count columns; an input-only network has no rows to zip.
     columns = list(zip(*rows))[2:] if rows else [()] * 8
     return CostSummary(rows, LayerCost("total", "", *map(sum, columns)), element_bytes)
+
+
+@cache
+def _builtin_rows(name: str) -> tuple[tuple[LayerCost, ...], LayerCost]:
+    """The per-layer rows and total of a built-in network, worked out once
+    per process; they do not depend on ``element_bytes``."""
+    summary = network_cost(arch._builtin_shapes(name))
+    return summary.per_layer, summary.total
 
 
 def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:

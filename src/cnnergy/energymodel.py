@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from ._tables import data_text, read_csv
 from .costmodel import CostSummary
@@ -141,6 +142,13 @@ def records_by_key(records) -> dict[tuple, MeasurementRecord]:
             raise DataFormatError(f"duplicate measurement for {rec.key}")
         index[rec.key] = rec
     return index
+
+
+@cache
+def _bundled_index() -> MappingProxyType:
+    """``records_by_key`` of the bundled records, built once per process and
+    read-only, since every caller shares it."""
+    return MappingProxyType(records_by_key(_bundled_measurements()))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,14 @@ class MemoryEstimate:
     feasible: bool
     estimate_bytes: int
     dram_bytes: int
-    reason: str
+
+    @property
+    def reason(self) -> str:
+        """The estimate against the device's memory, in GiB."""
+        gib = self.estimate_bytes / 2 ** 30
+        cap = self.dram_bytes / 2 ** 30
+        return (f"{gib:.2f} GiB needed of {cap:.2f} GiB" if self.feasible
+                else f"needs {gib:.2f} GiB but device has {cap:.2f} GiB")
 
 
 def memory_feasible(shaped: ShapedNetwork, batch: int, device: DeviceProfile,
@@ -73,12 +80,7 @@ def memory_feasible(shaped: ShapedNetwork, batch: int, device: DeviceProfile,
         raise ValueError("batch must be >= 1")
     estimate = element_bytes * (shaped.activation_elems * batch * 2
                                 + 2 * shaped.weight_elems) + overhead_bytes
-    feasible = estimate <= device.dram_bytes
-    gib = estimate / 2 ** 30
-    cap = device.dram_bytes / 2 ** 30
-    reason = (f"{gib:.2f} GiB needed of {cap:.2f} GiB" if feasible
-              else f"needs {gib:.2f} GiB but device has {cap:.2f} GiB")
-    return MemoryEstimate(feasible, estimate, device.dram_bytes, reason)
+    return MemoryEstimate(estimate <= device.dram_bytes, estimate, device.dram_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +372,11 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
     ``device`` plus the mixed 4-GPU testbed, for every (network, batch)
     with a bundled plan."""
     networks = tuple(networks) if networks else BUILTIN_NETWORK_NAMES
+    gpu_sets = [HETERO_TESTBED if n_gpus == 4 else GpuSet.homogeneous(device, n_gpus)
+                for n_gpus in gpu_counts]
     configs = []
     for network in networks:
-        for n_gpus in gpu_counts:
-            gpu_set = HETERO_TESTBED if n_gpus == 4 else GpuSet.homogeneous(device, n_gpus)
+        for gpu_set in gpu_sets:
             for batch in batches:
                 plan = plans.get((network, batch))
                 if plan is None or batch % gpu_set.total_gpus != 0:

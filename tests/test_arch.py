@@ -217,16 +217,24 @@ def layer_args(draw):
     for field in draw(st.lists(st.sampled_from(LAYER_FIELDS), max_size=3, unique=True)):
         kwargs[field] = draw(st.sampled_from(
             TEXT_VALUES if field in ("pool_kind", "skip") else INT_VALUES))
-    return draw(st.sampled_from(["x", "x", "x", "", "a,b"])), kind, kwargs
+    names = ["x", "x", "x", "x", "", "a,b", 'a"b', "a\nb", "a\rb", "total"]
+    return draw(st.sampled_from(names)), kind, kwargs
+
+
+def breaks_cost_csv(name):
+    """Whether ``name`` as a cost CSV cell would split or quote it, or pass
+    for the totals row."""
+    return name == "total" or any(c in name for c in ',"\r\n')
 
 
 @given(layer_args())
 @settings(max_examples=600, deadline=None)
 def test_layer_spec_rejects_what_the_reference_rejects(args):
-    # a comma in the name is refused besides
+    # a name that would break the cost CSV is refused besides
     name, kind, kwargs = args
     rejected = rejects(LayerSpec, name, kind, kwargs)
-    assert rejected == (rejects(check_layer_reference, name, kind, kwargs) or "," in name)
+    assert rejected == (rejects(check_layer_reference, name, kind, kwargs)
+                        or breaks_cost_csv(name))
     assert rejected or emits_like_the_reference(LayerSpec(name, kind, **kwargs))
 
 
@@ -237,6 +245,18 @@ def test_layer_names_may_not_hold_commas():
         parse_network("input 8 8 4\nrelu a,b\n")
     with pytest.raises(ArchSemanticError, match="^line 3: .*'a,b1_conv1'"):
         parse_network("input 8 8 4\nrelu r\nresblock a,b filters=4 count=1\n")
+
+
+@pytest.mark.parametrize("name", ['"x', 'x"', "total"])
+def test_parse_network_names_the_line_of_a_csv_breaking_layer_name(name):
+    # layer_args draws such names for LayerSpec itself
+    with pytest.raises(ArchSemanticError, match=f"^line 3: layer name must be .*{name!r}"):
+        parse_network(f"input 8 8 4\nrelu r\nrelu {name}\n")
+
+
+def test_resblock_names_may_start_with_total():
+    net = parse_network("input 8 8 4\nrelu r\nresblock total filters=4 count=1\n")
+    assert net.layers[1].name == "total1_conv1"
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +621,7 @@ def arch_texts(draw):
     """Architecture text that is mostly well formed: an input line, then
     layers that usually carry the keys their kind needs, small values and
     fresh names, with now and then a foreign key, a bad value, a repeated
-    name or a bad line (resblock counts stay far below MAX_LAYERS)."""
+    or CSV-breaking name or a bad line (resblock counts stay far below MAX_LAYERS)."""
     def rarely(a, b):
         return b if not draw(st.integers(0, 29)) else a
 
@@ -617,7 +637,7 @@ def arch_texts(draw):
         keys += draw(st.lists(st.sampled_from(may), max_size=2, unique=True)) if may else []
         keys += [] if draw(st.integers(0, 29)) else [draw(st.sampled_from(
             ["stride", "pad", "dilation"]))]
-        name = rarely(f"l{i}", draw(st.sampled_from(names or ["l0"])))
+        name = rarely(f"l{i}", draw(st.sampled_from([*(names or ["l0"]), "total", 'q"'])))
         tokens = [kind, name]
         for key in dict.fromkeys(keys):
             pool = names or ["l0"] if key == "skip" else rarely(
@@ -636,6 +656,7 @@ def test_parse_network_returns_a_network_or_raises_cnnergy_error(text):
     except CnnergyError:
         return
     assert isinstance(net, NetworkSpec)
+    assert not any(breaks_cost_csv(layer.name) for layer in net.layers)
 
 
 @given(arch_texts())

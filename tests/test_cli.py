@@ -1,5 +1,6 @@
 """End-to-end command-line checks (in-process, no subprocesses)."""
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -121,6 +122,16 @@ def test_analyze_refuses_a_comma_in_a_layer_name(tmp_path, capsys):
         code, out, err = run(["analyze", "--arch", str(path), "--format", fmt], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: line 4: ") and "'a,b'" in err
+
+
+@pytest.mark.parametrize("name", ['"x', "total"])
+def test_analyze_refuses_a_layer_name_that_breaks_the_cost_csv(name, tmp_path, capsys):
+    # a quote would open a quoted CSV cell; "total" is the totals row's name
+    path = tmp_path / "bad_name.net"
+    path.write_text(TOY_ARCH.replace("relu r1", f"relu {name}"), encoding="utf-8")
+    code, out, err = run(["analyze", "--arch", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 4: ") and repr(name) in err
 
 
 def test_table_format_has_no_commas(capsys):
@@ -588,6 +599,13 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
             except SystemExit as exc:  # argparse refuses an option's value
                 code = exc.code
         assert code in (0, 2, 3)
+        if code == 0 and argv[0] == "analyze" and "--output" not in argv:
+            # the cost CSV reads back as one row per layer plus one total row
+            rows = list(csv.reader(line for line in stdout.getvalue().splitlines()
+                                   if not line.startswith("#")))
+            assert {len(row) for row in rows} == {10}
+            layers = [row[0] for row in rows]
+            assert layers.count("total") == 1 and layers[-1] == "total"
         if code == 0 and argv[0] == "calibrate":
             # a fit that succeeds is finite, and its model file reads back
             cells = stdout.getvalue().replace(",", " ").split()

@@ -1,6 +1,6 @@
-"""What each process builds once (the CLI parser, the bundled tables, the
-built-in shapes, a shaped network's memory totals) must not carry state from
-one call to the next."""
+"""What each process builds once (the CLI parser, the bundled tables and
+their record index, the built-in shapes and cost rows, a shaped network's
+memory totals) must not carry state from one call to the next."""
 import contextlib
 import io
 import os
@@ -12,8 +12,10 @@ import pytest
 
 import cnnergy
 from cnnergy import cli
+from cnnergy._tables import data_text
 from cnnergy.arch import builtin_network, infer_shapes
 from cnnergy.energymodel import (
+    _bundled_index,
     bundled_devices,
     bundled_measurements,
     bundled_plans,
@@ -94,3 +96,33 @@ def test_score_with_default_shapes_equals_score_with_fresh_shapes():
     for cfg in configs:
         shaped = infer_shapes(builtin_network(cfg.network))
         assert score(cfg, records, profiles) == score(cfg, records, profiles, shaped=shaped)
+
+
+def test_the_cached_record_index_is_read_only():
+    index = _bundled_index()
+    key = next(iter(index))
+    with pytest.raises(TypeError):
+        index[key] = None
+    assert index == records_by_key(bundled_measurements())
+    fresh = records_by_key(bundled_measurements())
+    fresh.clear()  # records_by_key still hands each caller its own dict
+    assert records_by_key(bundled_measurements()) == index
+
+
+def test_analyze_builtin_is_unchanged_by_batch_and_element_bytes_calls():
+    argv = ["analyze", "--builtin", "resnet_gait"]
+    before = in_process(argv)
+    assert in_process([*argv, "--batch", "64"])[0] == 0
+    assert in_process([*argv, "--element-bytes", "2"])[0] == 0
+    assert in_process([*argv, "--element-bytes", "2", "--batch", "64"])[0] == 0
+    assert before[0] == 0 and in_process(argv) == before
+
+
+def test_rank_from_a_file_matches_rank_from_the_bundled_index(tmp_path):
+    path = tmp_path / "measurements.csv"
+    path.write_text(data_text("measurements.csv"), encoding="utf-8")
+    for device in ("pascal", "maxwell"):
+        bundled = in_process(["rank", "--bundled", "--device", device])
+        assert bundled[0] == 0
+        assert in_process(["rank", "--measurements", str(path), "--device", device]) == bundled
+        assert in_process(["rank", "--bundled", "--device", device]) == bundled
