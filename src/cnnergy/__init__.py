@@ -8,131 +8,43 @@ splits batches and sums energy across multi-GPU sets
 (:mod:`cnnergy.multigpu`), and ranks training configurations by time,
 energy, or energy-delay product (:mod:`cnnergy.tuner`).
 
-:mod:`cnnergy.powertrace` and its exports load on first access, so that
-importing the package, and every command but ``integrate``, ``gen-trace``
-and ``calibrate``, leaves numpy unloaded.
+Every module, and every name below, loads on first access, so that
+``import cnnergy`` loads no submodule and no numpy.
 """
 import importlib
 
-from .arch import (
-    BUILTIN_NETWORK_NAMES,
-    LayerSpec,
-    NetworkSpec,
-    ShapedNetwork,
-    TensorShape,
-    builtin_network,
-    emit_network,
-    infer_shapes,
-    parse_network,
-)
-from .costmodel import (
-    CostSummary,
-    batch_cost,
-    cost_csv,
-    network_cost,
-)
-from .energymodel import (
-    CalibratedModel,
-    DeviceProfile,
-    MeasurementRecord,
-    TrainingPlan,
-    bundled_devices,
-    bundled_measurements,
-    bundled_plans,
-    calibrate,
-    generation_gap,
-    gflops_per_watt,
-    predict,
-    records_by_key,
-)
-from .errors import CnnergyError
-from .multigpu import (
-    GpuSet,
-    ring_allreduce_time,
-    split_batch,
-)
-from .tuner import (
-    ConfigReport,
-    TrainingConfig,
-    bundled_accuracy,
-    bundled_grid,
-    edp,
-    memory_feasible,
-    rank,
-    recommend,
-    score,
-)
-
 __version__ = "0.1.0"
 
-_POWERTRACE_EXPORTS = (
-    "PowerTrace",
-    "Region",
-    "generate_synthetic_trace",
-    "integrate",
-    "integrate_many",
-    "load_regions",
-    "load_trace",
-)
+_EXPORTS = {
+    "arch": ("BUILTIN_NETWORK_NAMES", "LayerSpec", "NetworkSpec", "ShapedNetwork",
+             "TensorShape", "builtin_network", "emit_network", "infer_shapes",
+             "parse_network"),
+    "costmodel": ("CostSummary", "batch_cost", "cost_csv", "network_cost"),
+    "energymodel": ("CalibratedModel", "DeviceProfile", "MeasurementRecord", "TrainingPlan",
+                    "bundled_devices", "bundled_measurements", "bundled_plans", "calibrate",
+                    "generation_gap", "gflops_per_watt", "predict", "records_by_key"),
+    "errors": ("CnnergyError",),
+    "multigpu": ("GpuSet", "ring_allreduce_time", "split_batch"),
+    "powertrace": ("PowerTrace", "Region", "generate_synthetic_trace", "integrate",
+                   "integrate_many", "load_regions", "load_trace"),
+    "tuner": ("ConfigReport", "TrainingConfig", "bundled_accuracy", "bundled_grid", "edp",
+              "memory_feasible", "rank", "recommend", "score"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BUILTIN_NETWORK_NAMES",
-    "CalibratedModel",
-    "CnnergyError",
-    "ConfigReport",
-    "CostSummary",
-    "DeviceProfile",
-    "GpuSet",
-    "LayerSpec",
-    "MeasurementRecord",
-    "NetworkSpec",
-    "PowerTrace",
-    "Region",
-    "ShapedNetwork",
-    "TensorShape",
-    "TrainingConfig",
-    "TrainingPlan",
-    "batch_cost",
-    "builtin_network",
-    "bundled_accuracy",
-    "bundled_devices",
-    "bundled_grid",
-    "bundled_measurements",
-    "bundled_plans",
-    "calibrate",
-    "cost_csv",
-    "edp",
-    "emit_network",
-    "generate_synthetic_trace",
-    "generation_gap",
-    "gflops_per_watt",
-    "infer_shapes",
-    "integrate",
-    "integrate_many",
-    "load_regions",
-    "load_trace",
-    "memory_feasible",
-    "network_cost",
-    "parse_network",
-    "predict",
-    "rank",
-    "recommend",
-    "records_by_key",
-    "ring_allreduce_time",
-    "score",
-    "split_batch",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
 
 
 def __getattr__(name):
-    # importlib, not ``from . import powertrace``: the latter looks the
-    # submodule up on this package first and would land back here.
-    if name == "powertrace" or name in _POWERTRACE_EXPORTS:
-        powertrace = importlib.import_module(".powertrace", __name__)
-        return powertrace if name == "powertrace" else getattr(powertrace, name)
+    # importlib, not ``from . import m``: the latter looks the submodule up
+    # on this package first and would land back here. Nothing is cached in
+    # the package, so ``cnnergy.X`` always shows what its module holds now.
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | {"powertrace", *_POWERTRACE_EXPORTS})
+    return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))

@@ -322,11 +322,16 @@ def builtin_network(name: str) -> NetworkSpec:
         UnknownNetworkError: ``name`` is not in :data:`BUILTIN_NETWORK_NAMES`
             (checked before any file is opened).
     """
+    _check_builtin(name)
+    return parse_network(_tables.data_text(f"networks/{name}.net"))
+
+
+def _check_builtin(name: str) -> None:
+    """Raise UnknownNetworkError unless ``name`` is in :data:`BUILTIN_NETWORK_NAMES`."""
     if name not in BUILTIN_NETWORK_NAMES:
         raise UnknownNetworkError(
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NETWORK_NAMES)}"
         )
-    return parse_network(_tables.data_text(f"networks/{name}.net"))
 
 
 @cache

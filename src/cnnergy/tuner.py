@@ -16,13 +16,14 @@ import math
 from dataclasses import dataclass
 
 from ._tables import data_text, read_csv
-from .arch import BUILTIN_NETWORK_NAMES, ShapedNetwork, _builtin_shapes
+from .arch import BUILTIN_NETWORK_NAMES, ShapedNetwork, _builtin_shapes, _check_builtin
 from .energymodel import (
     DeviceProfile,
     MeasurementRecord,
     TrainingPlan,
     find_model,
     predict,
+    records_by_key,
 )
 from .errors import (
     DataFormatError,
@@ -186,7 +187,6 @@ def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | Non
         raise DataFormatError("update_overhead_pct (--update-overhead-pct) must be finite "
                               f"and > -100, got {update_overhead_pct!r}")
     if records and not hasattr(records, "get"):
-        from .energymodel import records_by_key
         records = records_by_key(records)
     if shaped is None:
         shaped = _builtin_shapes(config.network)
@@ -370,8 +370,24 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
                  gpu_counts=(1, 2, 4)) -> list[TrainingConfig]:
     """The measurement grid for one device: homogeneous 1/2-GPU sets of
     ``device`` plus the mixed 4-GPU testbed, for every (network, batch)
-    with a bundled plan."""
+    with a bundled plan.
+
+    Raises:
+        UnknownNetworkError: a name in ``networks`` is not a built-in network.
+        DataFormatError: ``networks``, ``batches`` or ``gpu_counts`` repeats
+            a value.
+    """
     networks = tuple(networks) if networks else BUILTIN_NETWORK_NAMES
+    for network in networks:
+        _check_builtin(network)
+    for what, option, values in (("networks", "networks", networks),
+                                 ("batches", "batches", batches),
+                                 ("gpu_counts", "gpus", gpu_counts)):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise DataFormatError(f"{what} (--{option}) lists {value!r} twice")
+            seen.add(value)
     gpu_sets = [HETERO_TESTBED if n_gpus == 4 else GpuSet.homogeneous(device, n_gpus)
                 for n_gpus in gpu_counts]
     configs = []

@@ -455,6 +455,27 @@ def test_rank_empty_grid_exits_3(capsys):
     assert err == "error: the requested grid is empty\n"
 
 
+@pytest.mark.parametrize("networks, name", [
+    ("cafenet", "cafenet"), ("caffenet,cafenet", "cafenet"), ("", ""),
+])
+def test_rank_unknown_network_exits_2(networks, name, capsys):
+    code, out, err = run(["rank", "--bundled", "--device", "pascal",
+                          f"--networks={networks}"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown builtin {name!r}; choose from ")
+
+
+@pytest.mark.parametrize("option, values, message", [
+    ("--networks", "caffenet,caffenet", "networks (--networks) lists 'caffenet' twice"),
+    ("--batches", "64,64", "batches (--batches) lists 64 twice"),
+    ("--gpus", "1,1", "gpu_counts (--gpus) lists 1 twice"),
+])
+def test_rank_repeated_value_exits_2(option, values, message, capsys):
+    code, out, err = run(["rank", "--bundled", "--device", "pascal",
+                          option, values], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_rank_output_file_and_repeatability(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -1,4 +1,5 @@
-"""Cold start: which entry points load numpy, checked in fresh interpreters.
+"""Cold start: what ``import cnnergy`` and each entry point load, checked in
+fresh interpreters.
 
 pytest itself has numpy loaded, so every check runs in a subprocess.
 """
@@ -35,17 +36,45 @@ def cli_run(argv) -> dict:
     return json.loads(fresh(code))
 
 
+MODULES = ("arch", "costmodel", "energymodel", "errors", "multigpu", "powertrace", "tuner")
+
+# cnnergy.__all__ written out, so that any change to the public surface shows here
+ALL = [
+    "BUILTIN_NETWORK_NAMES", "CalibratedModel", "CnnergyError", "ConfigReport", "CostSummary",
+    "DeviceProfile", "GpuSet", "LayerSpec", "MeasurementRecord", "NetworkSpec", "PowerTrace",
+    "Region", "ShapedNetwork", "TensorShape", "TrainingConfig", "TrainingPlan", "batch_cost",
+    "builtin_network", "bundled_accuracy", "bundled_devices", "bundled_grid",
+    "bundled_measurements", "bundled_plans", "calibrate", "cost_csv", "edp", "emit_network",
+    "generate_synthetic_trace", "generation_gap", "gflops_per_watt", "infer_shapes",
+    "integrate", "integrate_many", "load_regions", "load_trace", "memory_feasible",
+    "network_cost", "parse_network", "predict", "rank", "recommend", "records_by_key",
+    "ring_allreduce_time", "score", "split_batch", "__version__",
+]
+
+
 def test_import_cnnergy_leaves_numpy_unloaded():
-    assert fresh("import sys, cnnergy; print('numpy' in sys.modules)") == "False\n"
+    out = fresh("import sys, cnnergy\n"
+                "print('numpy' in sys.modules, [m for m in sys.modules if m.startswith('cnnergy.')])\n")
+    assert out == "False []\n"
 
 
-def test_every_export_and_the_powertrace_module_resolve_first_thing():
-    out = fresh("import cnnergy\n"
-                "print(getattr(cnnergy, 'powertrace').__name__)\n"
-                "missing = [n for n in cnnergy.__all__ if not hasattr(cnnergy, n)]\n"
-                "print(missing, set(cnnergy.__all__) <= set(dir(cnnergy)))\n"
-                "print(hasattr(cnnergy, 'nope'))\n")
-    assert out == "cnnergy.powertrace\n[] True\nFalse\n"
+def test_every_export_and_every_module_resolve_first_thing():
+    out = fresh("import json, sys, cnnergy\n"
+                f"modules = {MODULES!r}\n"
+                "loaded = {m: getattr(cnnergy, m) is sys.modules['cnnergy.' + m] for m in modules}\n"
+                "holders = {n: [vars(getattr(cnnergy, m))[n] for m in modules\n"
+                "               if n in vars(getattr(cnnergy, m))] for n in cnnergy.__all__[:-1]}\n"
+                "star = {}\n"
+                "exec('from cnnergy import *', star)\n"
+                "print(json.dumps({\n"
+                "    'all': cnnergy.__all__, 'loaded': loaded,\n"
+                "    'foreign': [n for n, held in holders.items()\n"
+                "                if not held or any(h is not getattr(cnnergy, n) for h in held)],\n"
+                "    'unbound': [n for n in cnnergy.__all__ if n not in star],\n"
+                "    'undir': sorted((set(cnnergy.__all__) | set(modules)) - set(dir(cnnergy))),\n"
+                "    'nope': hasattr(cnnergy, 'nope')}))\n")
+    assert json.loads(out) == {"all": ALL, "loaded": dict.fromkeys(MODULES, True),
+                               "foreign": [], "unbound": [], "undir": [], "nope": False}
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from cnnergy.errors import (
     IndivisibleBatchError,
     NoDataForConfigError,
     NothingFeasibleError,
+    UnknownNetworkError,
 )
 from cnnergy.multigpu import GpuSet
 from cnnergy.tuner import (
@@ -419,3 +420,24 @@ def test_bundled_grid_skips_missing_plans_and_indivisible_batches():
                            batches=(50, 64), gpu_counts=(1, 4))
     got = {(c.batch, c.gpu_set.total_gpus) for c in configs}
     assert got == {(50, 1), (64, 1), (64, 4)}  # 50 is indivisible by 4
+
+
+@pytest.mark.parametrize("networks", [("cafenet",), ("caffenet", "cafenet"), ("",)])
+def test_bundled_grid_refuses_a_network_that_is_not_built_in(networks):
+    with pytest.raises(UnknownNetworkError) as err:
+        bundled_grid("pascal", PLANS, networks=networks)
+    with pytest.raises(UnknownNetworkError) as direct:
+        builtin_network(networks[-1])
+    assert str(err.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"networks": ("caffenet", "resnet_im", "caffenet")},
+     "networks (--networks) lists 'caffenet' twice"),
+    ({"batches": (64, 64)}, "batches (--batches) lists 64 twice"),
+    ({"gpu_counts": (1, 2, 1)}, "gpu_counts (--gpus) lists 1 twice"),
+])
+def test_bundled_grid_refuses_a_repeated_value(grid, message):
+    with pytest.raises(DataFormatError) as err:
+        bundled_grid("pascal", PLANS, **grid)
+    assert str(err.value) == message
