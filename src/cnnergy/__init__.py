@@ -11,7 +11,7 @@ energy, or energy-delay product (:mod:`cnnergy.tuner`).
 Every module, and every name below, loads on first access, so that
 ``import cnnergy`` loads no submodule and no numpy.
 """
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -36,14 +36,16 @@ __all__ = [*sorted(_HOME), "__version__"]
 
 
 def __getattr__(name):
-    # importlib, not ``from . import m``: the latter looks the submodule up
-    # on this package first and would land back here. Nothing is cached in
-    # the package, so ``cnnergy.X`` always shows what its module holds now.
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not ``from . import m``, which looks the submodule up on
+    # this package first and would land back here, nor importlib, whose
+    # imports ``python -X importtime`` does not log. Nothing is cached in the
+    # package, so ``cnnergy.X`` always shows what its module holds now.
+    home = name if name in _EXPORTS else _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    return module if home == name else getattr(module, name)
 
 
 def __dir__():

@@ -2,7 +2,7 @@
 
 Every table is CSV with a fixed header: blank and whitespace-only lines are
 skipped, the header and every row are split on commas with each cell
-stripped, and row errors name their line, counting the header as line 1.
+stripped, and row errors name their line in the file, blank lines included.
 
 The reader checks only the format; the records it builds check their own
 values.
@@ -28,12 +28,12 @@ def read_csv(text: str, what: str, header: str, build, error=DataFormatError) ->
             <header>"``), a row has the wrong number of columns, or ``build``
             raises ``ValueError`` (``"line N: ..."``).
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     names = header.split(",")
-    if not lines or [c.strip() for c in lines[0].split(",")] != names:
+    if not lines or [c.strip() for c in lines[0][1].split(",")] != names:
         raise error(f"{what} header must be {header}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(names):
             raise error(f"line {lineno}: expected {len(names)} columns, got {len(cells)}")

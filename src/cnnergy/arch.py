@@ -16,7 +16,7 @@ the parser's kind spellings and keys and :func:`emit_network` all derive from it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
 from . import _tables
@@ -116,16 +116,16 @@ class LayerSpec:
         if self.kind not in _RULES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         needed, ranged, fixed = _RULES[self.kind]
-        for field, key in needed:
-            if getattr(self, field) is None:
+        for attr, key in needed:
+            if getattr(self, attr) is None:
                 raise ValueError(f"{self.kind} layer {self.name!r} needs {key}=")
-        for field, bound, wanted in ranged:
-            value = getattr(self, field)
+        for attr, bound, wanted in ranged:
+            value = getattr(self, attr)
             if value is not None and (value not in bound if type(bound) is tuple
                                       else value < bound):
                 raise ValueError(f"{self.kind} layer {self.name!r} needs {wanted}, got {value!r}")
-        for field, key, default in fixed:
-            value = getattr(self, field)
+        for attr, key, default in fixed:
+            value = getattr(self, attr)
             if value is not None and value != default:
                 raise ValueError(f"{key}= does not apply to {self.kind} layer {self.name!r}")
 
@@ -172,11 +172,16 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class ShapedLayer:
-    """A layer together with its inferred input and output shapes."""
+    """A layer applied to an input shape. ``output`` is worked out at
+    construction by :func:`layer_output`, so a layer that does not fit its
+    input is refused with the error that names it."""
 
     spec: LayerSpec
     input: TensorShape
-    output: TensorShape
+    output: TensorShape = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "output", layer_output(self.spec, self.input))
 
 
 @dataclass(frozen=True)
@@ -303,10 +308,9 @@ def infer_shapes(net: NetworkSpec) -> ShapedNetwork:
                     f"residual_sum {layer.name!r}: inputs {inp} and {other} (from "
                     f"{layer.skip!r}) differ"
                 )
-        out = layer_output(layer, inp)
-        shaped.append(ShapedLayer(layer, inp, out))
-        outputs[layer.name] = out
-        current = out
+        sl = ShapedLayer(layer, inp)
+        shaped.append(sl)
+        outputs[layer.name] = current = sl.output
     return ShapedNetwork(net, tuple(shaped))
 
 

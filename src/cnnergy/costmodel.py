@@ -15,8 +15,9 @@ such row per layer and sums the columns into ``CostSummary.total``, a row
 of the same type; ``LayerCost.total_ops`` adds a row's six operation counts.
 
 All counts are exact integers per sample; :func:`batch_cost` scales them
-exactly by the batch size. Shapes are checked against
-:func:`cnnergy.arch.layer_output`, the one home of layer geometry.
+exactly by the batch size. A :class:`cnnergy.arch.ShapedLayer` carries the
+output that :func:`cnnergy.arch.layer_output`, the one home of layer
+geometry, works out for it, so the counts here take its shapes as given.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import arch
-from .arch import LayerSpec, ShapedNetwork, TensorShape
-from .errors import (
-    GroupMismatchError,
-    NonPositiveOutputError,
-    ShapeConflictError,
-    ShapeMismatchError,
-)
+from .arch import ShapedLayer, ShapedNetwork
 
 
 class LayerCost(NamedTuple):
@@ -104,19 +99,6 @@ class CostSummary:
         return self.total_ops / read if read > 0 else None
 
 
-def _check_shapes(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> None:
-    """Raise ShapeMismatchError unless ``out`` is what ``layer`` makes of ``inp``."""
-    try:
-        expected = arch.layer_output(layer, inp)
-    except (NonPositiveOutputError, GroupMismatchError, ShapeConflictError) as exc:
-        raise ShapeMismatchError(str(exc)) from None
-    if out != expected:
-        raise ShapeMismatchError(
-            f"layer {layer.name!r} ({layer.kind}): output {out} inconsistent with "
-            f"input {inp}; expected {expected}"
-        )
-
-
 #: (reads of the input tensor, writes of the output tensor) for kinds that
 #: touch an activation more than once.
 _PASSES = {
@@ -126,15 +108,11 @@ _PASSES = {
 }
 
 
-def layer_cost(layer: LayerSpec, inp: TensorShape, out: TensorShape) -> LayerCost:
-    """Costs of one layer applied to one sample: its operation counts, the
-    elements it reads (its input activations once per pass plus its full
-    weight set) and the elements it writes (its output once per pass).
-
-    Raises:
-        ShapeMismatchError: ``out`` is not what ``layer`` produces from ``inp``.
-    """
-    _check_shapes(layer, inp, out)
+def layer_cost(shaped_layer: ShapedLayer) -> LayerCost:
+    """Costs of one shaped layer applied to one sample: its operation counts,
+    the elements it reads (its input activations once per pass plus its full
+    weight set) and the elements it writes (its output once per pass)."""
+    layer, inp, out = shaped_layer.spec, shaped_layer.input, shaped_layer.output
     kind = layer.kind
     macc = max_ops = add_div = exp_add_div = mul01 = bias_add = 0
     if kind == "conv":
@@ -174,10 +152,9 @@ def network_cost(shaped: ShapedNetwork, element_bytes: int = 4) -> CostSummary:
     all-zero totals and ``ctc=None``.
 
     Raises:
-        ShapeMismatchError: a layer's output is not what it makes of its input.
         ValueError: ``element_bytes`` is below 1.
     """
-    rows = tuple(layer_cost(sl.spec, sl.input, sl.output) for sl in shaped.per_layer)
+    rows = tuple(map(layer_cost, shaped.per_layer))
     # The eight count columns; an input-only network has no rows to zip.
     columns = list(zip(*rows))[2:] if rows else [()] * 8
     return CostSummary(rows, LayerCost("total", "", *map(sum, columns)), element_bytes)

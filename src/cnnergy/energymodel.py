@@ -241,7 +241,8 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
     default (1, 2) leaves out the 4-GPU rows, which mix device generations
     and synchronization stalls. Groups with fewer than two distinct batch
     sizes are skipped with a diagnostic rather than raised. Groups that share
-    a sorted batch vector are fitted together, in one polyfit call.
+    a sorted batch vector are fitted together, in one polyfit call, unless a
+    value is beyond 1e±280; then each of them is fitted alone.
 
     Raises:
         DataFormatError: a fit overflows, so its slope, intercept, R² or a
@@ -269,12 +270,20 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
 
     fits: dict[tuple, CalibratedModel] = {}  # model key -> model
     overflowed = set()  # model keys
-    for batches, members in by_batches.items():
+    calls = list(by_batches.items())
+    for batches, members in calls:  # grows when a call is split below
         x = np.array(batches, dtype=float)
         keys = [(*group, quantity) for group, _ in members for quantity in quantities]
-        y = np.array([[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
-                       for r in recs] for _, recs in members for quantity in quantities],
-                     dtype=float).reshape(-1, len(batches))
+        series = [[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
+                   for r in recs] for _, recs in members for quantity in quantities]
+        # LAPACK's least-squares routine rescales every series of a call when
+        # the largest value is extreme, which changes the last bits of each
+        # series fitted with it; so such a call is split into one per group.
+        if len(members) > 1 and not (1e-280 < min(map(min, series), default=1.0)
+                                     and max(map(max, series), default=1.0) < 1e280):
+            calls += [(batches, [member]) for member in members]
+            continue
+        y = np.array(series, dtype=float).reshape(-1, len(batches))
         with np.errstate(all="ignore"):  # an overflow is raised below, naming its group
             slope, intercept = np.polyfit(x, y.T, 1)
             residuals = y - (slope[:, None] * x + intercept[:, None])

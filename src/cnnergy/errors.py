@@ -42,12 +42,6 @@ class ArchSemanticError(_LineError):
     """Architecture file parsed but violates a structural invariant."""
 
 
-# --- cost model -------------------------------------------------------------
-
-class ShapeMismatchError(CnnergyError):
-    """Layer geometry and supplied tensor shapes are inconsistent."""
-
-
 # --- power traces -----------------------------------------------------------
 
 class TraceFormatError(CnnergyError):

@@ -171,7 +171,7 @@ def parse_trace(source) -> PowerTrace:
     except ValueError:
         data = None
     if data is None or data.shape[1] != n_cols:
-        _raise_first_bad_row(rows, n_cols)
+        _raise_first_bad_row(text, n_cols)
     return PowerTrace.build(labels, data[:, 0], data[:, 1:])
 
 
@@ -185,12 +185,12 @@ def _parse_rows(rows) -> np.ndarray:
     return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
 
 
-def _raise_first_bad_row(rows, n_cols: int):
-    """Raise the error of the first row :func:`_parse_rows` cannot read.
-
-    Line numbers count the header as line 1 and skip blank lines.
-    """
-    for lineno, line in enumerate(rows, start=2):
+def _raise_first_bad_row(text: str, n_cols: int):
+    """Raise the error of the first row of ``text`` that :func:`_parse_rows`
+    cannot read, naming its line in the file (blank lines count). Only this
+    error path numbers the lines."""
+    numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    for lineno, line in numbered[1:]:
         n_cells = line.count(",") + 1
         if n_cells != n_cols:
             raise ChannelCountMismatchError(

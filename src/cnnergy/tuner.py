@@ -375,7 +375,7 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
     Raises:
         UnknownNetworkError: a name in ``networks`` is not a built-in network.
         DataFormatError: ``networks``, ``batches`` or ``gpu_counts`` repeats
-            a value.
+            a value, or a batch or GPU count is below 1.
     """
     networks = tuple(networks) if networks else BUILTIN_NETWORK_NAMES
     for network in networks:
@@ -385,6 +385,8 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
                                  ("gpu_counts", "gpus", gpu_counts)):
         seen = set()
         for value in values:
+            if what != "networks" and value < 1:
+                raise DataFormatError(f"{what} (--{option}) must be >= 1, got {value}")
             if value in seen:
                 raise DataFormatError(f"{what} (--{option}) lists {value!r} twice")
             seen.add(value)

@@ -9,6 +9,8 @@ import json
 import math
 from dataclasses import fields
 
+from cnnergy import arch
+from cnnergy.costmodel import LayerCost
 from cnnergy.energymodel import QUANTITIES, CalibratedModel, MeasurementRecord, SkippedGroup
 from cnnergy.errors import DataFormatError
 
@@ -53,6 +55,55 @@ def pool_ops_per_placement(w, h, ch, kw, kh, stride, padding):
     return n_x * n_y * kw * kh * ch
 
 
+def check_shapes_reference(layer, inp, out):
+    """The per-layer shape check ``layer_cost`` used to make when it was
+    handed a separate output: ``out`` must be what ``layer`` makes of ``inp``
+    (an error of ``layer_output`` propagates)."""
+    expected = arch.layer_output(layer, inp)
+    assert out == expected, (
+        f"layer {layer.name!r} ({layer.kind}): output {out} inconsistent with "
+        f"input {inp}; expected {expected}")
+
+
+def layer_cost_reference(layer, inp, out) -> LayerCost:
+    """One layer's cost row from its spec, input and output, checked first
+    by :func:`check_shapes_reference`: the form ``layer_cost`` had when it
+    took the three separately."""
+    check_shapes_reference(layer, inp, out)
+    kind = layer.kind
+    macc = max_ops = add_div = exp_add_div = mul01 = bias_add = 0
+    if kind == "conv":
+        window = layer.kernel_w * layer.kernel_h * out.width * out.height
+        macc = window * (inp.channels // layer.groups) * out.channels
+        if layer.has_bias:
+            bias_add = out.channels
+    elif kind == "fully_connected":
+        macc = inp.elements * layer.units
+    elif kind == "pool":
+        window = layer.kernel_w * layer.kernel_h * out.width * out.height * inp.channels
+        if layer.pool_kind == "average":
+            add_div = window
+        else:
+            max_ops = window
+    elif kind == "relu":
+        max_ops = out.elements
+    elif kind == "dropout":
+        mul01 = out.elements
+    elif kind == "batch_norm":
+        add_div = 2 * out.elements
+    elif kind == "softmax":
+        exp_add_div = 3 * out.elements
+    elif kind == "residual_sum":
+        add_div = out.elements
+    else:
+        add_div = layer.kernel_w * layer.kernel_h * out.width * out.height * out.channels
+    read_mult, write_mult = {"batch_norm": (2, 2), "softmax": (3, 3),
+                             "residual_sum": (2, 1)}.get(kind, (1, 1))
+    return LayerCost(layer.name, kind, macc, max_ops, add_div, exp_add_div, mul01, bias_add,
+                     inp.elements * read_mult + arch.layer_weight_elems(layer, inp),
+                     out.elements * write_mult)
+
+
 def affine_fit_closed_form(xs, ys):
     """Least-squares line via the mean-centered textbook formulas."""
     n = len(xs)
@@ -78,20 +129,20 @@ def parse_trace_rows_reference(text):
 
     Returns ``(labels, times, watts)`` for ``PowerTrace.build``; raises
     ``ChannelCountMismatchError``/``TraceFormatError`` naming the first bad
-    line, counting the header as line 1 and skipping blank lines.
+    line by its number in the file, blank lines included.
     """
     from cnnergy.errors import ChannelCountMismatchError, TraceFormatError
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise TraceFormatError("empty trace file")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     if len(header) < 2 or header[0] != "t_s" or not all(c.endswith("_w") for c in header[1:]):
-        raise TraceFormatError(f"trace header must be t_s,<label>_w,...; got {lines[0]!r}")
+        raise TraceFormatError(f"trace header must be t_s,<label>_w,...; got {lines[0][1]!r}")
     labels = tuple(c[:-2] for c in header[1:])
     n_cols = len(header)
     times, watts = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != n_cols:
             raise ChannelCountMismatchError(
@@ -166,11 +217,11 @@ def parse_measurements_reference(text):
     from cnnergy.energymodel import MeasurementRecord
     from cnnergy.errors import DataFormatError
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or [c.strip() for c in lines[0].split(",")] != _MEASUREMENT_HEADER.split(","):
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or [c.strip() for c in lines[0][1].split(",")] != _MEASUREMENT_HEADER.split(","):
         raise DataFormatError(f"measurement header must be {_MEASUREMENT_HEADER}")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 7:
             raise DataFormatError(f"line {lineno}: expected 7 columns, got {len(cells)}")
@@ -191,11 +242,11 @@ def parse_accuracy_reference(text):
     from cnnergy.errors import DataFormatError
     from cnnergy.tuner import AccuracyRecord
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or [c.strip() for c in lines[0].split(",")] != _ACCURACY_HEADER.split(","):
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or [c.strip() for c in lines[0][1].split(",")] != _ACCURACY_HEADER.split(","):
         raise DataFormatError(f"accuracy header must be {_ACCURACY_HEADER}")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 4:
             raise DataFormatError(f"line {lineno}: expected 4 columns, got {len(cells)}")
@@ -212,11 +263,11 @@ def parse_regions_reference(source):
     from cnnergy.powertrace import Region
 
     text = source.read() if hasattr(source, "read") else source
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["id", "label", "t_start_s", "t_end_s"]:
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or [c.strip() for c in lines[0][1].split(",")] != ["id", "label", "t_start_s", "t_end_s"]:
         raise TraceFormatError("region header must be id,label,t_start_s,t_end_s")
     regions = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 4:
             raise TraceFormatError(f"line {lineno}: expected 4 columns, got {len(cells)}")

@@ -476,6 +476,19 @@ def test_rank_repeated_value_exits_2(option, values, message, capsys):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("option, values, message", [
+    ("--batches", "0", "batches (--batches) must be >= 1, got 0"),
+    ("--batches", "-64", "batches (--batches) must be >= 1, got -64"),
+    ("--gpus", "0", "gpu_counts (--gpus) must be >= 1, got 0"),
+    ("--gpus", "0,1", "gpu_counts (--gpus) must be >= 1, got 0"),
+    ("--gpus", "-1", "gpu_counts (--gpus) must be >= 1, got -1"),
+])
+def test_rank_count_below_one_exits_2(option, values, message, capsys):
+    code, out, err = run(["rank", "--bundled", "--device", "pascal",
+                          option, values], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_rank_output_file_and_repeatability(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -606,6 +619,8 @@ def cli_runs(draw):
            "--step", "forward", "--gpus", "1", "--batch", "1"], {"models": b"[" * 5000}))
 @example((["calibrate", "--measurements", "@measurements", "--model-out", "@out"],
           {"measurements": OVERFLOWING_MEASUREMENTS.encode()}))
+@example((["rank", "--bundled", "--device", "pascal", "--batches", "0"], {}))
+@example((["rank", "--bundled", "--device", "pascal", "--gpus", "0,1"], {}))
 @settings(max_examples=500, deadline=None)
 def test_main_exits_0_2_or_3_on_any_input(run_spec):
     argv, files = run_spec
@@ -620,6 +635,11 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
             except SystemExit as exc:  # argparse refuses an option's value
                 code = exc.code
         assert code in (0, 2, 3)
+        if argv[0] == "rank" and any(
+                cell.lstrip("-").isdigit() and int(cell) < 1
+                for flag, value in zip(argv, argv[1:]) if flag in ("--batches", "--gpus")
+                for cell in value.split(",")):
+            assert code == 2  # a batch or GPU count below 1 is refused
         if code == 0 and argv[0] == "analyze" and "--output" not in argv:
             # the cost CSV reads back as one row per layer plus one total row
             rows = list(csv.reader(line for line in stdout.getvalue().splitlines()

@@ -77,6 +77,19 @@ def test_every_export_and_every_module_resolve_first_thing():
                                "foreign": [], "unbound": [], "undir": [], "nope": False}
 
 
+def test_importtime_logs_each_module_the_cli_loads():
+    # ``python -X importtime`` logs only imports that go through the import
+    # statement's machinery, so a module loaded another way would hide its
+    # cost in the line of the module that asked for it.
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", "import cnnergy.cli"],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    for module in ("arch", "costmodel", "energymodel", "tuner"):
+        assert f"cnnergy.{module}" in logged, done.stderr
+
+
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "models.json"

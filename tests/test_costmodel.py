@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnnergy import arch
 from cnnergy.arch import (
     LayerSpec,
     NetworkSpec,
@@ -21,11 +22,17 @@ from cnnergy.costmodel import (
     layer_cost,
     network_cost,
 )
-from cnnergy.errors import CnnergyError, ShapeMismatchError
+from cnnergy.errors import (
+    CnnergyError,
+    GroupMismatchError,
+    NonPositiveOutputError,
+    ShapeConflictError,
+)
 
 from oracles import (
     conv_macc_by_enumeration,
     conv_macc_per_placement,
+    layer_cost_reference,
     pool_ops_per_placement,
     slide_positions,
 )
@@ -57,7 +64,7 @@ def shaped_single(layer, inp):
 def test_conv_ops_small_case():
     layer = conv(2, 3, bias=True)
     inp, out = shaped_single(layer, TensorShape(4, 4, 2))
-    ops = layer_cost(layer, inp, out)
+    ops = layer_cost(ShapedLayer(layer, inp))
     assert ops.macc == (2 * 2) * (3 * 3) * 2 * 3
     assert ops.bias_add == 3
     assert ops.total_ops == ops.macc + 3
@@ -67,20 +74,21 @@ def test_conv_ops_groups_divide_channels():
     plain = conv(3, 8, name="a")
     grouped = conv(3, 8, groups=2, name="b")
     inp, out = shaped_single(plain, TensorShape(6, 6, 4))
-    assert layer_cost(grouped, inp, out).macc * 2 == layer_cost(plain, inp, out).macc
+    assert layer_cost(ShapedLayer(grouped, inp)).macc * 2 == \
+        layer_cost(ShapedLayer(plain, inp)).macc
 
 
 def test_two_d_cnn_first_conv_macc():
     shaped = infer_shapes(builtin_network("two_d_cnn"))
     first = shaped.per_layer[0]
-    ops = layer_cost(first.spec, first.input, first.output)
+    ops = layer_cost(first)
     assert ops.macc == (7 * 7) * (54 * 54) * 50 * 96  # 685,843,200
 
 
 def test_caffenet_grouped_conv2_macc():
     shaped = infer_shapes(builtin_network("caffenet"))
     conv2 = next(sl for sl in shaped.per_layer if sl.spec.name == "conv2")
-    ops = layer_cost(conv2.spec, conv2.input, conv2.output)
+    ops = layer_cost(conv2)
     assert ops.macc == (5 * 5) * (27 * 27) * (96 // 2) * 256
 
 
@@ -89,7 +97,7 @@ def test_pool_ops_bucket(pool_kind, bucket):
     layer = LayerSpec("p", "pool", kernel_w=2, kernel_h=2, stride=2,
                       pool_kind=pool_kind)
     inp, out = shaped_single(layer, TensorShape(4, 4, 2))
-    ops = layer_cost(layer, inp, out)
+    ops = layer_cost(ShapedLayer(layer, inp))
     assert getattr(ops, bucket) == (2 * 2) * (2 * 2) * 2
     assert ops.total_ops == getattr(ops, bucket)
 
@@ -104,7 +112,7 @@ def test_elementwise_ops_buckets():
         (LayerSpec("s", "softmax"), "exp_add_div", 3 * elems),
     ]
     for layer, bucket, expected in cases:
-        ops = layer_cost(layer, shape, shape)
+        ops = layer_cost(ShapedLayer(layer, shape))
         assert getattr(ops, bucket) == expected, layer.kind
         assert ops.total_ops == expected
 
@@ -112,37 +120,34 @@ def test_elementwise_ops_buckets():
 def test_residual_sum_ops():
     shape = TensorShape(5, 5, 3)
     layer = LayerSpec("sum", "residual_sum", skip="x")
-    ops = layer_cost(layer, shape, shape)
+    ops = layer_cost(ShapedLayer(layer, shape))
     assert ops.add_div == shape.elements
 
 
 def test_local_response_norm_ops():
     shape = TensorShape(5, 5, 2)
     layer = LayerSpec("n", "local_response_norm", kernel_w=3, kernel_h=3)
-    ops = layer_cost(layer, shape, shape)
+    ops = layer_cost(ShapedLayer(layer, shape))
     assert ops.add_div == (3 * 3) * (5 * 5) * 2
 
 
 def test_fully_connected_ops():
     layer = LayerSpec("f", "fully_connected", units=5)
-    ops = layer_cost(layer, TensorShape(2, 2, 3), TensorShape(1, 1, 5))
+    ops = layer_cost(ShapedLayer(layer, TensorShape(2, 2, 3)))
     assert ops.macc == 12 * 5
 
 
-def test_layer_cost_rejects_inconsistent_output():
+def test_shaped_layer_refuses_a_layer_that_does_not_fit_its_input():
     cases = [
-        (conv(2, 3, name="wrong_out"), TensorShape(4, 4, 2), TensorShape(5, 5, 3)),
-        (conv(3, 4, groups=3, name="bad_groups"), TensorShape(6, 6, 4), TensorShape(4, 4, 4)),
-        (conv(5, 3, name="too_big"), TensorShape(3, 3, 2), TensorShape(1, 1, 3)),
+        (conv(3, 4, groups=3, name="bad_groups"), TensorShape(6, 6, 4), GroupMismatchError),
+        (conv(5, 3, name="too_big"), TensorShape(3, 3, 2), NonPositiveOutputError),
         (LayerSpec("bad_softmax", "softmax", units=5), TensorShape(1, 1, 3),
-         TensorShape(1, 1, 3)),
+         ShapeConflictError),
     ]
-    for layer, inp, out in cases:
-        shaped = ShapedNetwork(NetworkSpec("n", inp, (layer,)), (ShapedLayer(layer, inp, out),))
-        for check in (lambda: layer_cost(layer, inp, out), lambda: network_cost(shaped)):
-            with pytest.raises(ShapeMismatchError) as err:
-                check()
-            assert str(err.value).count(repr(layer.name)) == 1, str(err.value)
+    for layer, inp, error in cases:
+        with pytest.raises(error) as err:
+            ShapedLayer(layer, inp)
+        assert str(err.value).count(repr(layer.name)) == 1, str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +166,7 @@ def test_conv_macc_matches_oracles_small_grid():
                         for ci, co, g in ((1, 1, 1), (2, 3, 1), (4, 2, 2)):
                             layer = conv(k, co, stride=s, pad=p, groups=g)
                             inp, out = shaped_single(layer, TensorShape(w, h, ci))
-                            got = layer_cost(layer, inp, out).macc
+                            got = layer_cost(ShapedLayer(layer, inp)).macc
                             assert got == conv_macc_per_placement(
                                 w, h, ci, co, k, k, s, p, g)
                             assert got == conv_macc_by_enumeration(
@@ -177,7 +182,7 @@ def test_pool_ops_matches_oracle_small_grid():
                 layer = LayerSpec("p", "pool", kernel_w=k, kernel_h=k,
                                   stride=s, pool_kind="max")
                 inp, out = shaped_single(layer, TensorShape(w, w, 3))
-                got = layer_cost(layer, inp, out).max_ops
+                got = layer_cost(ShapedLayer(layer, inp)).max_ops
                 assert got == pool_ops_per_placement(w, w, 3, k, k, s, 0)
 
 
@@ -188,11 +193,11 @@ def test_pool_ops_matches_oracle_small_grid():
 def test_conv_data_counts_full_weight_set():
     layer = conv(2, 3, bias=True)
     inp, out = shaped_single(layer, TensorShape(4, 4, 2))
-    vol = layer_cost(layer, inp, out)
+    vol = layer_cost(ShapedLayer(layer, inp))
     # the input once plus every weight: k*k*ci*co and the bias vector
     assert vol.read_elems == 4 * 4 * 2 + (2 * 2 * 2 * 3 + 3)
     assert vol.written_elems == out.elements
-    net = ShapedNetwork(NetworkSpec("n", inp, (layer,)), (ShapedLayer(layer, inp, out),))
+    net = ShapedNetwork(NetworkSpec("n", inp, (layer,)), (ShapedLayer(layer, inp),))
     assert network_cost(net).total_read_bytes == vol.read_elems * 4
 
 
@@ -200,7 +205,7 @@ def test_pool_data_reads_only_its_input():
     layer = LayerSpec("p", "pool", kernel_w=3, kernel_h=3, stride=2,
                       pool_kind="max")
     inp, out = shaped_single(layer, TensorShape(7, 7, 2))
-    vol = layer_cost(layer, inp, out)
+    vol = layer_cost(ShapedLayer(layer, inp))
     assert vol.read_elems == 7 * 7 * 2
     assert vol.written_elems == out.elements
 
@@ -212,16 +217,15 @@ def test_elementwise_data_multiplicities():
     expect = {"relu": (1, 1), "dropout": (1, 1), "batch_norm": (2, 2),
               "softmax": (3, 3)}
     for kind, (r, w) in expect.items():
-        vol = layer_cost(LayerSpec("x", kind), shape, shape)
+        vol = layer_cost(ShapedLayer(LayerSpec("x", kind), shape))
         assert (vol.read_elems, vol.written_elems) == (r * elems, w * elems), kind
-    vol = layer_cost(LayerSpec("s", "residual_sum", skip="y"), shape, shape)
+    vol = layer_cost(ShapedLayer(LayerSpec("s", "residual_sum", skip="y"), shape))
     assert (vol.read_elems, vol.written_elems) == (2 * elems, elems)
 
 
 def test_fc_data_physical_includes_weights():
     layer = LayerSpec("f", "fully_connected", units=5)
-    inp, out = TensorShape(2, 2, 3), TensorShape(1, 1, 5)
-    assert layer_cost(layer, inp, out).read_elems == 12 + 12 * 5
+    assert layer_cost(ShapedLayer(layer, TensorShape(2, 2, 3))).read_elems == 12 + 12 * 5
 
 
 def test_layer_weight_elems():
@@ -312,8 +316,36 @@ def test_network_cost_rows_are_the_per_layer_counts(text, batch):
     scaled = batch_cost(summary, batch)
     assert len(summary.per_layer) == len(scaled.per_layer) == len(shaped.per_layer)
     for sl, row, got in zip(shaped.per_layer, summary.per_layer, scaled.per_layer):
-        assert row == layer_cost(sl.spec, sl.input, sl.output)
+        assert row == layer_cost(sl)
         assert got == LayerCost(row.name, row.kind, *(v * batch for v in row[2:]))
+
+
+@given(arch_texts())
+@settings(max_examples=200, deadline=None)
+def test_network_cost_rows_match_the_reference(text):
+    """Every row equals the reference count of its layer, which first checks
+    that the layer's output is what layer_output makes of its input."""
+    try:
+        shaped = infer_shapes(parse_network(text))
+    except CnnergyError:
+        return
+    assert network_cost(shaped).per_layer == tuple(
+        layer_cost_reference(sl.spec, sl.input, sl.output) for sl in shaped.per_layer)
+
+
+def test_layer_geometry_is_worked_out_once_per_layer(monkeypatch):
+    net = builtin_network("resnet_gait")
+    calls = []
+    layer_output = arch.layer_output
+
+    def counted(layer, inp):
+        calls.append(layer.name)
+        return layer_output(layer, inp)
+
+    monkeypatch.setattr(arch, "layer_output", counted)
+    network_cost(infer_shapes(net))
+    assert len(net.layers) == 149
+    assert calls == [layer.name for layer in net.layers]
 
 
 def test_network_cost_rejects_element_bytes_below_one():

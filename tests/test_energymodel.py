@@ -5,7 +5,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cnnergy.arch import builtin_network, infer_shapes
@@ -288,6 +288,12 @@ def record_sets(draw):
 
 @given(record_sets(), st.sampled_from([(1, 2), (1, 2, 4), (4,)]),
        st.sampled_from([QUANTITIES, ("seconds",), ("joules",), ("joules", "seconds")]))
+# A group with an extreme value next to one without, on one batch vector:
+# fitted together, the second group's zero slope came out in other bits.
+@example([record(network="net_a", gpus=g, batch=b, seconds=1.0, joules=j)
+          for g, j in ((1, 1e300), (2, 1.0)) for b in (1, 32)], (1, 2), QUANTITIES)
+@example([record(network="net_a", gpus=g, batch=b, seconds=s, joules=1.0)
+          for g, s in ((1, 1e-300), (2, 3.0)) for b in (1, 32, 64)], (1, 2), ("seconds",))
 @settings(max_examples=300, deadline=None)
 def test_calibrate_fits_equal_the_per_group_oracle_bit_for_bit(recs, gpu_counts, quantities):
     with warnings.catch_warnings():

@@ -303,6 +303,14 @@ def test_parse_trace_rejects_what_only_float_accepts():
             parse_trace(text)
 
 
+def test_parse_trace_errors_name_the_line_in_the_file():
+    # blank lines count, as in an editor
+    with pytest.raises(TraceFormatError, match="^line 5: non-numeric cell in '2,x'$"):
+        parse_trace("t_s,a_w\n0,1\n\n \n2,x\n")
+    with pytest.raises(ChannelCountMismatchError, match="^line 6: expected 2 columns, got 3$"):
+        parse_trace("\nt_s,a_w\n0,1\n\n1,2\n2,1,3\n")
+
+
 def test_parse_trace_strips_watt_suffix():
     trace = parse_trace(io.StringIO("t_s,pcie_12v_w,ext12v_1_w\n0,1,2\n1,3,4\n"))
     assert trace.channel_labels == ("pcie_12v", "ext12v_1")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cnnergy._tables import data_text
 from cnnergy.energymodel import _parse_plans, parse_measurements
-from cnnergy.errors import CnnergyError, DataFormatError
+from cnnergy.errors import CnnergyError, DataFormatError, TraceFormatError
 from cnnergy.powertrace import parse_regions
 from cnnergy.tuner import parse_accuracy
 
@@ -155,6 +155,17 @@ def test_bundled_tables_read_as_before():
         assert parse_accuracy(text) == parse_accuracy_reference(text)
     assert _parse_plans(data_text("iterations.csv")) \
         == parse_plans_reference(data_text("iterations.csv"))
+
+
+def test_row_errors_name_the_line_in_the_file():
+    # blank lines count, as in an editor
+    regions = "id,label,t_start_s,t_end_s\n\nr1,forward,0,1\n\nr2,sideways,0,1\n"
+    with pytest.raises(TraceFormatError, match="^line 5: region label must be one of"):
+        parse_regions(regions)
+    measurements = ("device,network,step,gpus,batch,seconds_per_batch,joules_per_batch\n"
+                    "\n  \npascal,n,forward,1,64,0.01\n")
+    with pytest.raises(DataFormatError, match="^line 4: expected 7 columns, got 6$"):
+        parse_measurements(measurements)
 
 
 def test_plans_bad_row_is_a_data_format_error():
