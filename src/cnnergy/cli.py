@@ -19,7 +19,7 @@ from functools import cache
 from pathlib import Path
 
 from . import arch, costmodel, energymodel, tuner
-from .errors import CnnergyError, DataFormatError, MissingDeviceError, NothingFeasibleError
+from .errors import CnnergyError, DataFormatError, NothingFeasibleError
 from .multigpu import GpuSet
 
 
@@ -197,19 +197,11 @@ def _gpu_set_label(gpu_set: GpuSet) -> str:
 
 
 def cmd_rank(args) -> str:
-    records = (energymodel._bundled_index() if args.bundled
-               else energymodel.records_by_key(_load_records(args)))
-    profiles = energymodel.bundled_devices()
-    if args.device not in profiles:
-        raise MissingDeviceError(f"no bundled device profile named {args.device!r} "
-                                 f"(have: {', '.join(sorted(profiles))})")
-    plans = energymodel.bundled_plans()
-    configs = tuner.bundled_grid(args.device, plans, networks=args.networks,
-                                 batches=args.batches, gpu_counts=args.gpus)
-    if not configs:
-        raise NothingFeasibleError("the requested grid is empty")
-    reports = [tuner.score(c, records, profiles, update_overhead_pct=args.update_overhead_pct)
-               for c in configs]
+    grid = (args.device, args.networks, args.batches, args.gpus, args.update_overhead_pct)
+    # The bundled tables cannot change within a process, so each of their
+    # grids is scored once; a measurements file is read and scored every call.
+    reports = (tuner._bundled_reports(*grid) if args.bundled
+               else tuner._score_grid(energymodel.records_by_key(_load_records(args)), *grid))
     ranked = tuner.rank(reports, metric=args.metric)
     lines = [f"# metric: {args.metric}",
              "rank,network,batch,gpus,gpu_set,kiloseconds,megajoules,edp_mj_ks"]

@@ -233,6 +233,22 @@ class Prediction:
     extrapolation_warning: bool
 
 
+def _check_listed(what: str, option: str, values, counts: bool = True) -> None:
+    """Refuse a value that ``values`` lists twice or, for ``counts``, a count
+    below 1, naming the parameter ``what`` and its CLI option ``--option``.
+
+    Raises:
+        DataFormatError: as above.
+    """
+    seen = set()
+    for value in values:
+        if counts and value < 1:
+            raise DataFormatError(f"{what} (--{option}) must be >= 1, got {value}")
+        if value in seen:
+            raise DataFormatError(f"{what} (--{option}) lists {value!r} twice")
+        seen.add(value)
+
+
 def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
               ) -> tuple[list[CalibratedModel], list[SkippedGroup]]:
     """Least-squares affine fits per (device, network, step, gpus) group.
@@ -245,9 +261,11 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
     value is beyond 1e±280; then each of them is fitted alone.
 
     Raises:
-        DataFormatError: a fit overflows, so its slope, intercept, R² or a
-            residual is not finite; the message names the first such group.
+        DataFormatError: ``gpu_counts`` repeats a count or holds one below 1,
+            or a fit overflows, so its slope, intercept, R² or a residual is
+            not finite; the message names the first such group.
     """
+    _check_listed("gpu_counts", "gpus", gpu_counts)
     import numpy as np  # only fitting needs numpy; keep it off the import path
 
     groups: dict[tuple, list[MeasurementRecord]] = {}

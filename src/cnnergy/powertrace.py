@@ -304,8 +304,8 @@ class SegmentSpec:
     def __post_init__(self):
         if not 0 < self.duration_s < math.inf:
             raise ValueError("segment duration must be finite and > 0")
-        if self.start_watts < 0 or (self.end_watts is not None and self.end_watts < 0):
-            raise ValueError("segment watts must be >= 0")
+        if not all(0 <= watts < math.inf for watts in (self.start_watts, self.final_watts)):
+            raise ValueError("segment watts must be finite and >= 0")
 
     @property
     def final_watts(self) -> float:

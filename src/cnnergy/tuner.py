@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ._tables import data_text, read_csv
 from .arch import BUILTIN_NETWORK_NAMES, ShapedNetwork, _builtin_shapes, _check_builtin
@@ -21,6 +22,10 @@ from .energymodel import (
     DeviceProfile,
     MeasurementRecord,
     TrainingPlan,
+    _bundled_index,
+    _check_listed,
+    bundled_devices,
+    bundled_plans,
     find_model,
     predict,
     records_by_key,
@@ -28,6 +33,7 @@ from .energymodel import (
 from .errors import (
     DataFormatError,
     InsufficientDataError,
+    MissingDeviceError,
     NoDataForConfigError,
     NothingFeasibleError,
 )
@@ -380,16 +386,9 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
     networks = tuple(networks) if networks else BUILTIN_NETWORK_NAMES
     for network in networks:
         _check_builtin(network)
-    for what, option, values in (("networks", "networks", networks),
-                                 ("batches", "batches", batches),
-                                 ("gpu_counts", "gpus", gpu_counts)):
-        seen = set()
-        for value in values:
-            if what != "networks" and value < 1:
-                raise DataFormatError(f"{what} (--{option}) must be >= 1, got {value}")
-            if value in seen:
-                raise DataFormatError(f"{what} (--{option}) lists {value!r} twice")
-            seen.add(value)
+    _check_listed("networks", "networks", networks, counts=False)
+    _check_listed("batches", "batches", batches)
+    _check_listed("gpu_counts", "gpus", gpu_counts)
     gpu_sets = [HETERO_TESTBED if n_gpus == 4 else GpuSet.homogeneous(device, n_gpus)
                 for n_gpus in gpu_counts]
     configs = []
@@ -401,3 +400,41 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
                     continue
                 configs.append(TrainingConfig(network, batch, gpu_set, plan))
     return configs
+
+
+def _score_grid(records, device, networks, batches, gpu_counts,
+                update_overhead_pct) -> tuple[ConfigReport, ...]:
+    """``score`` of every configuration of ``device``'s bundled grid against
+    ``records``, in grid order.
+
+    Raises, in this order:
+        MissingDeviceError: ``device`` is not a bundled device profile.
+        UnknownNetworkError, DataFormatError: as :func:`bundled_grid`.
+        NothingFeasibleError: the grid is empty.
+        DataFormatError, NoDataForConfigError: as :func:`score`.
+    """
+    profiles = bundled_devices()
+    if device not in profiles:
+        raise MissingDeviceError(f"no bundled device profile named {device!r} "
+                                 f"(have: {', '.join(sorted(profiles))})")
+    configs = bundled_grid(device, bundled_plans(), networks, batches, gpu_counts)
+    if not configs:
+        raise NothingFeasibleError("the requested grid is empty")
+    return tuple(score(c, records, profiles, update_overhead_pct=update_overhead_pct)
+                 for c in configs)
+
+
+@lru_cache(maxsize=16)
+def _bundled_reports(device, networks, batches, gpu_counts,
+                     update_overhead_pct) -> tuple[ConfigReport, ...]:
+    """``_score_grid`` against the bundled records, kept per process.
+
+    Every input is a read-only bundled table, so each grid is scored once
+    and each ranking metric re-orders the same immutable reports. The key
+    is the arguments, as the CLI parses them (tuples of ints, a float), and
+    leaves out the metric. At most 16 grids are kept, the least recently
+    used going first; a grid holds at most one report per bundled plan and
+    GPU count. An error is raised again on every call, never kept.
+    """
+    return _score_grid(_bundled_index(), device, networks, batches, gpu_counts,
+                       update_overhead_pct)

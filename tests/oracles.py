@@ -503,3 +503,47 @@ def emit_network_reference(net):
             parts.append(f"skip={layer.skip}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# rank: cli.cmd_rank as it stood before the bundled grids were scored once per
+# process; every call builds its grid and scores each configuration afresh
+# ---------------------------------------------------------------------------
+
+def rank_reference(args) -> str:
+    """The text ``cnnergy rank`` prints for parsed ``args``; raises as the
+    command does."""
+    from cnnergy import energymodel, tuner
+    from cnnergy.errors import MissingDeviceError, NothingFeasibleError
+
+    records = (energymodel._bundled_index() if args.bundled
+               else energymodel.records_by_key(energymodel.load_measurements(args.measurements)))
+    profiles = energymodel.bundled_devices()
+    if args.device not in profiles:
+        raise MissingDeviceError(f"no bundled device profile named {args.device!r} "
+                                 f"(have: {', '.join(sorted(profiles))})")
+    plans = energymodel.bundled_plans()
+    configs = tuner.bundled_grid(args.device, plans, networks=args.networks,
+                                 batches=args.batches, gpu_counts=args.gpus)
+    if not configs:
+        raise NothingFeasibleError("the requested grid is empty")
+    reports = [tuner.score(c, records, profiles, update_overhead_pct=args.update_overhead_pct)
+               for c in configs]
+    ranked = tuner.rank(reports, metric=args.metric)
+
+    def label(gpu_set):
+        return "+".join(f"{name}:{count}" for name, count in gpu_set.members if count > 0)
+
+    lines = [f"# metric: {args.metric}",
+             "rank,network,batch,gpus,gpu_set,kiloseconds,megajoules,edp_mj_ks"]
+    for position, report in enumerate(ranked, start=1):
+        cfg = report.config
+        lines.append(f"{position},{cfg.network},{cfg.batch},{cfg.gpu_set.total_gpus},"
+                     f"{label(cfg.gpu_set)},{report.kiloseconds:.6g},"
+                     f"{report.megajoules:.6g},{report.edp_mj_ks:.6g}")
+    for report in reports:
+        if not report.feasible:
+            cfg = report.config
+            lines.append(f"# infeasible: {cfg.network} batch={cfg.batch} "
+                         f"gpu_set={label(cfg.gpu_set)} ({report.reason})")
+    return "\n".join(lines) + "\n"

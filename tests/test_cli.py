@@ -214,6 +214,14 @@ def test_gen_trace_bad_segment_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("segments", ["nan:1", "inf:1", "100-nan:1", "nan-100:1", "100-inf:1"])
+def test_gen_trace_non_finite_watts_exit_2_naming_the_segment(segments, capsys):
+    code, out, err = run(["gen-trace", "--segments", f"100:1,{segments}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad segment {segments!r} (want watts:seconds or "
+                   "start-end:seconds): segment watts must be finite and >= 0\n")
+
+
 def test_gen_trace_over_the_size_cap_exits_2(capsys):
     code, out, err = run(["gen-trace", "--segments", "100:1e9", "--rate", "1000"], capsys)
     assert code == 2 and out == ""
@@ -249,7 +257,7 @@ def test_calibrate_reports_skipped_groups(tmp_path, capsys):
 
 
 def test_calibrate_with_nothing_to_fit_exits_3(tmp_path, capsys):
-    code, out, err = run(["calibrate", "--bundled", "--gpus", "0"], capsys)
+    code, out, err = run(["calibrate", "--bundled", "--gpus", "3"], capsys)  # no 3-GPU rows
     assert (code, out) == (3, "")
     assert err == "error: no model to fit (0 group(s) skipped)\n"
 
@@ -261,6 +269,21 @@ def test_calibrate_with_nothing_to_fit_exits_3(tmp_path, capsys):
                           "--model-out", str(model_file)], capsys)
     assert (code, out) == (3, "")
     assert err == "error: no model to fit (4 group(s) skipped)\n"
+    assert not model_file.exists()
+
+
+@pytest.mark.parametrize("values, message", [
+    ("0", "gpu_counts (--gpus) must be >= 1, got 0"),
+    ("1,0", "gpu_counts (--gpus) must be >= 1, got 0"),
+    ("-2", "gpu_counts (--gpus) must be >= 1, got -2"),
+    ("1,1", "gpu_counts (--gpus) lists 1 twice"),
+    ("2,1,2", "gpu_counts (--gpus) lists 2 twice"),
+])
+def test_calibrate_count_below_one_or_repeated_exits_2(values, message, tmp_path, capsys):
+    model_file = tmp_path / "models.json"
+    code, out, err = run(["calibrate", "--bundled", "--gpus", values,
+                          "--model-out", str(model_file)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not model_file.exists()
 
 
@@ -621,6 +644,10 @@ def cli_runs(draw):
           {"measurements": OVERFLOWING_MEASUREMENTS.encode()}))
 @example((["rank", "--bundled", "--device", "pascal", "--batches", "0"], {}))
 @example((["rank", "--bundled", "--device", "pascal", "--gpus", "0,1"], {}))
+@example((["calibrate", "--bundled", "--gpus", "0"], {}))
+@example((["calibrate", "--bundled", "--gpus", "1,1"], {}))
+@example((["gen-trace", "--segments", "nan:1"], {}))
+@example((["gen-trace", "--segments", "100-inf:1"], {}))
 @settings(max_examples=500, deadline=None)
 def test_main_exits_0_2_or_3_on_any_input(run_spec):
     argv, files = run_spec
@@ -635,11 +662,13 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
             except SystemExit as exc:  # argparse refuses an option's value
                 code = exc.code
         assert code in (0, 2, 3)
-        if argv[0] == "rank" and any(
-                cell.lstrip("-").isdigit() and int(cell) < 1
-                for flag, value in zip(argv, argv[1:]) if flag in ("--batches", "--gpus")
-                for cell in value.split(",")):
-            assert code == 2  # a batch or GPU count below 1 is refused
+        counts = [value.split(",") for flag, value in zip(argv, argv[1:])
+                  if flag in ("--batches", "--gpus")]
+        if argv[0] in ("rank", "calibrate") and any(
+                len(set(cells)) < len(cells)
+                or any(cell.lstrip("-").isdigit() and int(cell) < 1 for cell in cells)
+                for cells in counts):
+            assert code == 2  # a batch or GPU count below 1, or one listed twice, is refused
         if code == 0 and argv[0] == "analyze" and "--output" not in argv:
             # the cost CSV reads back as one row per layer plus one total row
             rows = list(csv.reader(line for line in stdout.getvalue().splitlines()

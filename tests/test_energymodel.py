@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -330,6 +331,16 @@ def test_calibrate_filters_gpu_counts():
     assert {m.gpus for m in models} == {1}
     models, _ = calibrate(recs, gpu_counts=(1, 4))
     assert {m.gpus for m in models} == {1, 4}
+
+
+@pytest.mark.parametrize("gpu_counts, message", [
+    ((0,), "gpu_counts (--gpus) must be >= 1, got 0"),
+    ((1, -1), "gpu_counts (--gpus) must be >= 1, got -1"),
+    ((1, 2, 1), "gpu_counts (--gpus) lists 1 twice"),
+])
+def test_calibrate_refuses_what_rank_refuses_in_gpu_counts(gpu_counts, message):
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        calibrate(linear_records(), gpu_counts=gpu_counts)
 
 
 def test_calibrate_constant_series_r_squared_is_one():

@@ -405,6 +405,21 @@ def test_synthetic_noise_is_seeded_and_nonnegative():
     assert (a.watts >= 0).all()
 
 
+WATTS = st.sampled_from([0.0, -0.0, 1e-300, 80.0, 1.7e308, -1e-300, -1.0,
+                         math.inf, -math.inf, math.nan])
+
+
+@given(WATTS, st.none() | WATTS)
+def test_segment_watts_are_finite_and_non_negative_at_both_ends(start, end):
+    valid = all(0 <= watts < math.inf for watts in (start, start if end is None else end))
+    if valid:
+        segment = SegmentSpec(1.0, start, end)
+        assert (segment.start_watts, segment.end_watts) == (start, end)
+    else:
+        with pytest.raises(ValueError, match="^segment watts must be finite and >= 0$"):
+            SegmentSpec(1.0, start, end)
+
+
 def test_synthetic_rejects_bad_segments():
     with pytest.raises(ValueError):
         SegmentSpec(0.0, 100.0)

@@ -1,6 +1,7 @@
 """What each process builds once (the CLI parser, the bundled tables and
 their record index, the built-in shapes and cost rows, a shaped network's
-memory totals) must not carry state from one call to the next."""
+memory totals, the scored bundled rank grids) must not carry state from one
+call to the next."""
 import contextlib
 import io
 import os
@@ -9,11 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cnnergy
-from cnnergy import cli
+import oracles
+from cnnergy import cli, tuner
 from cnnergy._tables import data_text
-from cnnergy.arch import builtin_network, infer_shapes
+from cnnergy.arch import BUILTIN_NETWORK_NAMES, builtin_network, infer_shapes
+from cnnergy.errors import CnnergyError, NothingFeasibleError
 from cnnergy.energymodel import (
     _bundled_index,
     bundled_devices,
@@ -21,7 +26,7 @@ from cnnergy.energymodel import (
     bundled_plans,
     records_by_key,
 )
-from cnnergy.tuner import bundled_grid, score
+from cnnergy.tuner import RANK_METRICS, _bundled_reports, bundled_grid, score
 
 SRC = str(Path(cnnergy.__file__).resolve().parents[1])
 
@@ -31,6 +36,23 @@ def in_process(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def in_process_with_errors(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def rank_reference(argv) -> tuple[int, str, str]:
+    """What ``cli.main(argv)`` printed for a rank before its grids were kept."""
+    try:
+        return 0, oracles.rank_reference(cli._parser().parse_args(argv)), ""
+    except NothingFeasibleError as exc:
+        return 3, "", f"error: {exc}\n"
+    except (CnnergyError, OSError, ValueError, OverflowError) as exc:
+        return 2, "", f"error: {exc}\n"
 
 
 def fresh_process(argv) -> tuple[int, str]:
@@ -126,3 +148,82 @@ def test_rank_from_a_file_matches_rank_from_the_bundled_index(tmp_path):
         assert bundled[0] == 0
         assert in_process(["rank", "--measurements", str(path), "--device", device]) == bundled
         assert in_process(["rank", "--bundled", "--device", device]) == bundled
+
+
+@st.composite
+def bundled_rank_argvs(draw):
+    """``rank --bundled`` over a few devices, metrics and grids, some of them
+    refused: an unknown device or network, a repeated or non-positive count,
+    an empty grid, and an overhead that is not finite, is -100 or overflows."""
+    argv = ["rank", "--bundled", "--device", draw(st.sampled_from(["pascal", "maxwell", "titan"]))]
+
+    def listed(choices):
+        return ",".join(map(str, draw(st.lists(st.sampled_from(choices), min_size=1, max_size=4))))
+
+    if draw(st.booleans()):
+        argv += ["--metric", draw(st.sampled_from(RANK_METRICS))]
+    if draw(st.booleans()):
+        argv.append("--networks=" + listed([*BUILTIN_NETWORK_NAMES, "lenet"]))
+    if draw(st.booleans()):
+        argv.append("--batches=" + listed([64, 128, 256, 96, 0]))
+    if draw(st.booleans()):
+        argv.append("--gpus=" + listed([1, 2, 4, 3, 0, -1]))
+    if draw(st.booleans()):
+        argv.append("--update-overhead-pct=" + draw(st.sampled_from(
+            ["0", "-0", "12.5", "-50", "nan", "-100", "inf", "1e308"])))
+    return argv
+
+
+@given(st.lists(bundled_rank_argvs(), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_bundled_rank_sequences_print_what_the_uncached_path_prints(argvs):
+    # the second, reversed half runs each grid again, after other grids
+    for argv in argvs + argvs[::-1]:
+        assert in_process_with_errors(argv) == rank_reference(argv), argv
+
+
+def test_each_bundled_grid_is_scored_once_and_every_metric_reorders_it(monkeypatch):
+    scored = []
+    monkeypatch.setattr(tuner, "score", lambda *a, **k: scored.append(a[0]) or score(*a, **k))
+    _bundled_reports.cache_clear()
+    grids = [["rank", "--bundled", "--device", device, "--metric", metric]
+             for device in ("pascal", "maxwell") for metric in RANK_METRICS]
+    outputs = [in_process(argv) for argv in grids]
+    assert len(scored) == 72  # 36 configurations for each of the two devices
+    assert [in_process(argv) for argv in grids] == outputs
+    assert len(scored) == 72
+    assert all(code == 0 for code, _ in outputs)
+    reports = _bundled_reports("pascal", None, (64, 128, 256), (1, 2, 4), 0.0)
+    assert isinstance(reports, tuple) and len(reports) == 36
+    assert reports is _bundled_reports("pascal", None, (64, 128, 256), (1, 2, 4), 0.0)
+
+
+def test_the_scored_grid_memo_keeps_at_most_16_grids_and_no_error():
+    maxsize = _bundled_reports.cache_parameters()["maxsize"]
+    assert maxsize == 16
+    for pct in range(maxsize + 8):
+        assert in_process(["rank", "--bundled", "--device", "pascal",
+                           f"--update-overhead-pct={pct}"])[0] == 0
+        assert _bundled_reports.cache_info().currsize <= maxsize
+    assert _bundled_reports.cache_info().currsize == maxsize
+    _bundled_reports.cache_clear()
+    for argv in (["rank", "--bundled", "--device", "titan"],
+                 ["rank", "--bundled", "--device", "pascal", "--gpus", "3"],
+                 ["rank", "--bundled", "--device", "pascal", "--update-overhead-pct=nan"],
+                 ["rank", "--bundled", "--device", "pascal", "--update-overhead-pct=1e308"]):
+        first = in_process_with_errors(argv)
+        assert first[0] in (2, 3) and in_process_with_errors(argv) == first
+    assert _bundled_reports.cache_info().currsize == 0
+
+
+def test_rank_from_a_file_is_scored_again_after_the_file_changes(tmp_path):
+    path = tmp_path / "measurements.csv"
+    table = data_text("measurements.csv")
+    argv = ["rank", "--measurements", str(path), "--device", "pascal", "--metric", "time"]
+    path.write_text(table, encoding="utf-8")
+    before = in_process_with_errors(argv)
+    assert before[0] == 0 and before == rank_reference(argv)
+    path.write_text(table.replace("pascal,caffenet,forward,1,64,", "pascal,caffenet,forward,1,64,9"),
+                    encoding="utf-8")
+    after = in_process_with_errors(argv)
+    assert after[0] == 0 and after == rank_reference(argv) and after != before
