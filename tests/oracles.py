@@ -9,10 +9,10 @@ import json
 import math
 from dataclasses import fields
 
-from cnnergy import arch
+from cnnergy import arch, energymodel, tuner
 from cnnergy.costmodel import LayerCost
 from cnnergy.energymodel import QUANTITIES, CalibratedModel, MeasurementRecord, SkippedGroup
-from cnnergy.errors import DataFormatError
+from cnnergy.errors import DataFormatError, MissingDeviceError, NothingFeasibleError
 
 
 def slide_positions(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -513,9 +513,6 @@ def emit_network_reference(net):
 def rank_reference(args) -> str:
     """The text ``cnnergy rank`` prints for parsed ``args``; raises as the
     command does."""
-    from cnnergy import energymodel, tuner
-    from cnnergy.errors import MissingDeviceError, NothingFeasibleError
-
     records = (energymodel._bundled_index() if args.bundled
                else energymodel.records_by_key(energymodel.load_measurements(args.measurements)))
     profiles = energymodel.bundled_devices()
