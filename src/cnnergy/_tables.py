@@ -5,7 +5,8 @@ skipped, the header and every row are split on commas with each cell
 stripped, and row errors name their line in the file, blank lines included.
 
 The reader checks only the format; the records it builds check their own
-values.
+values. A name that a command prints as a CSV cell is checked by
+:func:`check_cell`.
 """
 
 from __future__ import annotations
@@ -43,3 +44,17 @@ def read_csv(text: str, what: str, header: str, build, error=DataFormatError) ->
             raise error(f"line {lineno}: {exc}") from None
     return rows
 
+
+def check_cell(what: str, value: str, refused: tuple[str, ...] = ()) -> None:
+    """Refuse a name that a command prints as a CSV cell unless it reads back
+    as that one cell: it may hold no comma, double quote or line break, and
+    may not be one of ``refused`` (where ``""`` stands for the empty name).
+
+    Raises:
+        ValueError: ``"<what> must be [non-empty, not '<refused>' and ]without
+            commas, double quotes or line breaks, got <value>"``.
+    """
+    if value in refused or "," in value or '"' in value or "\r" in value or "\n" in value:
+        rules = ", ".join(f"not {r!r}" if r else "non-empty" for r in refused)
+        raise ValueError(f"{what} must be {rules + ' and ' if rules else ''}without commas, "
+                         f"double quotes or line breaks, got {value!r}")

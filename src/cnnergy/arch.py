@@ -108,11 +108,7 @@ class LayerSpec:
     skip: str | None = None
 
     def __post_init__(self):
-        name = self.name
-        if (not name or name == "total" or "," in name or '"' in name
-                or "\r" in name or "\n" in name):
-            raise ValueError("layer name must be non-empty, not 'total' and without commas, "
-                             f"double quotes or line breaks, got {name!r}")
+        _tables.check_cell("layer name", self.name, refused=("", "total"))
         if self.kind not in _RULES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         needed, ranged, fixed = _RULES[self.kind]

@@ -70,19 +70,19 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def cmd_analyze(args) -> str:
     if args.builtin:
-        shaped = arch._builtin_shapes(args.builtin)
-        summary = costmodel.CostSummary(*costmodel._builtin_rows(args.builtin),
-                                        args.element_bytes)
+        name = args.builtin  # as the built-in's own `# network:` line names it
+        summary = costmodel.CostSummary(*costmodel._builtin_rows(name), args.element_bytes)
     else:
         text = Path(args.arch).read_text(encoding="utf-8")
         shaped = arch.infer_shapes(arch.parse_network(text, name=Path(args.arch).stem))
-        summary = costmodel.network_cost(shaped, element_bytes=args.element_bytes)
+        name, summary = shaped.spec.name, costmodel.network_cost(
+            shaped, element_bytes=args.element_bytes)
     if args.batch is not None:
         if args.batch < 1:
             raise DataFormatError(f"--batch must be >= 1, got {args.batch}")
         summary = costmodel.batch_cost(summary, args.batch)
     mb = 2 ** 20
-    head = [f"# network: {shaped.spec.name}"]
+    head = [f"# network: {name}"]
     if args.batch is not None:
         head.append(f"# batch: {args.batch}")
     head += [
@@ -201,7 +201,7 @@ def cmd_rank(args) -> str:
     # The bundled tables cannot change within a process, so each of their
     # grids is scored once; a measurements file is read and scored every call.
     reports = (tuner._bundled_reports(*grid) if args.bundled
-               else tuner._score_grid(energymodel.records_by_key(_load_records(args)), *grid))
+               else tuner._score_grid(_load_records(args), *grid))
     ranked = tuner.rank(reports, metric=args.metric)
     lines = [f"# metric: {args.metric}",
              "rank,network,batch,gpus,gpu_set,kiloseconds,megajoules,edp_mj_ks"]

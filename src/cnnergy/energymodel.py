@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from types import MappingProxyType
 
-from ._tables import data_text, read_csv
+from ._tables import check_cell, data_text, read_csv
 from .costmodel import CostSummary
 from .errors import (
     DataFormatError,
@@ -55,13 +54,8 @@ class DeviceProfile:
 
 
 def bundled_devices() -> dict[str, DeviceProfile]:
-    """Both bundled device profiles by name, read once per process; each call
-    returns a new dict."""
-    return dict(_bundled_devices())
-
-
-@cache
-def _bundled_devices() -> dict[str, DeviceProfile]:
+    """Both bundled device profiles by name, read from the table on every
+    call, so each call returns a new dict."""
     devices = read_csv(
         data_text("devices.csv"), "devices",
         "name,generation,cores,core_freq_mhz,peak_tflops,dram_bytes,"
@@ -94,6 +88,8 @@ class MeasurementRecord:
     joules_per_batch: float
 
     def __post_init__(self):
+        check_cell("device", self.device)
+        check_cell("network", self.network)
         if self.step not in STEPS:
             raise ValueError(f"step must be one of {STEPS}, got {self.step!r}")
         if self.gpus < 1 or self.batch < 1:
@@ -144,13 +140,6 @@ def records_by_key(records) -> dict[tuple, MeasurementRecord]:
     return index
 
 
-@cache
-def _bundled_index() -> MappingProxyType:
-    """``records_by_key`` of the bundled records, built once per process and
-    read-only, since every caller shares it."""
-    return MappingProxyType(records_by_key(_bundled_measurements()))
-
-
 # ---------------------------------------------------------------------------
 # Training plans and derived columns
 # ---------------------------------------------------------------------------
@@ -170,13 +159,8 @@ class TrainingPlan:
 
 
 def bundled_plans() -> dict[tuple[str, int], TrainingPlan]:
-    """Bundled (network, batch) -> TrainingPlan table, read once per process;
-    each call returns a new dict."""
-    return dict(_bundled_plans())
-
-
-@cache
-def _bundled_plans() -> dict[tuple[str, int], TrainingPlan]:
+    """Bundled (network, batch) -> TrainingPlan table, read from the table on
+    every call, so each call returns a new dict."""
     return _parse_plans(data_text("iterations.csv"))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import read_csv
+from ._tables import check_cell, read_csv
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -86,7 +86,8 @@ class PowerTrace:
             raise TraceFormatError("timestamps and watts must be finite")
         if (w < 0).any():
             raise TraceFormatError("watts must be >= 0")
-        dt = np.diff(t)
+        with np.errstate(over="ignore"):  # only the sign of each step is read
+            dt = np.diff(t)
         if (dt < 0).any():
             i = int(np.argmax(dt < 0)) + 1
             raise NonMonotoneTimeError(f"timestamp decreases at sample {i}: {t[i]} < {t[i-1]}")
@@ -130,6 +131,7 @@ class Region:
     t_end: float
 
     def __post_init__(self):
+        check_cell("region id", self.id)
         if self.label not in REGION_LABELS:
             raise ValueError(
                 f"region label must be one of {sorted(REGION_LABELS)}, got {self.label!r}"
@@ -239,23 +241,28 @@ def integrate_many(trace: PowerTrace, regions) -> list[EnergyResult | CnnergyErr
     the :class:`InsufficientSamplesError` (trace has fewer than 2 samples)
     or :class:`EmptyRegionError` (region does not overlap the trace span)
     it failed with.
+
+    Raises:
+        TraceFormatError: the trace's watts or timestamps are so large that
+            an overlapping region's joules, duration or mean watts overflow;
+            the message names the first such region.
     """
     regions = list(regions)
     if trace.n_samples < 2:
         return [InsufficientSamplesError("need at least 2 samples to integrate")
                 for _ in regions]
     t, w = trace.times, trace.watts
-    cumulative = np.zeros_like(w)
-    np.cumsum(np.diff(t)[:, None] * (w[1:] + w[:-1]) / 2.0, axis=0, out=cumulative[1:])
-
     n = len(regions)
     bounds = np.array([(r.t_start, r.t_end) for r in regions], dtype=float).reshape(n, 2)
     ends = np.clip(bounds, t[0], t[-1]).T.ravel()  # every clipped start, then every end
-    j = np.clip(np.searchsorted(t, ends, side="right") - 1, 0, t.shape[0] - 2)
-    into = ends - t[j]
-    w_end = w[j] + (w[j + 1] - w[j]) * (into / (t[j + 1] - t[j]))[:, None]
-    energy = cumulative[j] + into[:, None] * (w[j] + w_end) / 2.0
-    joules = energy[n:] - energy[:n]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        cumulative = np.zeros_like(w)
+        np.cumsum(np.diff(t)[:, None] * (w[1:] + w[:-1]) / 2.0, axis=0, out=cumulative[1:])
+        j = np.clip(np.searchsorted(t, ends, side="right") - 1, 0, t.shape[0] - 2)
+        into = ends - t[j]
+        w_end = w[j] + (w[j + 1] - w[j]) * (into / (t[j + 1] - t[j]))[:, None]
+        energy = cumulative[j] + into[:, None] * (w[j] + w_end) / 2.0
+        joules = energy[n:] - energy[:n]
 
     results = []
     for region, lo, hi, per_channel in zip(regions, ends[:n].tolist(), ends[n:].tolist(),
@@ -266,9 +273,14 @@ def integrate_many(trace: PowerTrace, regions) -> list[EnergyResult | CnnergyErr
                 f"trace span [{trace.t_start}, {trace.t_end}]"
             ))
             continue
-        total = float(sum(per_channel))
+        total = float(sum(per_channel))  # not finite if a channel's joules are not
         duration = hi - lo
-        results.append(EnergyResult(total, tuple(per_channel), duration, total / duration))
+        mean = total / duration
+        if not (math.isfinite(duration) and math.isfinite(mean)):
+            raise TraceFormatError(
+                f"region {region.id!r} [{region.t_start}, {region.t_end}]: its energy "
+                f"overflows (joules_total {total}, duration_s {duration}, mean_watts {mean})")
+        results.append(EnergyResult(total, tuple(per_channel), duration, mean))
     return results
 
 
@@ -278,6 +290,7 @@ def integrate(trace: PowerTrace, region: Region) -> EnergyResult:
     Raises:
         InsufficientSamplesError: trace has fewer than 2 samples.
         EmptyRegionError: region does not overlap the trace span.
+        TraceFormatError: the region's energy overflows.
     """
     (result,) = integrate_many(trace, [region])
     if isinstance(result, CnnergyError):

@@ -22,9 +22,9 @@ from .energymodel import (
     DeviceProfile,
     MeasurementRecord,
     TrainingPlan,
-    _bundled_index,
     _check_listed,
     bundled_devices,
+    bundled_measurements,
     bundled_plans,
     find_model,
     predict,
@@ -75,18 +75,17 @@ class MemoryEstimate:
 
 
 def memory_feasible(shaped: ShapedNetwork, batch: int, device: DeviceProfile,
-                    element_bytes: int = 4,
-                    overhead_bytes: int = DEFAULT_FIXED_OVERHEAD_BYTES) -> MemoryEstimate:
+                    element_bytes: int = 4) -> MemoryEstimate:
     """Estimate whether one GPU can hold a training step at ``batch``.
 
     estimate = element_bytes x (activations x batch x 2 + weights +
-    gradients) + fixed overhead; activations are stored twice because
-    forward tensors are retained for the backward pass.
+    gradients) + DEFAULT_FIXED_OVERHEAD_BYTES; activations are stored twice
+    because forward tensors are retained for the backward pass.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
     estimate = element_bytes * (shaped.activation_elems * batch * 2
-                                + 2 * shaped.weight_elems) + overhead_bytes
+                                + 2 * shaped.weight_elems) + DEFAULT_FIXED_OVERHEAD_BYTES
     return MemoryEstimate(estimate <= device.dram_bytes, estimate, device.dram_bytes)
 
 
@@ -405,14 +404,16 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
 def _score_grid(records, device, networks, batches, gpu_counts,
                 update_overhead_pct) -> tuple[ConfigReport, ...]:
     """``score`` of every configuration of ``device``'s bundled grid against
-    ``records``, in grid order.
+    the list ``records``, indexed once, in grid order.
 
     Raises, in this order:
+        DataFormatError: ``records`` holds two records of one key.
         MissingDeviceError: ``device`` is not a bundled device profile.
         UnknownNetworkError, DataFormatError: as :func:`bundled_grid`.
         NothingFeasibleError: the grid is empty.
         DataFormatError, NoDataForConfigError: as :func:`score`.
     """
+    records = records_by_key(records)
     profiles = bundled_devices()
     if device not in profiles:
         raise MissingDeviceError(f"no bundled device profile named {device!r} "
@@ -429,12 +430,15 @@ def _bundled_reports(device, networks, batches, gpu_counts,
                      update_overhead_pct) -> tuple[ConfigReport, ...]:
     """``_score_grid`` against the bundled records, kept per process.
 
-    Every input is a read-only bundled table, so each grid is scored once
-    and each ranking metric re-orders the same immutable reports. The key
+    Every input is a bundled table that cannot change within a process, so
+    each grid is scored once and each ranking metric re-orders the same
+    immutable reports. Only a grid that is not kept yet reads the tables:
+    the device and plan tables afresh, the records from
+    ``bundled_measurements``. The key
     is the arguments, as the CLI parses them (tuples of ints, a float), and
     leaves out the metric. At most 16 grids are kept, the least recently
     used going first; a grid holds at most one report per bundled plan and
     GPU count. An error is raised again on every call, never kept.
     """
-    return _score_grid(_bundled_index(), device, networks, batches, gpu_counts,
+    return _score_grid(bundled_measurements(), device, networks, batches, gpu_counts,
                        update_overhead_pct)

@@ -513,8 +513,9 @@ def emit_network_reference(net):
 def rank_reference(args) -> str:
     """The text ``cnnergy rank`` prints for parsed ``args``; raises as the
     command does."""
-    records = (energymodel._bundled_index() if args.bundled
-               else energymodel.records_by_key(energymodel.load_measurements(args.measurements)))
+    records = energymodel.records_by_key(
+        energymodel.bundled_measurements() if args.bundled
+        else energymodel.load_measurements(args.measurements))
     profiles = energymodel.bundled_devices()
     if args.device not in profiles:
         raise MissingDeviceError(f"no bundled device profile named {args.device!r} "

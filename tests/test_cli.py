@@ -185,6 +185,48 @@ def test_integrate_infinite_region_bound_exits_2(tmp_path, capsys):
     assert err == "error: line 2: region 'r1': t_start and t_end must be finite\n"
 
 
+#: Traces whose trapezoid overflows: watts near the float limit, and a time
+#: span whose sample step exceeds it.
+OVERFLOWING_TRACES = {
+    "huge_watts": ("t_s,a_w\n0,1e308\n1,1e308\n", "r1,forward,0,1"),
+    "huge_span": ("t_s,a_w\n-1e308,1\n1e308,1\n", "r1,forward,-1,1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_TRACES))
+def test_integrate_refuses_a_region_whose_energy_overflows(name, tmp_path, capsys):
+    trace_text, region = OVERFLOWING_TRACES[name]
+    trace = tmp_path / "trace.csv"
+    trace.write_text(trace_text, encoding="utf-8")
+    regions = tmp_path / "regions.csv"
+    regions.write_text(f"id,label,t_start_s,t_end_s\n{region}\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["integrate", "--trace", str(trace),
+                              "--regions", str(regions)], capsys)
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: region 'r1' ") and "overflows" in err
+    assert err.count("\n") == 1
+
+
+def test_integrate_and_calibrate_refuse_a_name_that_breaks_their_csv(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(CONSTANT_TRACE, encoding="utf-8")
+    regions = tmp_path / "regions.csv"
+    regions.write_text(REGIONS.replace("r1,", '"r1,'), encoding="utf-8")
+    code, out, err = run(["integrate", "--trace", str(trace), "--regions", str(regions)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: line 2: region id must be without commas, double quotes or "
+                   "line breaks, got '\"r1'\n")
+    measurements = tmp_path / "measurements.csv"
+    for old, new, what in (("pascal,net_a,forward,1,64,", '"pascal,net_a,forward,1,64,', "device"),
+                           ("pascal,net_a,forward,1,64,", 'pascal,net"a,forward,1,64,', "network")):
+        measurements.write_text(MEASUREMENTS.replace(old, new), encoding="utf-8")
+        code, out, err = run(["calibrate", "--measurements", str(measurements)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line 2: {what} must be without commas, double quotes")
+
+
 def test_gen_trace_energy_and_determinism(capsys):
     argv = ["gen-trace", "--segments", "100:1", "--rate", "10",
             "--channels", "2", "--noise", "0"]
@@ -550,10 +592,13 @@ def hostile(draw, good=()):
 @st.composite
 def csv_files(draw, header, good_cells):
     """A small CSV: the right header or a wrong one, then up to 12 rows whose
-    cells are good or hostile numbers, now and then of the wrong width."""
+    cells are good or hostile numbers, now and then of the wrong width. A
+    good cell given as a list is one of its values: a name with a double
+    quote among good ones, say."""
     lines = [draw(st.sampled_from([header] * 4 + ["", "a,b", header + ",x"]))]
     for _ in range(draw(st.integers(0, 12))):
-        cells = [hostile(draw, [good] * 12) for good in good_cells]
+        cells = [hostile(draw, (good if isinstance(good, list) else [good]) * 12)
+                 for good in good_cells]
         lines.append(",".join(cells[:draw(st.sampled_from([len(cells)] * 9 + [1]))]))
     return "\n".join(lines).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
 
@@ -596,7 +641,7 @@ def cli_runs(draw):
     elif command == "integrate":
         files["trace"] = draw(csv_files("t_s,gpu_w,cpu_w", ["0", "1", "100"]))
         files["regions"] = draw(csv_files("id,label,t_start_s,t_end_s",
-                                          ["r1", "forward", "0", "1"]))
+                                          [["r1", "r1", "r2", '"r1'], "forward", "0", "1"]))
         argv += ["--trace", "@trace", "--regions", "@regions"]
     elif command == "gen-trace":
         segments = [f"{hostile(draw, ['100'])}:{hostile(draw, ['1'])}"
@@ -618,7 +663,8 @@ def cli_runs(draw):
         else:
             files["measurements"] = draw(csv_files(
                 "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch",
-                ["pascal", "net_a", "forward", "1", "64", "0.01", "4.0"]))
+                [["pascal", "pascal", "maxwell", '"pascal'], ["net_a", "net_a", 'net"a'],
+                 "forward", "1", "64", "0.01", "4.0"]))
             argv += ["--measurements", "@measurements"]
         ints = ",".join(hostile(draw, ["1", "2", "4"]) for _ in range(draw(st.integers(1, 3))))
         if command == "calibrate":
@@ -648,6 +694,16 @@ def cli_runs(draw):
 @example((["calibrate", "--bundled", "--gpus", "1,1"], {}))
 @example((["gen-trace", "--segments", "nan:1"], {}))
 @example((["gen-trace", "--segments", "100-inf:1"], {}))
+@example((["integrate", "--trace", "@trace", "--regions", "@regions"],
+          {"trace": OVERFLOWING_TRACES["huge_watts"][0].encode(),
+           "regions": f"id,label,t_start_s,t_end_s\n{OVERFLOWING_TRACES['huge_watts'][1]}\n".encode()}))
+@example((["integrate", "--trace", "@trace", "--regions", "@regions"],
+          {"trace": OVERFLOWING_TRACES["huge_span"][0].encode(),
+           "regions": f"id,label,t_start_s,t_end_s\n{OVERFLOWING_TRACES['huge_span'][1]}\n".encode()}))
+@example((["integrate", "--trace", "@trace", "--regions", "@regions"],
+          {"trace": CONSTANT_TRACE.encode(), "regions": REGIONS.replace("r1,", '"r1,').encode()}))
+@example((["calibrate", "--measurements", "@measurements"],
+          {"measurements": MEASUREMENTS.replace("pascal,", '"pascal,', 1).encode()}))
 @settings(max_examples=500, deadline=None)
 def test_main_exits_0_2_or_3_on_any_input(run_spec):
     argv, files = run_spec
@@ -676,9 +732,18 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
             assert {len(row) for row in rows} == {10}
             layers = [row[0] for row in rows]
             assert layers.count("total") == 1 and layers[-1] == "total"
+        if code == 0 and argv[0] == "integrate" and "--output" not in argv:
+            # one row per region, each as wide as the header, and no NaN or infinity
+            rows = list(csv.reader(stdout.getvalue().splitlines()))
+            assert len({len(row) for row in rows}) == 1
+            assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}
         if code == 0 and argv[0] == "calibrate":
             # a fit that succeeds is finite, and its model file reads back
             cells = stdout.getvalue().replace(",", " ").split()
             assert not {"nan", "inf", "-inf"} & set(cells)
+            if "--output" not in argv:
+                rows = list(csv.reader(line for line in stdout.getvalue().splitlines()
+                                       if not line.startswith("#")))
+                assert {len(row) for row in rows} == {9}
             if "--model-out" in argv:
                 energymodel.load_models(argv[argv.index("--model-out") + 1])

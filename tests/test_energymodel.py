@@ -150,6 +150,14 @@ def test_records_by_key_rejects_duplicates():
         records_by_key([rec, rec])
 
 
+@pytest.mark.parametrize("field", ["device", "network"])
+@pytest.mark.parametrize("name", ['"pascal', 'pas"cal', "a,b", "a\nb", "a\rb"])
+def test_record_names_must_read_back_as_one_csv_cell(field, name):
+    # calibrate prints both as cells of its CSV
+    with pytest.raises(ValueError, match=f"^{field} must be without commas, double quotes"):
+        record(**{field: name})
+
+
 # ---------------------------------------------------------------------------
 # Training plans
 # ---------------------------------------------------------------------------

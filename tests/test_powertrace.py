@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,9 @@ def test_region_validation():
                        (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="must be finite"):
             Region("r", "forward", start, end)
+    for rid in ('"r', 'r"', "a,b", "a\nb", "a\rb"):  # would not read back as one cell
+        with pytest.raises(ValueError, match="^region id must be without commas"):
+            Region(rid, "forward", 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,25 @@ def test_integrate_needs_two_samples():
     results = integrate_many(trace, [Region("r", "forward", 0.0, 2.0),
                                      Region("s", "other", 5.0, 6.0)])
     assert [type(r) for r in results] == [InsufficientSamplesError] * 2
+
+
+@pytest.mark.parametrize("times, watts, region", [
+    ([0.0, 1.0], [1e308, 1e308], ("r1", 0.0, 1.0)),  # the trapezoid's sum overflows
+    ([-1e308, 1e308], [1.0, 1.0], ("r1", -1.0, 1.0)),  # the sample step overflows
+    ([-1e308, 0.0, 1e308], [0.0, 0.0, 0.0], ("r1", -1e308, 1e308)),  # the duration does
+])
+def test_integrate_many_refuses_an_energy_that_overflows(times, watts, region):
+    trace = PowerTrace.build(["a"], times, [[w] for w in watts])
+    rid, start, end = region
+    # a region wholly before the trace is named only by its own empty result
+    regions = [Region("early", "other", -1.7e308, -1.6e308),
+               Region(rid, "forward", start, end), Region("r2", "forward", start, end)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RuntimeWarning
+        with pytest.raises(TraceFormatError, match=f"^region '{rid}' .*overflows"):
+            integrate_many(trace, regions)
+        with pytest.raises(TraceFormatError, match=f"^region '{rid}' "):
+            integrate(trace, regions[1])
 
 
 def test_integrate_additivity_on_split():

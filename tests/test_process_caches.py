@@ -1,10 +1,20 @@
-"""What each process builds once (the CLI parser, the bundled tables and
-their record index, the built-in shapes and cost rows, a shaped network's
-memory totals, the scored bundled rank grids) must not carry state from one
-call to the next."""
+"""What each process keeps must pay, and must not carry state from one call
+to the next.
+
+cnnergy keeps five ``functools`` caches, each read by the command named:
+the CLI parser (every ``cli.main`` call), the built-in networks' cost rows
+(``analyze --builtin``), the bundled measurement records (``calibrate
+--bundled``, and a ``rank --bundled`` grid that misses its memo), the
+scored bundled rank grids (``rank --bundled``) and the built-in networks'
+shapes (``score``, on such a miss). The bundled device and plan tables are
+read on every call. Per-object memos (a shaped network's memory totals, a
+GPU set's counts) live and die with their object and are not counted here.
+"""
 import contextlib
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +25,11 @@ from hypothesis import strategies as st
 
 import cnnergy
 import oracles
-from cnnergy import cli, tuner
+from cnnergy import arch, cli, costmodel, energymodel, tuner
 from cnnergy._tables import data_text
-from cnnergy.arch import BUILTIN_NETWORK_NAMES, builtin_network, infer_shapes
+from cnnergy.arch import BUILTIN_NETWORK_NAMES, builtin_network, emit_network, infer_shapes
 from cnnergy.errors import CnnergyError, NothingFeasibleError
 from cnnergy.energymodel import (
-    _bundled_index,
     bundled_devices,
     bundled_measurements,
     bundled_plans,
@@ -120,17 +129,6 @@ def test_score_with_default_shapes_equals_score_with_fresh_shapes():
         assert score(cfg, records, profiles) == score(cfg, records, profiles, shaped=shaped)
 
 
-def test_the_cached_record_index_is_read_only():
-    index = _bundled_index()
-    key = next(iter(index))
-    with pytest.raises(TypeError):
-        index[key] = None
-    assert index == records_by_key(bundled_measurements())
-    fresh = records_by_key(bundled_measurements())
-    fresh.clear()  # records_by_key still hands each caller its own dict
-    assert records_by_key(bundled_measurements()) == index
-
-
 def test_analyze_builtin_is_unchanged_by_batch_and_element_bytes_calls():
     argv = ["analyze", "--builtin", "resnet_gait"]
     before = in_process(argv)
@@ -227,3 +225,60 @@ def test_rank_from_a_file_is_scored_again_after_the_file_changes(tmp_path):
                     encoding="utf-8")
     after = in_process_with_errors(argv)
     assert after[0] == 0 and after == rank_reference(argv) and after != before
+
+
+#: The caches cnnergy keeps per process, by module.
+KEPT = {
+    "cli._parser": cli._parser,
+    "costmodel._builtin_rows": costmodel._builtin_rows,
+    "tuner._bundled_reports": tuner._bundled_reports,
+    "energymodel._bundled_measurements": energymodel._bundled_measurements,
+    "arch._builtin_shapes": arch._builtin_shapes,
+}
+
+
+def test_cnnergy_keeps_exactly_five_process_caches():
+    found = set()
+    for info in pkgutil.iter_modules(cnnergy.__path__):
+        module = importlib.import_module(f"cnnergy.{info.name}")
+        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+    assert found == set(KEPT)
+
+
+def model_warm_commands(tmp_path) -> list[list[str]]:
+    """The 21 commands of one pass of the benchmark's model-warm workload."""
+    commands = [["analyze", "--builtin", name] for name in BUILTIN_NETWORK_NAMES]
+    commands += [["analyze", "--builtin", name, "--batch", "64"] for name in BUILTIN_NETWORK_NAMES]
+    commands.append(["analyze", "--builtin", "caffenet", "--format", "table"])
+    for name in BUILTIN_NETWORK_NAMES:
+        path = tmp_path / f"{name}.arch"
+        path.write_text(emit_network(builtin_network(name)), encoding="utf-8")
+        commands.append(["analyze", "--arch", str(path)])
+    models = str(tmp_path / "models.json")
+    commands += [["calibrate", "--bundled", "--model-out", models],
+                 ["predict", "--models", models, "--device", "pascal", "--network",
+                  "resnet_gait", "--step", "forward", "--gpus", "1", "--batch", "96"]]
+    commands += [["rank", "--bundled", "--device", device, "--metric", metric]
+                 for device in ("pascal", "maxwell") for metric in RANK_METRICS]
+    return commands
+
+
+def test_each_kept_cache_is_read_again_by_the_model_warm_commands(tmp_path):
+    commands = model_warm_commands(tmp_path)
+    assert len(commands) == 21
+    for argv in commands:
+        assert in_process(argv)[0] == 0, argv
+    before = {name: cache.cache_info().hits for name, cache in KEPT.items()}
+    for argv in commands:
+        assert in_process(argv)[0] == 0, argv
+    hits = {name: cache.cache_info().hits - before[name] for name, cache in KEPT.items()}
+    assert hits == {"cli._parser": 21, "costmodel._builtin_rows": 9,
+                    "tuner._bundled_reports": 6, "energymodel._bundled_measurements": 1,
+                    "arch._builtin_shapes": 0}
+    # a grid the memo does not hold reads the shapes once per configuration,
+    # 36 times for the four built-in networks
+    tuner._bundled_reports.cache_clear()
+    shapes_before = arch._builtin_shapes.cache_info().hits
+    assert in_process(commands[-1])[0] == 0
+    assert arch._builtin_shapes.cache_info().hits - shapes_before >= 32
