@@ -436,8 +436,10 @@ def load_models(path) -> list[CalibratedModel]:
     Raises:
         DataFormatError: the file is not UTF-8 JSON, the JSON is not
             ``{"models": [...]}``, or a model has a missing, unknown or
-            mistyped key (non-finite numbers included); the message names
-            the file and the key. Integers in float fields are read as floats.
+            mistyped key (non-finite numbers included) or a device or network
+            name that is not one CSV cell (see :func:`~._tables.check_cell`);
+            the message names the file and the key. Integers in float fields
+            are read as floats.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -453,6 +455,11 @@ def load_models(path) -> list[CalibratedModel]:
             _check_entry(f"{path}: models[{i}]", entry)
             entry = {**entry, **{key: float(entry[key]) for key in _FLOAT_FIELDS},
                      "residuals": list(map(float, entry["residuals"]))}
+        for key in ("device", "network"):  # predict prints both as CSV cells
+            try:
+                check_cell(key, entry[key])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: models[{i}]: bad value for {key!r}: {exc}") from None
         models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
     return models
 

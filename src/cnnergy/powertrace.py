@@ -336,6 +336,12 @@ def default_labels(channels: int) -> tuple[str, ...]:
     return tuple(f"ch{i}" for i in range(1, channels + 1))
 
 
+def _midpoint(a: float, b: float) -> float:
+    """``(a + b) / 2``, also where ``a + b`` overflows."""
+    total = a + b
+    return total / 2.0 if total < math.inf else a / 2.0 + b / 2.0
+
+
 def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: int = 8,
                              noise_sigma: float = 0.0,
                              seed: int | None = None) -> PowerTrace:
@@ -378,7 +384,7 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
         offsets = np.arange(1, max(math.ceil(limit / dt), 0) + 2) * dt
         offsets = offsets[offsets < limit]
         times += [[t0], t0 + offsets]
-        totals += [[(prev_end + seg.start_watts) / 2.0],
+        totals += [[_midpoint(prev_end, seg.start_watts)],
                    np.broadcast_to(seg.value_at(offsets), offsets.shape)]
         t0 += seg.duration_s
     t_arr = np.concatenate(times + [[t0]])
@@ -394,21 +400,182 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
 # CSV emission
 # ---------------------------------------------------------------------------
 
-#: Rows formatted per ``%`` operation by :func:`trace_csv`, which bounds the
-#: Python floats alive at once.
+#: Rows formatted per block by :func:`trace_csv`, which bounds the size of
+#: the arrays alive at once.
 _CSV_BLOCK_ROWS = 4096
+
+#: The powers of ten that a float64 holds exactly.
+_EXACT_POW10 = 10.0 ** np.arange(23)
+
+#: A scaled value at least this far from its nearest integer is a near-tie,
+#: left to Python's ``%`` (see :class:`_GCells`).
+_NEAR_TIE = 0.5 - 2.0 ** -20
+
+
+class _GCells:
+    """The text of ``"%.<p>g" % v`` for each value of a 1-D float array, as
+    columns of characters (one array per character position) with the width
+    of each cell.
+
+    Each value is scaled to ``m = |v| * 10**k`` with ``k = p - 1 -
+    floor(log10|v|)``, so that m lies in ``[10**(p-1), 10**p)``. If ``|k| <=
+    22``, the scaling is one multiply or divide by an exact power of ten, so
+    m is within half an ulp, 2**-24 at most for ``p <= 9``, of the exact
+    product; ``rint(m)`` then gives the same p digits as Python's correctly
+    rounded ``%`` wherever m is not within 2**-20 of a half. The rest,
+    near-ties (true ties included, which Python breaks to even on the exact
+    binary value) and values with ``|k| > 22`` (about ``|v| < 1e-17`` or
+    ``> 1e27``), are the *slow* cells: one bulk ``%`` formats them all.
+    Where ``floor(log10|v|)`` is one off, v lies within about 1e-13 of a
+    power of ten, which rounding to p digits reaches anyway: m rounds to
+    ``10**(p-1)``, or to ``10**p`` and carries, with the same digits.
+
+    The rounded digits are then laid out as ``%g`` does: fixed notation for
+    exponents X in ``-4 <= X < p``, ``d.ddde±XX`` otherwise, trailing zeros
+    stripped, ``0`` and ``-0`` for zeros.
+    """
+
+    def __init__(self, values: np.ndarray, p: int):
+        n = values.shape[0]
+        a = np.abs(values)
+        zero = a == 0.0
+        k = (p - 1) - np.floor(np.log10(np.maximum(a, 5e-324))).astype(np.intp)
+        # One of the two factors is 1; out of range, k is clipped (slow cells).
+        m = a * _EXACT_POW10[np.clip(k, 0, 22)] / _EXACT_POW10[np.clip(-k, 0, 22)]
+        r = np.rint(m)
+        slow = np.abs(m - r) > _NEAR_TIE
+        slow |= (k < -22) | (k > 22)
+        slow &= ~zero
+        carry = r == 10.0 ** p  # rounded up to one digit more
+        r[carry] = 10.0 ** (p - 1)
+        k -= carry
+        # Zeros, and slow cells until their text replaces it, print as "0".
+        plain = zero | slow
+        r[plain] = 0.0
+        k[plain] = p - 1
+        exponent = ((p - 1) - k).astype(np.int8)
+
+        digits = np.empty((p, n), np.uint8)
+        q = r.astype(np.int32)
+        for i in range(p - 1, 0, -1):
+            q_10 = q // 10
+            digits[i] = q - 10 * q_10
+            q = q_10
+        digits[0] = q
+        kept = np.full(n, p, np.int8)  # digits left after stripping zeros
+        trailing = digits[p - 1] == 0
+        kept -= trailing
+        for i in range(p - 2, 0, -1):
+            trailing &= digits[i] == 0
+            kept -= trailing
+        digits += ord("0")
+
+        # Masks pick by arithmetic, not np.where, which branches per value.
+        fixed = (exponent >= -4) & (exponent < p)
+        small = fixed & (exponent < 0)  # 0.000ddd: its "0." and zeros lead
+        before_point = 1 + fixed * exponent + small * (p - 1 - exponent)  # p if small
+        point = kept > before_point
+        n_digits = np.maximum(kept, before_point) - small * (p - kept)
+        # Row j is each cell's j-th character after the sign and the lead:
+        # its digits with the decimal point inserted. Row j starts as the
+        # digit before it, as it is after the point; where the point falls
+        # on or after j it is then moved (uint8 arithmetic wraps, so adding
+        # a difference of characters gives the other one).
+        self.mantissa = np.empty((p + 1, n), np.uint8)
+        self.mantissa[0] = digits[0]
+        self.mantissa[1:] = digits
+        for j in range(1, before_point.max() + 1):
+            row = self.mantissa[j]
+            row += (before_point == j) * (ord(".") - row)
+            if j < p:
+                row += (before_point > j) * (digits[j] - row)
+        self.negative = np.signbit(values) & ~slow
+        self.lead = small * (1 - exponent)
+        self.mantissa_width = n_digits + point
+        self.exponent = exponent
+        self.small = np.flatnonzero(small)
+        self.exponential = np.flatnonzero(~fixed)
+        self.width = self.negative + self.lead + self.mantissa_width
+        self.width[self.exponential] += 4  # e±XX: |X| <= p + 22 has two digits
+        self.slow = np.flatnonzero(slow)
+        if self.slow.size:
+            text = ("%%.%dg\n" % p) * self.slow.size % tuple(values[self.slow].tolist())
+            self.slow_text = np.frombuffer(text.encode("ascii"), np.uint8)
+            ends = np.flatnonzero(self.slow_text == ord("\n"))
+            self.width[self.slow] = np.diff(ends, prepend=-1) - 1
+
+    def mantissa_start(self, start: np.ndarray) -> np.ndarray:
+        """Where each cell's mantissa begins, for cells beginning at ``start``."""
+        return start + self.negative + self.lead
+
+    def write_rest(self, buf: np.ndarray, start: np.ndarray) -> None:
+        """Write each cell's sign, lead and exponent, and the slow cells'
+        text, for cells beginning at ``start``."""
+        if self.small.size:
+            at = start[self.small] + self.negative[self.small]
+            lead = self.lead[self.small]
+            for j, char in enumerate(b"0.000"):
+                inside = np.flatnonzero(lead > j)
+                buf[at[inside] + j] = char
+        if self.exponential.size:
+            cells = self.exponential
+            at = self.mantissa_start(start)[cells] + self.mantissa_width[cells]
+            exponent = self.exponent[cells]
+            buf[at] = ord("e")
+            buf[at + 1] = ord("+") + 2 * (exponent < 0)  # or "-"
+            exponent = np.abs(exponent)
+            tens = exponent // 10
+            buf[at + 2] = tens + ord("0")
+            buf[at + 3] = exponent - 10 * tens + ord("0")
+        buf[start[self.negative]] = ord("-")
+        if self.slow.size:
+            # Each text ends in the "\n" that the cell's separator overwrites.
+            text = self.slow_text
+            begins = np.flatnonzero(text == ord("\n")) - self.width[self.slow]
+            to = np.repeat(start[self.slow] - begins, self.width[self.slow] + 1)
+            buf[to + np.arange(text.size)] = text
+
+
+def _csv_block(times: np.ndarray, watts: np.ndarray) -> str:
+    """Rows of :func:`trace_csv`: each timestamp as ``%.9g``, each watt as
+    ``%.6g``, laid out in one byte buffer at offsets summed from the cell
+    widths."""
+    n, channels = watts.shape
+    t_cells, w_cells = _GCells(times, 9), _GCells(watts.ravel(), 6)
+    widths = np.empty((n, channels + 1), np.intp)
+    widths[:, 0] = t_cells.width
+    widths[:, 1:] = w_cells.width.reshape(n, channels)
+    widths += 1  # the separator after each cell
+    ends = np.cumsum(widths.ravel()).reshape(n, channels + 1)
+    starts = ends - widths
+    size = int(ends[-1, -1])
+    buf = np.empty(size + 10, np.uint8)  # room for what the last cells spill
+    t_start, w_start = starts[:, 0], starts[:, 1:].ravel()
+    t_at, w_at = t_cells.mantissa_start(t_start), w_cells.mantissa_start(w_start)
+    # Each mantissa is written whole, all its p + 1 columns, even where it is
+    # shorter. Column j of a cell lies before column j of every later cell,
+    # so what spills past a mantissa lands on its own exponent or separator,
+    # written afterwards, or on a later cell's column of a lower index, which
+    # this loop, from the last column to the first, also writes afterwards.
+    for j in range(9, -1, -1):
+        buf[t_at + j] = t_cells.mantissa[j]
+        if j <= 6:
+            buf[w_at + j] = w_cells.mantissa[j]
+    t_cells.write_rest(buf, t_start)
+    w_cells.write_rest(buf, w_start)
+    buf[ends - 1] = ord(",")
+    buf[ends[:, -1] - 1] = ord("\n")
+    return buf[:size].tobytes().decode("ascii")
 
 
 def trace_csv(trace: PowerTrace) -> str:
-    """Serialize a trace (timestamps keep 9 significant digits, watts 6)."""
-    out = io.StringIO()
-    out.write("t_s," + ",".join(f"{l}_w" for l in trace.channel_labels) + "\n")
-    row = "%.9g" + ",%.6g" * trace.n_channels + "\n"
-    values = np.column_stack((trace.times, trace.watts))
+    """Serialize a trace: timestamps keep 9 significant digits, watts 6, byte
+    for byte as Python's ``%.9g`` and ``%.6g`` print them."""
+    chunks = ["t_s," + ",".join(f"{l}_w" for l in trace.channel_labels) + "\n"]
     for start in range(0, trace.n_samples, _CSV_BLOCK_ROWS):
-        block = values[start:start + _CSV_BLOCK_ROWS]
-        out.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
-    return out.getvalue()
+        stop = start + _CSV_BLOCK_ROWS
+        chunks.append(_csv_block(trace.times[start:stop], trace.watts[start:stop]))
+    return "".join(chunks)
 
 
 def region_results_csv(trace: PowerTrace, regions) -> str:

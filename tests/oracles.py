@@ -182,7 +182,8 @@ def trapezoid_region_reference(times, watts, lo, hi):
 
 def synthetic_samples_reference(segments, sample_rate):
     """Sample times and total watts of a piecewise profile, one sample per
-    loop step: a junction sample per segment start, interior samples at
+    loop step: a junction sample per segment start at the midpoint of the
+    levels on either side, interior samples at
     k/sample_rate while short of the segment end by more than 1e-12 s, and
     the final level at the end."""
     dt = 1.0 / sample_rate
@@ -191,7 +192,8 @@ def synthetic_samples_reference(segments, sample_rate):
     for i, seg in enumerate(segments):
         prev_end = segments[i - 1].final_watts if i > 0 else seg.start_watts
         times.append(t0)
-        totals.append((prev_end + seg.start_watts) / 2.0)
+        total = prev_end + seg.start_watts  # halved after the sum, unless it overflows
+        totals.append(total / 2.0 if math.isfinite(total) else prev_end / 2.0 + seg.start_watts / 2.0)
         k = 1
         while k * dt < seg.duration_s - 1e-12:
             times.append(t0 + k * dt)
@@ -381,8 +383,10 @@ def load_models_reference(path) -> list[CalibratedModel]:
     Raises:
         DataFormatError: the file is not UTF-8 JSON, the JSON is not
             ``{"models": [...]}``, or a model has a missing, unknown or
-            mistyped key (non-finite numbers included); the message names
-            the file and the key. Integers in float fields are read as floats.
+            mistyped key (non-finite numbers included), or a device or
+            network name that holds a comma, a double quote or a line break;
+            the message names the file and the key. Integers in float fields
+            are read as floats.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -405,6 +409,11 @@ def load_models_reference(path) -> list[CalibratedModel]:
                 raise DataFormatError(f"{where}: missing key {key!r}")
             if not _json_fits(kind, entry[key]):
                 raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
+        for key in ("device", "network"):
+            if any(c in entry[key] for c in ',"\r\n'):
+                raise DataFormatError(
+                    f"{where}: bad value for {key!r}: {key} must be without commas, "
+                    f"double quotes or line breaks, got {entry[key]!r}")
         floats = {key: float(entry[key]) for key, kind in _MODEL_FIELDS.items() if kind is float}
         models.append(CalibratedModel(**{**entry, **floats,
                                          "residuals": tuple(map(float, entry["residuals"]))}))

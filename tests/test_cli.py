@@ -264,6 +264,18 @@ def test_gen_trace_non_finite_watts_exit_2_naming_the_segment(segments, capsys):
                    "start-end:seconds): segment watts must be finite and >= 0\n")
 
 
+@pytest.mark.parametrize("segments", ["1e308:1", "1e308:1,1e308:1"])
+def test_gen_trace_accepts_levels_whose_sum_overflows(segments, capsys):
+    # the junction sample between two levels near the float limit is their
+    # midpoint, not an infinite sum halved; 1e308 prints through Python's %
+    code, out, err = run(["gen-trace", "--segments", segments, "--channels", "1",
+                          "--rate", "2"], capsys)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert rows[0] == "t_s,ch1_w" and len(rows) == 2 * segments.count(":") + 2
+    assert {row.split(",")[1] for row in rows[1:]} == {"1e+308"}
+
+
 def test_gen_trace_over_the_size_cap_exits_2(capsys):
     code, out, err = run(["gen-trace", "--segments", "100:1e9", "--rate", "1000"], capsys)
     assert code == 2 and out == ""
@@ -388,6 +400,22 @@ def test_predict_bad_model_json_exits_2(tmp_path, capsys, payload):
                          capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {model_file}: ")
+
+
+@pytest.mark.parametrize("key, name", [("device", '"pascal'), ("network", "net,a"),
+                                       ("network", "net\na")])
+@pytest.mark.parametrize("slope", [1e-4, 1])  # as save_models writes it, and an int slope
+def test_predict_refuses_a_model_name_that_is_not_one_csv_cell(key, name, slope, tmp_path,
+                                                               capsys):
+    model_file = tmp_path / "models.json"
+    model = {**MODEL, key: name, "slope": slope}
+    model_file.write_text(json.dumps({"models": [MODEL, model]}), encoding="utf-8")
+    code, out, err = run(["predict", "--models", str(model_file), "--device", model["device"],
+                          "--network", model["network"], "--step", "forward", "--gpus", "1",
+                          "--batch", "64", "--quantity", "seconds"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {model_file}: models[1]: bad value for {key!r}: {key} must be "
+                   f"without commas, double quotes or line breaks, got {name!r}\n")
 
 
 def test_predict_model_file_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -693,6 +721,10 @@ def cli_runs(draw):
 @example((["calibrate", "--bundled", "--gpus", "0"], {}))
 @example((["calibrate", "--bundled", "--gpus", "1,1"], {}))
 @example((["gen-trace", "--segments", "nan:1"], {}))
+@example((["gen-trace", "--segments", "1e308:1,1e308:1", "--channels", "1", "--rate", "2"], {}))
+@example((["predict", "--models", "@models", "--device", '"pascal', "--network", "net_a",
+           "--step", "forward", "--gpus", "1", "--batch", "64"],
+          {"models": json.dumps({"models": [{**MODEL, "device": '"pascal'}]}).encode()}))
 @example((["gen-trace", "--segments", "100-inf:1"], {}))
 @example((["integrate", "--trace", "@trace", "--regions", "@regions"],
           {"trace": OVERFLOWING_TRACES["huge_watts"][0].encode(),

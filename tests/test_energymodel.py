@@ -428,7 +428,11 @@ def test_save_models_writes_the_bytes_json_dumps_wrote(tmp_path, models):
     save_models_reference(models, tmp_path / "reference.json")
     written = (tmp_path / "models.json").read_bytes()
     assert written == (tmp_path / "reference.json").read_bytes()
-    assert load_models(tmp_path / "models.json") == models
+    if all(not set(',"\r\n') & set(m.device + m.network) for m in models):
+        assert load_models(tmp_path / "models.json") == models
+    else:  # predict prints both names as CSV cells, so loading refuses the file
+        with pytest.raises(DataFormatError, match=r"models\[\d+\]: bad value for '(device|network)'"):
+            load_models(tmp_path / "models.json")
 
 
 OTHER_JSON = st.one_of(st.none(), st.booleans(), st.integers(), st.just(10 ** 400),

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnnergy.errors import (
@@ -339,16 +339,46 @@ def test_parse_trace_strips_watt_suffix():
     assert trace.channel_labels == ("pcie_12v", "ext12v_1")
 
 
-@given(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=20, unique=True),
-       st.integers(1, 4), st.data())
-@settings(max_examples=100, deadline=None)
-def test_trace_csv_matches_cell_by_cell_emitter(times, channels, data):
-    watts = data.draw(st.lists(
-        st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, -0.0, 5e-324, 123456.5])),
-        min_size=len(times) * channels, max_size=len(times) * channels))
-    trace = PowerTrace.build([f"c{i}" for i in range(channels)], sorted(times),
-                             np.reshape(watts, (len(times), channels)))
-    assert trace_csv(trace) == trace_csv_reference(trace)
+#: Values at the vectorised formatter's decision boundaries: ties at 6 and 9
+#: digits, rounding that carries into one more digit, the fixed/exponential
+#: edges, the edge of exact scaling (|k| = 22), neighbours of powers of ten
+#: (where floor(log10) may be one off) and the ends of the range.
+EDGE_WATTS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              123456.5, 12345.25, 1234.125, 999999.5, 99999.95, 9.999995e-05, 999999.7,
+              1e-4, 1e-5, 9.99999e-05, 1e6, 1e9, 1e-17, 1e-18, 1e27, 1e28,
+              999.9999999999999, 1000.0000000000001, 0.09999999999999999, 0.1]
+
+
+@st.composite
+def csv_traces(draw):
+    """(times, watts rows): any finite timestamps, subnormals included, and
+    watts from the whole finite range >= 0 or from :data:`EDGE_WATTS`."""
+    channels = draw(st.integers(1, 4))
+    times = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=20, unique=True))
+    watts = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from(EDGE_WATTS))
+    rows = draw(st.lists(st.lists(watts, min_size=channels, max_size=channels),
+                         min_size=len(times), max_size=len(times)))
+    return sorted(times), rows
+
+
+@given(csv_traces())
+@example(([12345678.25, 123456789.5],  # 9-digit ties, broken to even
+          [[123456.5, 12345.25, 1234.125], [999999.5, 99999.95, 9.999995e-05]]))
+@example(([-1e-5, 1e-5, 9.9999999995e-05, 1e-4, 999999999.7, 1e9, 1e27, 1e30],
+          [[1e-4, 1e-5, 1e6], [9.99999e-05, 999999.4, 1e5], [1e9, 0.0, -0.0],
+           [1e-17, 1e-18, 1e27], [1e28, 999999.7, 5e-324], [1.0, 10.0, 100.0],
+           [0.1, 0.01, 0.001], [1e-3, 1e-2, 1e-1]]))
+@example(([-0.0, 5e-324, 1.7976931348623157e308],
+          [[5e-324, 1.7976931348623157e308, 0.0]] * 3))
+@settings(max_examples=300, deadline=None)
+def test_trace_csv_matches_cell_by_cell_emitter(table):
+    times, rows = table
+    trace = PowerTrace.build([f"c{i}" for i in range(len(rows[0]))], times, rows)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        text = trace_csv(trace)
+    assert text == trace_csv_reference(trace)
 
 
 def test_trace_csv_matches_cell_by_cell_emitter_across_blocks():
@@ -465,6 +495,7 @@ def test_synthetic_rejects_bad_segments():
                           st.one_of(st.none(), st.floats(0.0, 300.0))),
                 min_size=1, max_size=4),
        st.sampled_from([1.0, 3.0, 100.0, 997.3, 1000.0, 4096.0]))
+@example([(0.5, 1e308, None), (0.5, 1.7e308, 1e308), (0.5, 100.0, None)], 4.0)  # a + b overflows
 @settings(max_examples=150, deadline=None)
 def test_synthetic_samples_match_loop_reference(parts, rate):
     segments = [SegmentSpec(*p) for p in parts]
