@@ -407,7 +407,7 @@ _CSV_BLOCK_ROWS = 4096
 #: The powers of ten that a float64 holds exactly.
 _EXACT_POW10 = 10.0 ** np.arange(23)
 
-#: A scaled value at least this far from its nearest integer is a near-tie,
+#: A scaled value farther than this from its nearest integer is a near-tie,
 #: left to Python's ``%`` (see :class:`_GCells`).
 _NEAR_TIE = 0.5 - 2.0 ** -20
 
@@ -424,8 +424,9 @@ class _GCells:
     product; ``rint(m)`` then gives the same p digits as Python's correctly
     rounded ``%`` wherever m is not within 2**-20 of a half. The rest,
     near-ties (true ties included, which Python breaks to even on the exact
-    binary value) and values with ``|k| > 22`` (about ``|v| < 1e-17`` or
-    ``> 1e27``), are the *slow* cells: one bulk ``%`` formats them all.
+    binary value) and values with ``|k| > 22`` (``|v| < 10**(p-23)`` or
+    ``>= 10**(p+22)``: 1e-17 and 1e28 for watts), are the *slow* cells: one
+    bulk ``%`` formats them all.
     Where ``floor(log10|v|)`` is one off, v lies within about 1e-13 of a
     power of ten, which rounding to p digits reaches anyway: m rounds to
     ``10**(p-1)``, or to ``10**p`` and carries, with the same digits.
@@ -475,7 +476,7 @@ class _GCells:
         small = fixed & (exponent < 0)  # 0.000ddd: its "0." and zeros lead
         before_point = 1 + fixed * exponent + small * (p - 1 - exponent)  # p if small
         point = kept > before_point
-        n_digits = np.maximum(kept, before_point) - small * (p - kept)
+        n_digits = np.maximum(kept, before_point) - small * (p - kept)  # kept if small
         # Row j is each cell's j-th character after the sign and the lead:
         # its digits with the decimal point inserted. Row j starts as the
         # digit before it, as it is after the point; where the point falls

@@ -374,7 +374,8 @@ def csv_traces(draw):
 @settings(max_examples=300, deadline=None)
 def test_trace_csv_matches_cell_by_cell_emitter(table):
     times, rows = table
-    trace = PowerTrace.build([f"c{i}" for i in range(len(rows[0]))], times, rows)
+    labels = [f"c{i}" if i % 2 else f"\u00e9{i}" for i in range(len(rows[0]))]  # UTF-8 too
+    trace = PowerTrace.build(labels, times, rows)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         text = trace_csv(trace)
