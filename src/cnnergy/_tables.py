@@ -1,24 +1,40 @@
-"""The one text format cnnergy's tables come in, read in one place.
+"""The one text format cnnergy's tables come in, read and written here.
 
 Every table is CSV with a fixed header: blank and whitespace-only lines are
 skipped, the header and every row are split on commas with each cell
 stripped, and row errors name their line in the file, blank lines included.
+Errors from a file name it as ``<path>: ...``.
 
 The reader checks only the format; the records it builds check their own
 values. A name that a command prints as a CSV cell is checked by
-:func:`check_cell`.
+:func:`check_cell`. Every report a command prints is written by
+:func:`render`, as CSV or as aligned columns.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .errors import DataFormatError
+from .errors import CnnergyError, DataFormatError
 
 
 def data_text(relpath: str) -> str:
     """Text of a bundled file under ``cnnergy/data``."""
     return resources.files("cnnergy").joinpath(f"data/{relpath}").read_text(encoding="utf-8")
+
+
+def read_file(path, parse):
+    """``parse(text)`` of a UTF-8 file. What it raises keeps its class, and
+    it and a file that is not UTF-8 (a DataFormatError) name the file as
+    ``"<path>: ..."``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    except CnnergyError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_csv(text: str, what: str, header: str, build, error=DataFormatError) -> list:
@@ -58,3 +74,16 @@ def check_cell(what: str, value: str, refused: tuple[str, ...] = ()) -> None:
         rules = ", ".join(f"not {r!r}" if r else "non-empty" for r in refused)
         raise ValueError(f"{what} must be {rules + ' and ' if rules else ''}without commas, "
                          f"double quotes or line breaks, got {value!r}")
+
+
+def render(head, rows, tail=(), table=False) -> str:
+    """A report from ``#`` comment lines ``head`` and ``tail`` and ``rows``
+    of cell strings, the header row first: as CSV in that order, or as a
+    table of every comment, then each column padded to its widest cell, two
+    spaces apart, with trailing spaces stripped."""
+    if not table:
+        return "\n".join([*head, *map(",".join, rows), *tail]) + "\n"
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join([*head, *tail, *(
+        "  ".join([cell.ljust(width) for cell, width in zip(row, widths)]).rstrip()
+        for row in rows)]) + "\n"

@@ -6,10 +6,11 @@ regions -> joules), ``gen-trace`` (synthetic power trace), ``calibrate``
 ``rank`` (order training configurations by time/energy/EDP).
 
 All commands accept ``--output PATH`` (default stdout) and ``--format
-csv|table``. Floats are printed with 6 significant digits so identical
-invocations produce identical bytes. Exit codes: 0 success, 2 input or
-data error (an ``--output`` that cannot be written included), 3 nothing
-to produce (an empty or infeasible rank grid, or no group to fit).
+csv|table`` (``gen-trace`` prints CSV only). Floats are printed with 6
+significant digits so identical invocations produce identical bytes. Exit
+codes: 0 success, 2 input or data error (an ``--output`` that cannot be
+written included), 3 nothing to produce (an empty or infeasible rank grid,
+or no group to fit).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from . import arch, costmodel, energymodel, tuner
+from . import _tables, arch, costmodel, energymodel, tuner
 from .errors import CnnergyError, DataFormatError, NothingFeasibleError
 from .multigpu import GpuSet
 
@@ -27,34 +28,14 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _render_table(csv_text: str) -> str:
-    """Align a CSV report into padded columns; comment lines pass through."""
-    comments, rows = [], []
-    for line in csv_text.splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif line:
-            rows.append(line.split(","))
-    widths: list[int] = []
-    for row in rows:
-        for i, cell in enumerate(row):
-            if i >= len(widths):
-                widths.append(0)
-            widths[i] = max(widths[i], len(cell))
-    lines = comments + [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _deliver(text: str, args) -> None:
-    if args.format == "table":
-        text = _render_table(text)
+def _deliver(report, args) -> None:
+    """Write a command's ``(head, rows, tail)`` report, or gen-trace's CSV text."""
+    if not isinstance(report, str):
+        report = _tables.render(*report, table=args.format == "table")
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_text(report, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -68,13 +49,13 @@ def _int_list(text: str) -> tuple[int, ...]:
 # analyze
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> str:
+def cmd_analyze(args):
     if args.builtin:
         name = args.builtin  # as the built-in's own `# network:` line names it
         summary = costmodel.CostSummary(*costmodel._builtin_rows(name), args.element_bytes)
     else:
-        text = Path(args.arch).read_text(encoding="utf-8")
-        shaped = arch.infer_shapes(arch.parse_network(text, name=Path(args.arch).stem))
+        shaped = _tables.read_file(args.arch, lambda text: arch.infer_shapes(
+            arch.parse_network(text, name=Path(args.arch).stem)))
         name, summary = shaped.spec.name, costmodel.network_cost(
             shaped, element_bytes=args.element_bytes)
     if args.batch is not None:
@@ -91,19 +72,19 @@ def cmd_analyze(args) -> str:
         f"# written_mb: {_fmt(summary.total_written_bytes / mb)}",
         f"# ctc: {'' if summary.ctc is None else _fmt(summary.ctc)}",
     ]
-    return "\n".join(head) + "\n" + costmodel.cost_csv(summary)
+    return head, costmodel._cost_rows(summary), ()
 
 
 # ---------------------------------------------------------------------------
 # integrate / gen-trace (powertrace, and with it numpy, loads only here)
 # ---------------------------------------------------------------------------
 
-def cmd_integrate(args) -> str:
+def cmd_integrate(args):
     from . import powertrace
 
     trace = powertrace.load_trace(args.trace)
     regions = powertrace.load_regions(args.regions)
-    return powertrace.region_results_csv(trace, regions)
+    return (), powertrace._region_rows(trace, regions), ()
 
 
 def _parse_segments(text: str) -> list[powertrace.SegmentSpec]:
@@ -134,6 +115,8 @@ def _parse_segments(text: str) -> list[powertrace.SegmentSpec]:
 
 
 def cmd_gen_trace(args) -> str:
+    if args.format == "table":  # integrate could not read a padded trace back
+        raise DataFormatError("gen-trace prints CSV only; --format table is not supported")
     from . import powertrace
 
     trace = powertrace.generate_synthetic_trace(
@@ -156,36 +139,34 @@ def _load_records(args) -> list[energymodel.MeasurementRecord]:
     return energymodel.load_measurements(args.measurements)
 
 
-def cmd_calibrate(args) -> str:
+def cmd_calibrate(args):
     records = _load_records(args)
     models, skipped = energymodel.calibrate(records, gpu_counts=args.gpus)
     if not models:
         raise NothingFeasibleError(f"no model to fit ({len(skipped)} group(s) skipped)")
     if args.model_out:
         energymodel.save_models(models, args.model_out)
-    lines = [f"# fitted: {len(models)}", f"# skipped: {len(skipped)}"]
-    for group in skipped:
-        lines.append(f"# skipped {group.device}/{group.network}/{group.step}/"
-                     f"{group.gpus}/{group.quantity}: {group.reason}")
-    lines.append("device,network,step,gpus,quantity,slope,intercept,r_squared,n_points")
-    for m in models:
-        lines.append(f"{m.device},{m.network},{m.step},{m.gpus},{m.quantity},"
-                     f"{_fmt(m.slope)},{_fmt(m.intercept)},{_fmt(m.r_squared)},{m.n_points}")
-    return "\n".join(lines) + "\n"
+    head = [f"# fitted: {len(models)}", f"# skipped: {len(skipped)}", *[
+        f"# skipped {g.device}/{g.network}/{g.step}/{g.gpus}/{g.quantity}: {g.reason}"
+        for g in skipped]]
+    rows = [("device", "network", "step", "gpus", "quantity", "slope", "intercept",
+             "r_squared", "n_points"), *[
+        (m.device, m.network, m.step, str(m.gpus), m.quantity, _fmt(m.slope),
+         _fmt(m.intercept), _fmt(m.r_squared), str(m.n_points)) for m in models]]
+    return head, rows, ()
 
 
-def cmd_predict(args) -> str:
+def cmd_predict(args):
     models = energymodel.load_models(args.models)
     quantities = (args.quantity,) if args.quantity else energymodel.QUANTITIES
-    lines = ["device,network,step,gpus,batch,quantity,value,extrapolated"]
+    rows = [("device", "network", "step", "gpus", "batch", "quantity", "value", "extrapolated")]
     for quantity in quantities:
         model = energymodel.find_model(models, args.device, args.network,
                                        args.step, args.gpus, quantity)
         p = energymodel.predict(model, args.batch)
-        lines.append(f"{args.device},{args.network},{args.step},{args.gpus},"
-                     f"{args.batch},{quantity},{_fmt(p.value)},"
-                     f"{1 if p.extrapolation_warning else 0}")
-    return "\n".join(lines) + "\n"
+        rows.append((args.device, args.network, args.step, str(args.gpus), str(args.batch),
+                     quantity, _fmt(p.value), "1" if p.extrapolation_warning else "0"))
+    return (), rows, ()
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +177,22 @@ def _gpu_set_label(gpu_set: GpuSet) -> str:
     return "+".join(f"{name}:{count}" for name, count in gpu_set.members if count > 0)
 
 
-def cmd_rank(args) -> str:
+def cmd_rank(args):
     grid = (args.device, args.networks, args.batches, args.gpus, args.update_overhead_pct)
     # The bundled tables cannot change within a process, so each of their
     # grids is scored once; a measurements file is read and scored every call.
     reports = (tuner._bundled_reports(*grid) if args.bundled
                else tuner._score_grid(_load_records(args), *grid))
     ranked = tuner.rank(reports, metric=args.metric)
-    lines = [f"# metric: {args.metric}",
-             "rank,network,batch,gpus,gpu_set,kiloseconds,megajoules,edp_mj_ks"]
-    for position, report in enumerate(ranked, start=1):
-        cfg = report.config
-        lines.append(f"{position},{cfg.network},{cfg.batch},"
-                     f"{cfg.gpu_set.total_gpus},{_gpu_set_label(cfg.gpu_set)},"
-                     f"{_fmt(report.kiloseconds)},{_fmt(report.megajoules)},"
-                     f"{_fmt(report.edp_mj_ks)}")
-    for report in reports:
-        if not report.feasible:
-            cfg = report.config
-            lines.append(f"# infeasible: {cfg.network} batch={cfg.batch} "
-                         f"gpu_set={_gpu_set_label(cfg.gpu_set)} ({report.reason})")
-    return "\n".join(lines) + "\n"
+    rows = [("rank", "network", "batch", "gpus", "gpu_set", "kiloseconds", "megajoules",
+             "edp_mj_ks"), *[
+        (str(position), r.config.network, str(r.config.batch), str(r.config.gpu_set.total_gpus),
+         _gpu_set_label(r.config.gpu_set), _fmt(r.kiloseconds), _fmt(r.megajoules),
+         _fmt(r.edp_mj_ks)) for position, r in enumerate(ranked, start=1)]]
+    tail = [f"# infeasible: {r.config.network} batch={r.config.batch} "
+            f"gpu_set={_gpu_set_label(r.config.gpu_set)} ({r.reason})"
+            for r in reports if not r.feasible]
+    return [f"# metric: {args.metric}"], rows, tail
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH",
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("csv", "table"), default="csv",
-                        help="output format (default: csv)")
+                        help="output format (default: csv; gen-trace prints csv only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common],

@@ -22,12 +22,12 @@ geometry, works out for it, so the counts here take its shapes as given.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
 from . import arch
+from ._tables import render
 from .arch import ShapedLayer, ShapedNetwork
 
 
@@ -180,14 +180,18 @@ def batch_cost(summary: CostSummary, batch_size: int) -> CostSummary:
     return CostSummary(tuple(rows), total, summary.element_bytes)
 
 
+def _cost_rows(summary: CostSummary) -> list[tuple[str, ...]]:
+    """The cells of :func:`cost_csv`: the header, one row per layer, then
+    the ``total`` row."""
+    nbytes = summary.element_bytes
+    return [("layer", "kind", "macc", "max_ops", "add_div", "exp_add_div", "mul01",
+             "bias_add", "read_bytes", "written_bytes"), *[
+        (name, kind, str(macc), str(max_ops), str(add_div), str(exp_add_div), str(mul01),
+         str(bias_add), str(read * nbytes), str(written * nbytes))
+        for name, kind, macc, max_ops, add_div, exp_add_div, mul01, bias_add, read, written
+        in (*summary.per_layer, summary.total)]]
+
+
 def cost_csv(summary: CostSummary) -> str:
     """Per-layer cost report as CSV, ending with the ``total`` row."""
-    out = io.StringIO()
-    out.write("layer,kind,macc,max_ops,add_div,exp_add_div,mul01,bias_add,"
-              "read_bytes,written_bytes\n")
-    nbytes = summary.element_bytes
-    for row in (*summary.per_layer, summary.total):
-        out.write(f"{row.name},{row.kind},{row.macc},{row.max_ops},{row.add_div},"
-                  f"{row.exp_add_div},{row.mul01},{row.bias_add},"
-                  f"{row.read_elems * nbytes},{row.written_elems * nbytes}\n")
-    return out.getvalue()
+    return render((), _cost_rows(summary))

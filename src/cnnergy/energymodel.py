@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from ._tables import check_cell, data_text, read_csv
+from ._tables import check_cell, data_text, read_csv, read_file
 from .costmodel import CostSummary
 from .errors import (
     DataFormatError,
@@ -114,8 +114,8 @@ def parse_measurements(text: str) -> list[MeasurementRecord]:
 
 
 def load_measurements(path) -> list[MeasurementRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_measurements(fh.read())
+    """:func:`parse_measurements` of a file; its errors name the file."""
+    return read_file(path, parse_measurements)
 
 
 def bundled_measurements() -> list[MeasurementRecord]:
@@ -351,6 +351,11 @@ def _model_json(m: CalibratedModel) -> str:
     for value in (m.slope, m.intercept, m.r_squared, *m.residuals):
         if not math.isfinite(value):
             raise ValueError(f"model {m.key}: cannot save the non-finite number {value!r}")
+    try:  # load_models refuses what predict could not print as one CSV cell
+        check_cell("device", m.device)
+        check_cell("network", m.network)
+    except ValueError as exc:
+        raise ValueError(f"model {m.key}: {exc}") from None
     residuals = ("[\n        " + ",\n        ".join(map(_json_number, m.residuals)) + "\n      ]"
                  if m.residuals else "[]")
     return (f'    {{\n'
@@ -374,8 +379,10 @@ def save_models(models, path) -> None:
     keys, one object per model with the :class:`CalibratedModel` fields.
 
     Raises:
-        ValueError: a model holds a non-finite number; the message names
-            the model's key. Nothing is written then.
+        ValueError: a model holds a non-finite number, or a device or
+            network name that is not one CSV cell (see
+            :func:`~._tables.check_cell`); the message names the model's
+            key. Nothing is written then.
     """
     entries = ",\n".join(map(_model_json, models))
     text = f'{{\n  "models": [\n{entries}\n  ]\n}}\n' if entries else '{\n  "models": []\n}\n'

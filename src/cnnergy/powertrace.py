@@ -15,13 +15,12 @@ the trapezoidal integral of a step profile exact.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import check_cell, read_csv
+from ._tables import check_cell, read_csv, read_file, render
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -206,8 +205,8 @@ def _raise_first_bad_row(text: str, n_cols: int):
 
 
 def load_trace(path) -> PowerTrace:
-    with open(path, encoding="utf-8") as fh:
-        return parse_trace(fh)
+    """:func:`parse_trace` of a file; its errors name the file."""
+    return read_file(path, parse_trace)
 
 
 def parse_regions(source) -> list[Region]:
@@ -221,8 +220,8 @@ def parse_regions(source) -> list[Region]:
 
 
 def load_regions(path) -> list[Region]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_regions(fh)
+    """:func:`parse_regions` of a file; its errors name the file."""
+    return read_file(path, parse_regions)
 
 
 def integrate_many(trace: PowerTrace, regions) -> list[EnergyResult | CnnergyError]:
@@ -579,19 +578,23 @@ def trace_csv(trace: PowerTrace) -> str:
     return "".join(chunks)
 
 
-def region_results_csv(trace: PowerTrace, regions) -> str:
-    """One output row per region; failed regions keep their row with the
-    numeric cells empty and the error named in the trailing column."""
-    out = io.StringIO()
-    per_channel = ",".join(f"{l}_j" for l in trace.channel_labels)
-    out.write(f"id,label,duration_s,joules_total,mean_watts,{per_channel},error\n")
-    blank = "," * (trace.n_channels + 2)
+def _region_rows(trace: PowerTrace, regions) -> list[tuple[str, ...]]:
+    """The cells of :func:`region_results_csv`: the header, then one row per
+    region."""
+    rows = [("id", "label", "duration_s", "joules_total", "mean_watts",
+             *[f"{l}_j" for l in trace.channel_labels], "error")]
+    blank = ("",) * (trace.n_channels + 3)
     regions = list(regions)
     for region, r in zip(regions, integrate_many(trace, regions)):
         if isinstance(r, CnnergyError):
-            out.write(f"{region.id},{region.label},{blank},{type(r).__name__}\n")
-            continue
-        channel_cells = ",".join(f"{j:.6g}" for j in r.joules_per_channel)
-        out.write(f"{region.id},{region.label},{r.duration:.6g},{r.joules_total:.6g},"
-                  f"{r.mean_watts:.6g},{channel_cells},\n")
-    return out.getvalue()
+            rows.append((region.id, region.label, *blank, type(r).__name__))
+        else:
+            rows.append((region.id, region.label, f"{r.duration:.6g}", f"{r.joules_total:.6g}",
+                         f"{r.mean_watts:.6g}", *[f"{j:.6g}" for j in r.joules_per_channel], ""))
+    return rows
+
+
+def region_results_csv(trace: PowerTrace, regions) -> str:
+    """One output row per region; failed regions keep their row with the
+    numeric cells empty and the error named in the trailing column."""
+    return render((), _region_rows(trace, regions))

@@ -554,3 +554,29 @@ def rank_reference(args) -> str:
             lines.append(f"# infeasible: {cfg.network} batch={cfg.batch} "
                          f"gpu_set={label(cfg.gpu_set)} ({report.reason})")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# --format table: cli._render_table as it stood before commands handed rows to
+# _tables.render; it re-splits the printed CSV on commas
+# ---------------------------------------------------------------------------
+
+def render_table_reference(csv_text: str) -> str:
+    """Align a CSV report into padded columns; comment lines pass through."""
+    comments, rows = [], []
+    for line in csv_text.splitlines():
+        if line.startswith("#"):
+            comments.append(line)
+        elif line:
+            rows.append(line.split(","))
+    widths: list[int] = []
+    for row in rows:
+        for i, cell in enumerate(row):
+            if i >= len(widths):
+                widths.append(0)
+            widths[i] = max(widths[i], len(cell))
+    lines = comments + [
+        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"

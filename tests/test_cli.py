@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnnergy import cli, energymodel, powertrace
+from cnnergy.errors import DataFormatError, TraceFormatError
 
 from test_arch import arch_texts
 
@@ -121,7 +123,7 @@ def test_analyze_refuses_a_comma_in_a_layer_name(tmp_path, capsys):
     for fmt in ("csv", "table"):
         code, out, err = run(["analyze", "--arch", str(path), "--format", fmt], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("error: line 4: ") and "'a,b'" in err
+        assert err.startswith(f"error: {path}: line 4: ") and "'a,b'" in err
 
 
 @pytest.mark.parametrize("name", ['"x', "total"])
@@ -131,7 +133,7 @@ def test_analyze_refuses_a_layer_name_that_breaks_the_cost_csv(name, tmp_path, c
     path.write_text(TOY_ARCH.replace("relu r1", f"relu {name}"), encoding="utf-8")
     code, out, err = run(["analyze", "--arch", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: line 4: ") and repr(name) in err
+    assert err.startswith(f"error: {path}: line 4: ") and repr(name) in err
 
 
 def test_table_format_has_no_commas(capsys):
@@ -182,7 +184,7 @@ def test_integrate_infinite_region_bound_exits_2(tmp_path, capsys):
     code, out, err = run(["integrate", "--trace", str(trace),
                           "--regions", str(regions)], capsys)
     assert code == 2 and out == ""
-    assert err == "error: line 2: region 'r1': t_start and t_end must be finite\n"
+    assert err == f"error: {regions}: line 2: region 'r1': t_start and t_end must be finite\n"
 
 
 #: Traces whose trapezoid overflows: watts near the float limit, and a time
@@ -216,15 +218,16 @@ def test_integrate_and_calibrate_refuse_a_name_that_breaks_their_csv(tmp_path, c
     regions.write_text(REGIONS.replace("r1,", '"r1,'), encoding="utf-8")
     code, out, err = run(["integrate", "--trace", str(trace), "--regions", str(regions)], capsys)
     assert (code, out) == (2, "")
-    assert err == ("error: line 2: region id must be without commas, double quotes or "
-                   "line breaks, got '\"r1'\n")
+    assert err == (f"error: {regions}: line 2: region id must be without commas, double "
+                   "quotes or line breaks, got '\"r1'\n")
     measurements = tmp_path / "measurements.csv"
     for old, new, what in (("pascal,net_a,forward,1,64,", '"pascal,net_a,forward,1,64,', "device"),
                            ("pascal,net_a,forward,1,64,", 'pascal,net"a,forward,1,64,', "network")):
         measurements.write_text(MEASUREMENTS.replace(old, new), encoding="utf-8")
         code, out, err = run(["calibrate", "--measurements", str(measurements)], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: line 2: {what} must be without commas, double quotes")
+        assert err.startswith(f"error: {measurements}: line 2: {what} must be without commas, "
+                              "double quotes")
 
 
 def test_gen_trace_energy_and_determinism(capsys):
@@ -276,10 +279,66 @@ def test_gen_trace_accepts_levels_whose_sum_overflows(segments, capsys):
     assert {row.split(",")[1] for row in rows[1:]} == {"1e+308"}
 
 
+def test_gen_trace_refuses_the_table_format_before_building_a_trace(tmp_path, capsys):
+    # integrate could not read a padded trace back; a trace over the size cap
+    # shows that the format is refused first
+    output = tmp_path / "trace.txt"
+    for extra in ([], ["--output", str(output)]):
+        code, out, err = run(["gen-trace", "--segments", "100:1e9", "--format", "table", *extra],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: gen-trace prints CSV only; --format table is not supported\n"
+    assert not output.exists()
+
+
 def test_gen_trace_over_the_size_cap_exits_2(capsys):
     code, out, err = run(["gen-trace", "--segments", "100:1e9", "--rate", "1000"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceeds the limit" in err
+
+
+#: Per input reader: the argv that reads it as @bad, a text it refuses, and
+#: the start of the error, which names the file.
+BAD_FILES = {
+    "arch": (["analyze", "--arch", "@bad"], "input 8 8 3\nbogus x\n",
+             "line 2: unknown layer kind 'bogus'"),
+    "trace": (["integrate", "--trace", "@bad", "--regions", "@regions"],
+              "t_s,gpu_w\n0,100\n\nx,100\n", "line 4: non-numeric cell in 'x,100'"),
+    "regions": (["integrate", "--trace", "@trace", "--regions", "@bad"],
+                "id,label,t_start_s,t_end_s\nr1,forward,0,x\n",
+                "line 2: could not convert string to float: 'x'"),
+    "measurements": (["calibrate", "--measurements", "@bad"],
+                     MEASUREMENTS.replace("0.02,8.0", "x,8.0"),
+                     "line 3: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BAD_FILES))
+def test_an_input_file_error_names_the_file(reader, tmp_path, capsys):
+    argv, text, message = BAD_FILES[reader]
+    (tmp_path / "trace").write_text(CONSTANT_TRACE, encoding="utf-8")
+    (tmp_path / "regions").write_text(REGIONS, encoding="utf-8")
+    bad = tmp_path / "bad"
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    for data, start in ((text.encode(), message),
+                        (text.encode()[:12] + b"\xff\n", "'utf-8' codec can't decode byte 0xff")):
+        bad.write_bytes(data)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: {start}"), err
+
+
+def test_input_file_errors_keep_their_class(tmp_path):
+    bad = tmp_path / "bad"
+    for load, error in ((powertrace.load_trace, TraceFormatError),
+                        (powertrace.load_regions, TraceFormatError),
+                        (energymodel.load_measurements, DataFormatError)):
+        bad.write_text("x\n", encoding="utf-8")
+        with pytest.raises(error, match=f"^{re.escape(str(bad))}: .* header must be"):
+            load(bad)
+        bad.write_bytes(b"\xff")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(bad))}: 'utf-8' codec"):
+            load(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +531,7 @@ def test_calibrate_non_finite_measurement_exits_2(tmp_path, capsys):
     measurements.write_text(MEASUREMENTS.replace("0.02,8.0", "nan,8.0"), encoding="utf-8")
     code, out, err = run(["calibrate", "--measurements", str(measurements)], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: line 3: ")
+    assert err.startswith(f"error: {measurements}: line 3: ")
 
 
 def test_calibrate_overflowing_fit_exits_2(tmp_path, capsys):
@@ -657,6 +716,7 @@ def cli_runs(draw):
 
     # a file, the temporary directory itself, a path under a missing directory
     option("--output", draw(st.sampled_from(["@report", "@", "@missing/report"])))
+    option("--format", draw(st.sampled_from(["csv", "table"])))
 
     if command == "analyze":
         if draw(st.booleans()):
@@ -750,6 +810,9 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
             except SystemExit as exc:  # argparse refuses an option's value
                 code = exc.code
         assert code in (0, 2, 3)
+        table = "table" in argv
+        if argv[0] == "gen-trace" and table:
+            assert code == 2  # gen-trace prints CSV only
         counts = [value.split(",") for flag, value in zip(argv, argv[1:])
                   if flag in ("--batches", "--gpus")]
         if argv[0] in ("rank", "calibrate") and any(
@@ -757,14 +820,14 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
                 or any(cell.lstrip("-").isdigit() and int(cell) < 1 for cell in cells)
                 for cells in counts):
             assert code == 2  # a batch or GPU count below 1, or one listed twice, is refused
-        if code == 0 and argv[0] == "analyze" and "--output" not in argv:
+        if code == 0 and argv[0] == "analyze" and "--output" not in argv and not table:
             # the cost CSV reads back as one row per layer plus one total row
             rows = list(csv.reader(line for line in stdout.getvalue().splitlines()
                                    if not line.startswith("#")))
             assert {len(row) for row in rows} == {10}
             layers = [row[0] for row in rows]
             assert layers.count("total") == 1 and layers[-1] == "total"
-        if code == 0 and argv[0] == "integrate" and "--output" not in argv:
+        if code == 0 and argv[0] == "integrate" and "--output" not in argv and not table:
             # one row per region, each as wide as the header, and no NaN or infinity
             rows = list(csv.reader(stdout.getvalue().splitlines()))
             assert len({len(row) for row in rows}) == 1
@@ -773,7 +836,7 @@ def test_main_exits_0_2_or_3_on_any_input(run_spec):
             # a fit that succeeds is finite, and its model file reads back
             cells = stdout.getvalue().replace(",", " ").split()
             assert not {"nan", "inf", "-inf"} & set(cells)
-            if "--output" not in argv:
+            if "--output" not in argv and not table:
                 rows = list(csv.reader(line for line in stdout.getvalue().splitlines()
                                        if not line.startswith("#")))
                 assert {len(row) for row in rows} == {9}

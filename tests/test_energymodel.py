@@ -408,6 +408,18 @@ def test_save_models_refuses_a_non_finite_number(tmp_path):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("field, name", [("device", '"pascal'), ("network", "net,a"),
+                                         ("network", "net\na")])
+def test_save_models_refuses_a_name_that_load_models_refuses(field, name, tmp_path):
+    models, _ = calibrate(linear_records())
+    bad = dataclasses.replace(models[1], **{field: name})
+    path = tmp_path / "models.json"
+    with pytest.raises(ValueError, match=rf"^model {re.escape(repr(bad.key))}: {field} must be "
+                                         "without commas, double quotes or line breaks"):
+        save_models([models[0], bad], path)
+    assert not path.exists()
+
+
 JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300, -1.7e308]))
 
@@ -424,15 +436,18 @@ SAVED_MODELS = st.builds(
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_save_models_writes_the_bytes_json_dumps_wrote(tmp_path, models):
-    save_models(models, tmp_path / "models.json")
+    path = tmp_path / "models.json"
+    path.unlink(missing_ok=True)
+    if any(set(',"\r\n') & set(m.device + m.network) for m in models):
+        # predict prints both names as CSV cells, so saving refuses them
+        with pytest.raises(ValueError, match=r"^model \(.*\): (device|network) must be without"):
+            save_models(models, path)
+        assert not path.exists()
+        return
+    save_models(models, path)
     save_models_reference(models, tmp_path / "reference.json")
-    written = (tmp_path / "models.json").read_bytes()
-    assert written == (tmp_path / "reference.json").read_bytes()
-    if all(not set(',"\r\n') & set(m.device + m.network) for m in models):
-        assert load_models(tmp_path / "models.json") == models
-    else:  # predict prints both names as CSV cells, so loading refuses the file
-        with pytest.raises(DataFormatError, match=r"models\[\d+\]: bad value for '(device|network)'"):
-            load_models(tmp_path / "models.json")
+    assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert load_models(path) == models
 
 
 OTHER_JSON = st.one_of(st.none(), st.booleans(), st.integers(), st.just(10 ** 400),

@@ -5,7 +5,8 @@ Each parser now reads through the shared CSV reader. On generated text
 wrong headers, non-numeric, ``nan``/``inf`` and ``#`` cells) it must return
 what the original line loop in ``oracles.py`` returned, or raise the same
 error class with the same message, and every failure must be a
-``CnnergyError``.
+``CnnergyError``. The writer, ``_tables.render``, must print what the
+hand-joined CSV and the old comma-splitting table renderer printed.
 """
 import re
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnnergy._tables import data_text
+from cnnergy._tables import data_text, render
 from cnnergy.energymodel import _parse_plans, parse_measurements
 from cnnergy.errors import CnnergyError, DataFormatError, TraceFormatError
 from cnnergy.powertrace import parse_regions
@@ -24,6 +25,7 @@ from oracles import (
     parse_measurements_reference,
     parse_plans_reference,
     parse_regions_reference,
+    render_table_reference,
 )
 
 JUNK = ["", " ", "#", "# 1", "1#", "nan", "NaN", "inf", "-inf", "Infinity", "1e400",
@@ -172,3 +174,30 @@ def test_plans_bad_row_is_a_data_format_error():
     text = "network,batch,iterations,epochs\nresnet_gait,64,72368\n"
     with pytest.raises(DataFormatError, match="^line 2: expected 4 columns, got 3$"):
         _parse_plans(text)
+
+
+# a cell holds no comma, no line break (any that str.splitlines knows) and no
+# "#", which would turn a first cell into a comment line
+CELLS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                              blacklist_characters=",#"), max_size=6)
+COMMENTS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                   max_size=12).map(lambda text: "#" + text)
+
+
+@st.composite
+def reports(draw):
+    """``(head, rows, tail)``: a header row and up to 8 rows of 2 to 5 cells
+    (a row of one empty cell would print as a blank line), empty cells
+    included, between comment lines."""
+    width = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[CELLS] * width), min_size=1, max_size=9))
+    return draw(st.lists(COMMENTS, max_size=3)), rows, draw(st.lists(COMMENTS, max_size=3))
+
+
+@given(reports())
+@settings(max_examples=300, deadline=None)
+def test_render_prints_what_the_hand_joined_csv_and_old_table_printed(report):
+    head, rows, tail = report
+    csv_text = "".join(line + "\n" for line in [*head, *(",".join(row) for row in rows), *tail])
+    assert render(head, rows, tail) == csv_text
+    assert render(head, rows, tail, table=True) == render_table_reference(csv_text)
