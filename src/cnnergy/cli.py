@@ -29,13 +29,17 @@ def _fmt(value: float) -> str:
 
 
 def _deliver(report, args) -> None:
-    """Write a command's ``(head, rows, tail)`` report, or gen-trace's CSV text."""
-    if not isinstance(report, str):
-        report = _tables.render(*report, table=args.format == "table")
+    """Write a command's ``(head, rows, tail)`` report, or gen-trace's CSV
+    text piece by piece as its pieces are formatted. The ``--output`` file is
+    opened only once the command has returned, so a refused command leaves it
+    as it was."""
+    if isinstance(report, tuple):
+        report = [_tables.render(*report, table=args.format == "table")]
     if args.output:
-        Path(args.output).write_text(report, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.writelines(report)
     else:
-        sys.stdout.write(report)
+        sys.stdout.writelines(report)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -114,7 +118,9 @@ def _parse_segments(text: str) -> list[powertrace.SegmentSpec]:
     return segments
 
 
-def cmd_gen_trace(args) -> str:
+def cmd_gen_trace(args):
+    """The CSV of a synthetic trace, as pieces that are formatted as they are
+    written; the trace itself is built, and checked, before this returns."""
     if args.format == "table":  # integrate could not read a padded trace back
         raise DataFormatError("gen-trace prints CSV only; --format table is not supported")
     from . import powertrace
@@ -126,7 +132,7 @@ def cmd_gen_trace(args) -> str:
         noise_sigma=args.noise,
         seed=args.seed,
     )
-    return powertrace.trace_csv(trace)
+    return powertrace._csv_blocks(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ the trapezoidal integral of a step profile exact.
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,9 +68,19 @@ class PowerTrace:
         Raises:
             ChannelCountMismatchError: watts row width != len(channel_labels).
             NonMonotoneTimeError: a timestamp decreases.
-            TraceFormatError: non-finite or negative readings, or no samples.
+            TraceFormatError: a channel label that is empty, repeated or not
+                one CSV cell (see :func:`check_cell`); non-finite or negative
+                readings, or no samples.
         """
         labels = tuple(str(l) for l in channel_labels)
+        try:
+            for label in labels:
+                check_cell("channel label", label, ("",))
+        except ValueError as exc:
+            raise TraceFormatError(str(exc)) from None
+        if len(set(labels)) < len(labels):
+            twice = next(l for i, l in enumerate(labels) if l in labels[:i])
+            raise TraceFormatError(f"channel label {twice!r} appears twice")
         t = np.asarray(times, dtype=float)
         w = np.asarray(watts, dtype=float)
         if t.ndim != 1 or w.ndim != 2 or w.shape[0] != t.shape[0]:
@@ -161,11 +173,8 @@ def parse_trace(source) -> PowerTrace:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TraceFormatError("empty trace file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if len(header) < 2 or header[0] != "t_s" or not all(c.endswith("_w") for c in header[1:]):
-        raise TraceFormatError(f"trace header must be t_s,<label>_w,...; got {lines[0]!r}")
-    labels = tuple(c[:-2] for c in header[1:])
-    n_cols = len(header)
+    labels = _header_labels(lines[0])
+    n_cols = len(labels) + 1
     rows = lines[1:]
     try:
         data = _parse_rows(rows) if rows else np.empty((0, n_cols))
@@ -174,6 +183,14 @@ def parse_trace(source) -> PowerTrace:
     if data is None or data.shape[1] != n_cols:
         _raise_first_bad_row(text, n_cols)
     return PowerTrace.build(labels, data[:, 0], data[:, 1:])
+
+
+def _header_labels(line: str) -> tuple[str, ...]:
+    """The channel labels of a trace header line ``t_s,<label>_w,...``."""
+    header = [c.strip() for c in line.split(",")]
+    if len(header) < 2 or header[0] != "t_s" or not all(c.endswith("_w") for c in header[1:]):
+        raise TraceFormatError(f"trace header must be t_s,<label>_w,...; got {line!r}")
+    return tuple(c[:-2] for c in header[1:])
 
 
 def _parse_rows(rows) -> np.ndarray:
@@ -205,8 +222,52 @@ def _raise_first_bad_row(text: str, n_cols: int):
 
 
 def load_trace(path) -> PowerTrace:
-    """:func:`parse_trace` of a file; its errors name the file."""
-    return read_file(path, parse_trace)
+    """:func:`parse_trace` of a file; its errors name the file.
+
+    A file that :func:`_read_plain` can read is read in one pass, which holds
+    the trace's rows as one float64 array and little else: about 8 bytes a
+    value, against some 30 for the text and its list of lines. Every other
+    file is read as :func:`parse_trace` reads text, and so is one that fails
+    a check of :meth:`PowerTrace.build`, so the trace and every error are
+    the same on both paths.
+    """
+    with open(path, "rb") as fh:
+        trace = _read_plain(fh)
+    return trace if trace is not None else read_file(path, parse_trace)
+
+
+#: The bytes that :func:`_read_plain` reads: printable ASCII, tab, CR and
+#: LF. ``str.splitlines`` also breaks lines at ``\x0b``, ``\x0c``,
+#: ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and ``\u2029``, where
+#: ``np.loadtxt`` reading a file does not.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+
+def _read_plain(fh) -> PowerTrace | None:
+    """The trace in a seekable binary file of :data:`_PLAIN_BYTES` only: its
+    first non-blank line is the header, and one ``np.loadtxt`` over the open
+    file reads every row after it. None where the file holds another byte or
+    has no row, or where ``np.loadtxt`` or :meth:`PowerTrace.build` (a column
+    count that does not match the header's included) refuses it."""
+    if not fh.seekable():
+        return None
+    for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time
+        if chunk.translate(None, _PLAIN_BYTES):
+            return None
+    fh.seek(0)
+    # newline=None reads \r and \r\n as \n, as read_file's text does.
+    text = io.TextIOWrapper(fh, encoding="ascii")
+    try:
+        lines = (line for line in text if line.strip())
+        labels = _header_labels(next(lines))
+        first = next(lines)  # an empty body goes to the line path: np.loadtxt warns on it
+        data = np.loadtxt(itertools.chain([first], text), delimiter=",", comments=None,
+                          ndmin=2)
+        return PowerTrace.build(labels, data[:, 0], data[:, 1:])
+    except (StopIteration, ValueError, CnnergyError):
+        return None
+    finally:
+        text.detach()
 
 
 def parse_regions(source) -> list[Region]:
@@ -255,8 +316,7 @@ def integrate_many(trace: PowerTrace, regions) -> list[EnergyResult | CnnergyErr
     bounds = np.array([(r.t_start, r.t_end) for r in regions], dtype=float).reshape(n, 2)
     ends = np.clip(bounds, t[0], t[-1]).T.ravel()  # every clipped start, then every end
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        cumulative = np.zeros_like(w)
-        np.cumsum(np.diff(t)[:, None] * (w[1:] + w[:-1]) / 2.0, axis=0, out=cumulative[1:])
+        cumulative = _cumulative_energy(t, w)
         j = np.clip(np.searchsorted(t, ends, side="right") - 1, 0, t.shape[0] - 2)
         into = ends - t[j]
         w_end = w[j] + (w[j + 1] - w[j]) * (into / (t[j + 1] - t[j]))[:, None]
@@ -281,6 +341,19 @@ def integrate_many(trace: PowerTrace, regions) -> list[EnergyResult | CnnergyErr
                 f"overflows (joules_total {total}, duration_s {duration}, mean_watts {mean})")
         results.append(EnergyResult(total, tuple(per_channel), duration, mean))
     return results
+
+
+def _cumulative_energy(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Joules per channel from ``t[0]`` to each sample: 0, then the running
+    sum of each step's trapezoid ``dt * (w[i+1] + w[i]) / 2``, built in the
+    one array it returns."""
+    cumulative = np.zeros_like(w)
+    steps = cumulative[1:]
+    np.add(w[1:], w[:-1], out=steps)
+    steps *= np.diff(t)[:, None]
+    steps /= 2.0
+    np.cumsum(steps, axis=0, out=steps)
+    return cumulative
 
 
 def integrate(trace: PowerTrace, region: Region) -> EnergyResult:
@@ -388,10 +461,14 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
         t0 += seg.duration_s
     t_arr = np.concatenate(times + [[t0]])
     per_channel = np.concatenate(totals + [[segs[-1].final_watts]])[:, None] / channels
-    watts = np.repeat(per_channel, channels, axis=1)
     if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        watts = np.clip(watts + rng.normal(0.0, noise_sigma, watts.shape), 0.0, None)
+        # The noise array becomes the watts: level added, then clamped at 0.
+        watts = np.random.default_rng(seed).normal(0.0, noise_sigma,
+                                                   (per_channel.shape[0], channels))
+        watts += per_channel
+        np.clip(watts, 0.0, None, out=watts)
+    else:
+        watts = np.repeat(per_channel, channels, axis=1)
     return PowerTrace.build(default_labels(channels), t_arr, watts)
 
 
@@ -568,14 +645,19 @@ def _csv_block(times: np.ndarray, watts: np.ndarray) -> str:
     return buf[:size].tobytes().decode("ascii")
 
 
+def _csv_blocks(trace: PowerTrace):
+    """The text of :func:`trace_csv` as it is formatted: the header line,
+    then one piece per :data:`_CSV_BLOCK_ROWS` rows."""
+    yield "t_s," + ",".join(f"{l}_w" for l in trace.channel_labels) + "\n"
+    for start in range(0, trace.n_samples, _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        yield _csv_block(trace.times[start:stop], trace.watts[start:stop])
+
+
 def trace_csv(trace: PowerTrace) -> str:
     """Serialize a trace: timestamps keep 9 significant digits, watts 6, byte
     for byte as Python's ``%.9g`` and ``%.6g`` print them."""
-    chunks = ["t_s," + ",".join(f"{l}_w" for l in trace.channel_labels) + "\n"]
-    for start in range(0, trace.n_samples, _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        chunks.append(_csv_block(trace.times[start:stop], trace.watts[start:stop]))
-    return "".join(chunks)
+    return "".join(_csv_blocks(trace))
 
 
 def _region_rows(trace: PowerTrace, regions) -> list[tuple[str, ...]]:

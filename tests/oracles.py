@@ -180,6 +180,27 @@ def trapezoid_region_reference(times, watts, lo, hi):
     return joules
 
 
+def cumulative_energy_reference(t, w):
+    """integrate_many's cumulative trapezoid as it stood before it was built
+    in one array: one expression, then a cumsum into a zeroed array."""
+    import numpy as np
+
+    cumulative = np.zeros_like(w)
+    np.cumsum(np.diff(t)[:, None] * (w[1:] + w[:-1]) / 2.0, axis=0, out=cumulative[1:])
+    return cumulative
+
+
+def noisy_watts_reference(per_channel, channels, noise_sigma, seed):
+    """generate_synthetic_trace's noise step as it stood before it worked in
+    place: the (n, 1) level repeated per channel, the noise added to it, then
+    clamped at 0."""
+    import numpy as np
+
+    watts = np.repeat(per_channel, channels, axis=1)
+    rng = np.random.default_rng(seed)
+    return np.clip(watts + rng.normal(0.0, noise_sigma, watts.shape), 0.0, None)
+
+
 def synthetic_samples_reference(segments, sample_rate):
     """Sample times and total watts of a piecewise profile, one sample per
     loop step: a junction sample per segment start at the midpoint of the

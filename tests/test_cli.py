@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -230,6 +231,24 @@ def test_integrate_and_calibrate_refuse_a_name_that_breaks_their_csv(tmp_path, c
                               "double quotes")
 
 
+@pytest.mark.parametrize("header, message", [
+    ('t_s,"a_w,b_w', "must be non-empty and without commas, double quotes or line breaks, "
+                     "got '\"a'"),
+    ("t_s,_w", "must be non-empty and without commas, double quotes or line breaks, got ''"),
+    ("t_s,a_w,a_w", "'a' appears twice"),
+])
+def test_integrate_refuses_a_channel_label_that_breaks_its_csv(header, message, tmp_path,
+                                                              capsys):
+    trace = tmp_path / "trace.csv"
+    row = ",".join(["1"] * (header.count(",") + 1))
+    trace.write_text(f"{header}\n0,{row[2:]}\n{row}\n", encoding="utf-8")
+    regions = tmp_path / "regions.csv"
+    regions.write_text(REGIONS, encoding="utf-8")
+    code, out, err = run(["integrate", "--trace", str(trace), "--regions", str(regions)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {trace}: channel label {message}\n"
+
+
 def test_gen_trace_energy_and_determinism(capsys):
     argv = ["gen-trace", "--segments", "100:1", "--rate", "10",
             "--channels", "2", "--noise", "0"]
@@ -295,6 +314,74 @@ def test_gen_trace_over_the_size_cap_exits_2(capsys):
     code, out, err = run(["gen-trace", "--segments", "100:1e9", "--rate", "1000"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceeds the limit" in err
+
+
+class _Writes(io.StringIO):
+    """Standard output that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_gen_trace_writes_the_bytes_of_trace_csv_block_by_block(tmp_path):
+    segments = "50:5,50-150:5"
+    argv = ["gen-trace", "--segments", segments, "--rate", "997.3", "--channels", "3",
+            "--noise", "2", "--seed", "11"]
+    trace = powertrace.generate_synthetic_trace(cli._parse_segments(segments), sample_rate=997.3,
+                                                channels=3, noise_sigma=2.0, seed=11)
+    blocks = -(-trace.n_samples // powertrace._CSV_BLOCK_ROWS)
+    assert blocks >= 3
+    want = powertrace.trace_csv(trace)
+    stdout = _Writes()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    assert stdout.getvalue() == want
+    assert stdout.writes == 1 + blocks  # the header, then each block as it is formatted
+    output = tmp_path / "trace.csv"
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main([*argv, "--output", str(output)]) == 0
+    assert stdout.getvalue() == want  # nothing more on stdout
+    assert output.read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize("refused", [["--noise", "nan"], ["--segments", "100:1e9"]])
+def test_a_refused_gen_trace_leaves_the_output_file_as_it_was(refused, tmp_path, capsys):
+    output = tmp_path / "trace.csv"
+    output.write_bytes(b"kept\n")
+    code, out, err = run(["gen-trace", "--segments", "100:1", *refused,
+                          "--output", str(output)], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert output.read_bytes() == b"kept\n"
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_commands_hold_a_small_multiple_of_the_trace_arrays(tmp_path):
+    # 150 s at 1 kHz x 8 channels: 150001 samples, 1.2M watt values. numpy
+    # reports its buffers to tracemalloc, so the peak counts every array.
+    trace_file, regions, out = tmp_path / "trace.csv", tmp_path / "regions.csv", tmp_path / "out"
+    gen_trace = ["gen-trace", "--segments", "200-80:150", "--noise", "1", "--seed", "3"]
+    assert cli.main([*gen_trace, "--output", str(trace_file)]) == 0
+    trace = powertrace.load_trace(trace_file)
+    assert trace.watts.size >= 1_200_000
+    array_bytes = trace.times.nbytes + trace.watts.nbytes
+    del trace
+    regions.write_text("id,label,t_start_s,t_end_s\n" + "".join(
+        f"r{i},forward,{i * 0.15},{i * 0.15 + 0.3}\n" for i in range(1000)), encoding="utf-8")
+    # about 1.6x and 2.0x; the text and its lines were 3.2x and 4.0x
+    assert _traced_peak([*gen_trace, "--output", str(out)]) <= 2.0 * array_bytes
+    assert _traced_peak(["integrate", "--trace", str(trace_file), "--regions", str(regions),
+                         "--output", str(out)]) <= 2.5 * array_bytes
 
 
 #: Per input reader: the argv that reads it as @bad, a text it refuses, and

@@ -7,11 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cnnergy.errors import (
     ChannelCountMismatchError,
+    DataFormatError,
     EmptyRegionError,
     InsufficientSamplesError,
     NonMonotoneTimeError,
@@ -36,6 +37,8 @@ from cnnergy.powertrace import (
 )
 
 from oracles import (
+    cumulative_energy_reference,
+    noisy_watts_reference,
     parse_trace_rows_reference,
     synthetic_samples_reference,
     trace_csv_reference,
@@ -76,6 +79,22 @@ def test_build_rejects_negative_and_non_finite():
 def test_build_rejects_decreasing_time():
     with pytest.raises(NonMonotoneTimeError):
         PowerTrace.build(["a"], [0.0, 2.0, 1.0], [[1.0]] * 3)
+
+
+CELL_RULE = "channel label must be non-empty and without commas, double quotes or line breaks"
+
+
+@pytest.mark.parametrize("labels, message", [
+    (['"a', "b"], f"{CELL_RULE}, got '\"a'"),
+    (["a", ""], f"{CELL_RULE}, got ''"),
+    (["a,b"], f"{CELL_RULE}, got 'a,b'"),
+    (["a\rb"], f"{CELL_RULE}, got 'a\\rb'"),
+    (["a", "b", "a"], "channel label 'a' appears twice"),
+])
+def test_build_refuses_a_label_that_is_not_one_distinct_csv_cell(labels, message):
+    # trace_csv and integrate's report print each label as a header cell
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+        PowerTrace.build(labels, [0.0, 1.0], [[1.0] * len(labels)] * 2)
 
 
 def test_build_collapses_equal_timestamps_to_mean():
@@ -223,6 +242,23 @@ def test_integrate_many_matches_per_region_integrate_and_reference(case):
         assert got.joules_total == pytest.approx(sum(want), rel=1e-9, abs=1e-9)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.integers(1, 9))
+@settings(max_examples=100, deadline=None)
+def test_cumulative_energy_is_the_one_expression_bit_for_bit(seed, n, channels):
+    rng = np.random.default_rng(seed)
+    steps = rng.exponential(rng.choice([1e-3, 1.0, 1e5]), n - 1)
+    steps[rng.random(n - 1) < 0.2] = 0.0  # equal timestamps
+    times = rng.uniform(-10.0, 10.0) + np.concatenate(([0.0], np.cumsum(steps)))
+    rows = np.column_stack([times, rng.uniform(0.0, 300.0, (n, channels))])
+    watts = rows[:, 1:]  # strided, as np.loadtxt's rows are sliced
+    watts[rng.random(watts.shape) < 0.1] = 0.0
+    watts[rng.random(watts.shape) < 0.1] = -0.0
+    with np.errstate(all="ignore"):
+        got = powertrace._cumulative_energy(times, watts)
+        want = cumulative_energy_reference(times, watts)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_integrate_many_short_regions_late_in_long_trace():
     # The cumulative integral reaches ~1e5 J per channel here while each
     # region holds ~0.3 J, so a prefix-sum difference cancels about 6 digits;
@@ -289,22 +325,33 @@ BAD_CELLS = st.sampled_from(["", "#", "# 1", "1#", "abc", "1 2", "1e", "0x10", "
 PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
 
 
+#: Cells that a trace accepts: finite, and watts not below zero.
+VALID_CELLS = st.one_of(
+    st.floats(0.0, 1e6).map(repr),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["0", "-0.0", "+1", ".5", "5.", "1E3", "1e-320"]),
+)
+
+
 @st.composite
-def trace_texts(draw):
+def trace_texts(draw, valid=False):
     """Trace CSV that is mostly valid: increasing times, numeric cells, with
     padded cells, blank and whitespace-only lines, CRLF endings, and some
-    wrong column counts and non-numeric cells."""
+    wrong column counts and non-numeric cells. If ``valid``, a trace that
+    :func:`parse_trace` accepts: no such faults, and no whitespace-only line."""
     n_cols = draw(st.integers(2, 4))
     header = ",".join(["t_s"] + [f"ch{i}_w" for i in range(1, n_cols)])
-    lines = [draw(st.sampled_from([header, " " + header.replace(",", " , "), "t_s,x"]))]
-    for k in range(draw(st.integers(0, 8))):
-        width = n_cols if draw(st.integers(0, 9)) else draw(st.integers(1, n_cols + 2))
-        cells = [f"{k * 0.5!r}"] + [draw(NUMBER_CELLS) for _ in range(width - 1)]
-        if not draw(st.integers(0, 9)):
+    headers = [header, " " + header.replace(",", " , ")]
+    lines = [draw(st.sampled_from(headers if valid else [*headers, "t_s,x"]))]
+    for k in range(draw(st.integers(1 if valid else 0, 8))):
+        width = n_cols if valid or draw(st.integers(0, 9)) else draw(st.integers(1, n_cols + 2))
+        cells = [f"{k * 0.5!r}"] + [draw(VALID_CELLS if valid else NUMBER_CELLS)
+                                    for _ in range(width - 1)]
+        if not (valid or draw(st.integers(0, 9))):
             cells[draw(st.integers(0, width - 1))] = draw(BAD_CELLS)
         lines.append(",".join(draw(PADDING) + c + draw(PADDING) for c in cells))
         if not draw(st.integers(0, 4)):
-            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
+            lines.append(draw(st.sampled_from([""] if valid else ["", " ", "\t", "  \t "])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
@@ -314,6 +361,65 @@ def trace_texts(draw):
 def test_parse_trace_matches_line_by_line_parser(text):
     want = _outcome(lambda: PowerTrace.build(*parse_trace_rows_reference(text)))
     assert _outcome(lambda: parse_trace(text)) == want
+
+
+#: What str.splitlines breaks a line at (all but NUL). Of these, a file read
+#: with universal newlines breaks only at \r; np.loadtxt reads the others, and
+#: NUL, as part of a line.
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x00"]
+
+
+@st.composite
+def trace_files(draw):
+    """The bytes of a trace file: a :func:`trace_texts` text, valid or not,
+    some with blank lines before the header, cut to the header alone, with
+    characters of :data:`LINE_BREAKS` put in, or with a byte that is not
+    UTF-8."""
+    text = draw(st.one_of(trace_texts(), trace_texts(valid=True)))
+    if not draw(st.integers(0, 4)):
+        text = draw(st.sampled_from(["\n", " \n", "\r\n\t\n"])) + text
+    if not draw(st.integers(0, 5)):
+        text = text.splitlines(keepends=True)[0]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(LINE_BREAKS)) + text[at:]
+    data = text.encode("utf-8")
+    if not draw(st.integers(0, 5)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + data[at:]
+    return data
+
+
+def _bits(call):
+    """A trace as its labels and the bytes of its arrays, or the class and
+    message of the error ``call`` raised."""
+    try:
+        trace = call()
+    except (DataFormatError, ChannelCountMismatchError, TraceFormatError,
+            NonMonotoneTimeError) as exc:
+        return type(exc), str(exc)
+    return (trace.channel_labels, trace.times.shape, trace.watts.shape,
+            trace.times.tobytes(), trace.watts.tobytes())
+
+
+@given(trace_files())
+@example(b"t_s,a_w\n1\x0c,2\n")  # np.loadtxt reads [1, 2]; the lines are "1" and ",2"
+@example(b"t_s,a_w\n-0.0,-0.0\n1,0\n")
+@example(b"t_s,a_w\n")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_trace_reads_a_file_as_parse_trace_reads_its_text(tmp_path, data):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        want = DataFormatError, f"{path}: {exc}"
+    else:
+        want = _bits(lambda: parse_trace(text))
+        if isinstance(want[0], type):
+            want = want[0], f"{path}: {want[1]}"
+    assert _bits(lambda: powertrace.load_trace(path)) == want
 
 
 def test_parse_trace_rejects_what_only_float_accepts():
@@ -504,6 +610,20 @@ def test_synthetic_samples_match_loop_reference(parts, rate):
     trace = generate_synthetic_trace(segments, sample_rate=rate, channels=2)
     assert trace.times.tolist() == times
     assert trace.watts.tolist() == [[w / 2] * 2 for w in totals]
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 0.2), st.sampled_from([0.0, -0.0, 0.5, 80.0, 300.0]),
+                          st.one_of(st.none(), st.sampled_from([0.0, -0.0, 120.0]))),
+                min_size=1, max_size=3),
+       st.integers(1, 8), st.sampled_from([1e-3, 1.0, 40.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_synthetic_noise_is_the_repeat_and_clip_bit_for_bit(parts, channels, sigma, seed):
+    segments = [SegmentSpec(*p) for p in parts]
+    level = generate_synthetic_trace(segments, sample_rate=1000.0, channels=channels).watts
+    want = noisy_watts_reference(level[:, :1], channels, sigma, seed)
+    got = generate_synthetic_trace(segments, sample_rate=1000.0, channels=channels,
+                                   noise_sigma=sigma, seed=seed).watts
+    assert got.tobytes() == want.tobytes()
 
 
 def test_synthetic_size_cap_refuses_before_allocating():
