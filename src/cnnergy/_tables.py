@@ -24,12 +24,12 @@ def data_text(relpath: str) -> str:
 
 
 def read_file(path, parse):
-    """``parse(text)`` of a UTF-8 file. What it raises keeps its class, and
-    it and a file that is not UTF-8 (a DataFormatError) name the file as
-    ``"<path>: ..."``."""
+    """``parse(fh)`` of a UTF-8 file open as text. What it raises keeps its
+    class, and it and a file that is not UTF-8 (a DataFormatError) name the
+    file as ``"<path>: ..."``; no parser names the file itself."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
+            return parse(fh)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     except CnnergyError as exc:

@@ -58,8 +58,8 @@ def cmd_analyze(args):
         name = args.builtin  # as the built-in's own `# network:` line names it
         summary = costmodel.CostSummary(*costmodel._builtin_rows(name), args.element_bytes)
     else:
-        shaped = _tables.read_file(args.arch, lambda text: arch.infer_shapes(
-            arch.parse_network(text, name=Path(args.arch).stem)))
+        shaped = _tables.read_file(args.arch, lambda fh: arch.infer_shapes(
+            arch.parse_network(fh.read(), name=Path(args.arch).stem)))
         name, summary = shaped.spec.name, costmodel.network_cost(
             shaped, element_bytes=args.element_bytes)
     if args.batch is not None:

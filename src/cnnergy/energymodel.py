@@ -115,7 +115,7 @@ def parse_measurements(text: str) -> list[MeasurementRecord]:
 
 def load_measurements(path) -> list[MeasurementRecord]:
     """:func:`parse_measurements` of a file; its errors name the file."""
-    return read_file(path, parse_measurements)
+    return read_file(path, lambda fh: parse_measurements(fh.read()))
 
 
 def bundled_measurements() -> list[MeasurementRecord]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import check_cell, read_csv, read_file, render
+from ._tables import check_cell, read_csv, read_file
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -164,24 +164,39 @@ class EnergyResult:
 
 
 def parse_trace(source) -> PowerTrace:
-    """Parse trace CSV (header ``t_s,<label>_w,...``) from text or a stream.
+    """Parse trace CSV (header ``t_s,<label>_w,...``) from text or a text
+    stream, in one pass that holds the rows (8 bytes a value), not the text.
+
+    Lines end at LF, CR LF or CR, as a text file's do, and whitespace-only
+    lines are skipped. The first other line is the header; one ``np.loadtxt``
+    reads the rest, so cells may be padded with whitespace and may read
+    ``inf`` or ``nan`` (:meth:`PowerTrace.build` rejects those), but unlike
+    ``float()`` may not hold digit separators (``1_0``) or non-ASCII digits.
+    A ``str``, and a stream that is not seekable, such as a pipe, are read
+    through a ``StringIO`` (4 bytes a character), which
+    :func:`_raise_first_bad_row` can read again.
 
     Raises:
         TraceFormatError / NonMonotoneTimeError / ChannelCountMismatchError
     """
-    text = source.read() if hasattr(source, "read") else source
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise TraceFormatError("empty trace file")
-    labels = _header_labels(lines[0])
-    n_cols = len(labels) + 1
-    rows = lines[1:]
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    elif not source.seekable():
+        source = io.StringIO(source.read(), newline=None)
+    lines = (line for line in source if not line.isspace())
     try:
-        data = _parse_rows(rows) if rows else np.empty((0, n_cols))
-    except ValueError:
+        header = next(lines, None)
+        if header is None:
+            raise TraceFormatError("empty trace file")
+        labels = _header_labels(header.rstrip("\n"))
+        first = next(lines, None)  # np.loadtxt warns on an empty body
+        data = (np.empty((0, len(labels) + 1)) if first is None else
+                np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                           ndmin=2))
+    except ValueError:  # a row numpy cannot read, or a byte that is not UTF-8
         data = None
-    if data is None or data.shape[1] != n_cols:
-        _raise_first_bad_row(text, n_cols)
+    if data is None or data.shape[1] != len(labels) + 1:
+        _raise_first_bad_row(source)
     return PowerTrace.build(labels, data[:, 0], data[:, 1:])
 
 
@@ -193,21 +208,16 @@ def _header_labels(line: str) -> tuple[str, ...]:
     return tuple(c[:-2] for c in header[1:])
 
 
-def _parse_rows(rows) -> np.ndarray:
-    """Comma-separated numbers, one row per string, in one numpy pass.
-
-    Cells may be padded with whitespace and may read ``inf`` or ``nan``
-    (:meth:`PowerTrace.build` rejects those); unlike ``float()``, digit
-    separators (``1_0``) and non-ASCII digits are rejected.
-    """
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-
-
-def _raise_first_bad_row(text: str, n_cols: int):
-    """Raise the error of the first row of ``text`` that :func:`_parse_rows`
-    cannot read, naming its line in the file (blank lines count). Only this
-    error path numbers the lines."""
-    numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+def _raise_first_bad_row(source):
+    """Raise the error of the first row of the seekable text stream
+    ``source`` that :func:`parse_trace` cannot read, naming its line in the
+    file (blank lines count). Only this error path reads the text whole, so
+    a byte that is not UTF-8 is named at its offset in the file, and only it
+    numbers the lines."""
+    source.seek(0)
+    numbered = [(n, ln) for n, ln in enumerate(source.read().split("\n"), start=1)
+                if ln.strip()]
+    n_cols = numbered[0][1].count(",") + 1
     for lineno, line in numbered[1:]:
         n_cells = line.count(",") + 1
         if n_cells != n_cols:
@@ -215,59 +225,15 @@ def _raise_first_bad_row(text: str, n_cols: int):
                 f"line {lineno}: expected {n_cols} columns, got {n_cells}"
             )
         try:
-            _parse_rows([line])
+            np.loadtxt([line], delimiter=",", comments=None)
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-numeric cell in {line!r}") from None
     raise TraceFormatError("trace rows could not be read")
 
 
 def load_trace(path) -> PowerTrace:
-    """:func:`parse_trace` of a file; its errors name the file.
-
-    A file that :func:`_read_plain` can read is read in one pass, which holds
-    the trace's rows as one float64 array and little else: about 8 bytes a
-    value, against some 30 for the text and its list of lines. Every other
-    file is read as :func:`parse_trace` reads text, and so is one that fails
-    a check of :meth:`PowerTrace.build`, so the trace and every error are
-    the same on both paths.
-    """
-    with open(path, "rb") as fh:
-        trace = _read_plain(fh)
-    return trace if trace is not None else read_file(path, parse_trace)
-
-
-#: The bytes that :func:`_read_plain` reads: printable ASCII, tab, CR and
-#: LF. ``str.splitlines`` also breaks lines at ``\x0b``, ``\x0c``,
-#: ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and ``\u2029``, where
-#: ``np.loadtxt`` reading a file does not.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
-
-
-def _read_plain(fh) -> PowerTrace | None:
-    """The trace in a seekable binary file of :data:`_PLAIN_BYTES` only: its
-    first non-blank line is the header, and one ``np.loadtxt`` over the open
-    file reads every row after it. None where the file holds another byte or
-    has no row, or where ``np.loadtxt`` or :meth:`PowerTrace.build` (a column
-    count that does not match the header's included) refuses it."""
-    if not fh.seekable():
-        return None
-    for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time
-        if chunk.translate(None, _PLAIN_BYTES):
-            return None
-    fh.seek(0)
-    # newline=None reads \r and \r\n as \n, as read_file's text does.
-    text = io.TextIOWrapper(fh, encoding="ascii")
-    try:
-        lines = (line for line in text if line.strip())
-        labels = _header_labels(next(lines))
-        first = next(lines)  # an empty body goes to the line path: np.loadtxt warns on it
-        data = np.loadtxt(itertools.chain([first], text), delimiter=",", comments=None,
-                          ndmin=2)
-        return PowerTrace.build(labels, data[:, 0], data[:, 1:])
-    except (StopIteration, ValueError, CnnergyError):
-        return None
-    finally:
-        text.detach()
+    """:func:`parse_trace` of a file; its errors name the file."""
+    return read_file(path, parse_trace)
 
 
 def parse_regions(source) -> list[Region]:
@@ -476,7 +442,7 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
 # CSV emission
 # ---------------------------------------------------------------------------
 
-#: Rows formatted per block by :func:`trace_csv`, which bounds the size of
+#: Rows formatted per block by :func:`_csv_blocks`, which bounds the size of
 #: the arrays alive at once.
 _CSV_BLOCK_ROWS = 4096
 
@@ -614,9 +580,9 @@ class _GCells:
 
 
 def _csv_block(times: np.ndarray, watts: np.ndarray) -> str:
-    """Rows of :func:`trace_csv`: each timestamp as ``%.9g``, each watt as
-    ``%.6g``, laid out in one byte buffer at offsets summed from the cell
-    widths."""
+    """Rows of trace CSV: each timestamp as ``%.9g``, each watt as ``%.6g``,
+    byte for byte as Python's ``%`` prints them, laid out in one byte buffer
+    at offsets summed from the cell widths."""
     n, channels = watts.shape
     t_cells, w_cells = _GCells(times, 9), _GCells(watts.ravel(), 6)
     widths = np.empty((n, channels + 1), np.intp)
@@ -646,23 +612,18 @@ def _csv_block(times: np.ndarray, watts: np.ndarray) -> str:
 
 
 def _csv_blocks(trace: PowerTrace):
-    """The text of :func:`trace_csv` as it is formatted: the header line,
-    then one piece per :data:`_CSV_BLOCK_ROWS` rows."""
+    """A trace as the CSV that :func:`parse_trace` reads, in the pieces it is
+    formatted in: the header line, then one per :data:`_CSV_BLOCK_ROWS` rows."""
     yield "t_s," + ",".join(f"{l}_w" for l in trace.channel_labels) + "\n"
     for start in range(0, trace.n_samples, _CSV_BLOCK_ROWS):
         stop = start + _CSV_BLOCK_ROWS
         yield _csv_block(trace.times[start:stop], trace.watts[start:stop])
 
 
-def trace_csv(trace: PowerTrace) -> str:
-    """Serialize a trace: timestamps keep 9 significant digits, watts 6, byte
-    for byte as Python's ``%.9g`` and ``%.6g`` print them."""
-    return "".join(_csv_blocks(trace))
-
-
 def _region_rows(trace: PowerTrace, regions) -> list[tuple[str, ...]]:
-    """The cells of :func:`region_results_csv`: the header, then one row per
-    region."""
+    """The cells of ``integrate``'s report: the header, then one row per
+    region; a failed region keeps its row with the numeric cells empty and
+    the error named in the trailing column."""
     rows = [("id", "label", "duration_s", "joules_total", "mean_watts",
              *[f"{l}_j" for l in trace.channel_labels], "error")]
     blank = ("",) * (trace.n_channels + 3)
@@ -674,9 +635,3 @@ def _region_rows(trace: PowerTrace, regions) -> list[tuple[str, ...]]:
             rows.append((region.id, region.label, f"{r.duration:.6g}", f"{r.joules_total:.6g}",
                          f"{r.mean_watts:.6g}", *[f"{j:.6g}" for j in r.joules_per_channel], ""))
     return rows
-
-
-def region_results_csv(trace: PowerTrace, regions) -> str:
-    """One output row per region; failed regions keep their row with the
-    numeric cells empty and the error named in the trailing column."""
-    return render((), _region_rows(trace, regions))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cnnergy import cli, energymodel, powertrace
 from cnnergy.errors import DataFormatError, TraceFormatError
 
+from oracles import trace_csv_reference
 from test_arch import arch_texts
 
 TOY_ARCH = """\
@@ -334,7 +335,7 @@ def test_gen_trace_writes_the_bytes_of_trace_csv_block_by_block(tmp_path):
                                                 channels=3, noise_sigma=2.0, seed=11)
     blocks = -(-trace.n_samples // powertrace._CSV_BLOCK_ROWS)
     assert blocks >= 3
-    want = powertrace.trace_csv(trace)
+    want = trace_csv_reference(trace)
     stdout = _Writes()
     with contextlib.redirect_stdout(stdout):
         assert cli.main(argv) == 0
@@ -366,22 +367,51 @@ def _traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-def test_trace_commands_hold_a_small_multiple_of_the_trace_arrays(tmp_path):
-    # 150 s at 1 kHz x 8 channels: 150001 samples, 1.2M watt values. numpy
-    # reports its buffers to tracemalloc, so the peak counts every array.
-    trace_file, regions, out = tmp_path / "trace.csv", tmp_path / "regions.csv", tmp_path / "out"
-    gen_trace = ["gen-trace", "--segments", "200-80:150", "--noise", "1", "--seed", "3"]
-    assert cli.main([*gen_trace, "--output", str(trace_file)]) == 0
+#: 150 s at 1 kHz x 8 channels: 150001 samples, 1.2M watt values.
+BIG_GEN_TRACE = ["gen-trace", "--segments", "200-80:150", "--noise", "1", "--seed", "3"]
+
+
+def _big_trace_files(tmp_path):
+    """The :data:`BIG_GEN_TRACE` trace file, 1000 regions over it, and the
+    bytes of the trace's float64 arrays."""
+    trace_file, regions = tmp_path / "trace.csv", tmp_path / "regions.csv"
+    assert cli.main([*BIG_GEN_TRACE, "--output", str(trace_file)]) == 0
     trace = powertrace.load_trace(trace_file)
     assert trace.watts.size >= 1_200_000
-    array_bytes = trace.times.nbytes + trace.watts.nbytes
-    del trace
     regions.write_text("id,label,t_start_s,t_end_s\n" + "".join(
         f"r{i},forward,{i * 0.15},{i * 0.15 + 0.3}\n" for i in range(1000)), encoding="utf-8")
+    return trace_file, regions, trace.times.nbytes + trace.watts.nbytes
+
+
+def test_trace_commands_hold_a_small_multiple_of_the_trace_arrays(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the peak counts every array.
+    trace_file, regions, array_bytes = _big_trace_files(tmp_path)
+    out = tmp_path / "out"
     # about 1.6x and 2.0x; the text and its lines were 3.2x and 4.0x
-    assert _traced_peak([*gen_trace, "--output", str(out)]) <= 2.0 * array_bytes
+    assert _traced_peak([*BIG_GEN_TRACE, "--output", str(out)]) <= 2.0 * array_bytes
     assert _traced_peak(["integrate", "--trace", str(trace_file), "--regions", str(regions),
                          "--output", str(out)]) <= 2.5 * array_bytes
+
+
+def test_a_non_ascii_label_keeps_integrate_in_one_pass(tmp_path):
+    # One label outside ASCII changes nothing in how the rows are read.
+    trace_file, regions, array_bytes = _big_trace_files(tmp_path)
+    data = trace_file.read_bytes()
+    assert b"ext12v_1_w" in data.split(b"\n", 1)[0]
+    trace_file.write_bytes(data.replace(b"ext12v_1_w", "r\u00e9il1_w".encode(), 1))
+    assert "r\u00e9il1" in powertrace.load_trace(trace_file).channel_labels
+    assert _traced_peak(["integrate", "--trace", str(trace_file), "--regions", str(regions),
+                         "--output", str(tmp_path / "out")]) <= 2.5 * array_bytes
+
+
+def test_integrate_reads_a_form_feed_as_part_of_its_row(tmp_path, capsys):
+    # Only LF, CR LF and CR end a line, so this row has 3 cells.
+    (tmp_path / "trace").write_text("t_s,a_w\n0,1\x0c1,2\n", encoding="utf-8")
+    (tmp_path / "regions").write_text(REGIONS, encoding="utf-8")
+    code, out, err = run(["integrate", "--trace", str(tmp_path / "trace"),
+                          "--regions", str(tmp_path / "regions")], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / 'trace'}: line 2: expected 2 columns, got 3\n"
 
 
 #: Per input reader: the argv that reads it as @bad, a text it refuses, and

@@ -32,9 +32,8 @@ from cnnergy.powertrace import (
     integrate_many,
     parse_regions,
     parse_trace,
-    region_results_csv,
-    trace_csv,
 )
+from cnnergy._tables import render
 
 from oracles import (
     cumulative_energy_reference,
@@ -45,6 +44,11 @@ from oracles import (
     trapezoid_region_reference,
     trapezoid_segment_energy,
 )
+
+
+def trace_csv(trace):
+    """The CSV text of a trace, joined from the blocks gen-trace writes."""
+    return "".join(powertrace._csv_blocks(trace))
 
 
 def flat_trace(watts=100.0, t_end=2.0, channels=2, n=5):
@@ -92,7 +96,7 @@ CELL_RULE = "channel label must be non-empty and without commas, double quotes o
     (["a", "b", "a"], "channel label 'a' appears twice"),
 ])
 def test_build_refuses_a_label_that_is_not_one_distinct_csv_cell(labels, message):
-    # trace_csv and integrate's report print each label as a header cell
+    # gen-trace's CSV and integrate's report print each label as a header cell
     with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
         PowerTrace.build(labels, [0.0, 1.0], [[1.0] * len(labels)] * 2)
 
@@ -403,7 +407,7 @@ def _bits(call):
 
 
 @given(trace_files())
-@example(b"t_s,a_w\n1\x0c,2\n")  # np.loadtxt reads [1, 2]; the lines are "1" and ",2"
+@example(b"t_s,a_w\n1\x0c,2\n")  # one row, [1, 2]: \x0c does not end a line
 @example(b"t_s,a_w\n-0.0,-0.0\n1,0\n")
 @example(b"t_s,a_w\n")
 @settings(max_examples=300, deadline=None,
@@ -420,6 +424,57 @@ def test_load_trace_reads_a_file_as_parse_trace_reads_its_text(tmp_path, data):
         if isinstance(want[0], type):
             want = want[0], f"{path}: {want[1]}"
     assert _bits(lambda: powertrace.load_trace(path)) == want
+
+
+class _Unseekable(io.BytesIO):
+    """Bytes that read as a pipe does: once, from the start."""
+
+    def seekable(self):
+        return False
+
+
+#: A fault past numpy's and the text decoder's first chunks, and the error
+#: it gives.
+LATE_FAULTS = {
+    "none": None,
+    "row": "line 20002: non-numeric cell in '20000,x'",
+    "byte": "'utf-8' codec can't decode byte 0xff in position 100000: invalid start byte",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+def test_a_pipe_reads_as_the_file_does_far_into_the_trace(tmp_path, fault):
+    data = ("t_s,a_w\n" + "".join(f"{i},{i % 7}.5\n" for i in range(20_000))).encode()
+    if fault == "row":
+        data += b"20000,x\n"
+    elif fault == "byte":
+        data = data[:100_000] + b"\xff" + data[100_000:]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    from_file = _bits(lambda: powertrace.load_trace(path))
+    try:
+        from_pipe = _bits(lambda: parse_trace(io.TextIOWrapper(_Unseekable(data),
+                                                              encoding="utf-8")))
+    except UnicodeDecodeError as exc:
+        from_pipe = DataFormatError, f"{path}: {exc}"  # as read_file names it
+    else:
+        if isinstance(from_pipe[0], type):
+            from_pipe = from_pipe[0], f"{path}: {from_pipe[1]}"
+    assert from_pipe == from_file
+    if LATE_FAULTS[fault]:
+        assert from_file[1] == f"{path}: {LATE_FAULTS[fault]}"
+    else:
+        assert from_file[0] == ("a",)
+
+
+def test_only_lf_cr_lf_and_cr_end_a_line():
+    # str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and
+    # \u2029; a text file's lines do not, and neither do a trace's.
+    trace = parse_trace("t_s,a_w\n1\x0c,2\n")
+    assert (trace.times.tolist(), trace.watts.tolist()) == ([1.0], [[2.0]])
+    with pytest.raises(ChannelCountMismatchError, match="^line 2: expected 2 columns, got 3$"):
+        parse_trace("t_s,a_w\n0,1\x0c1,2\n")
+    assert parse_trace("t_s,a_w\r0,1\r\n\r1,2\r").times.tolist() == [0.0, 1.0]
 
 
 def test_parse_trace_rejects_what_only_float_accepts():
@@ -511,7 +566,7 @@ def test_region_results_csv_reports_failures_in_place():
     trace = flat_trace(watts=100.0, t_end=2.0)
     regions = [Region("ok", "forward", 0.0, 1.0),
                Region("late", "other", 5.0, 6.0)]
-    lines = region_results_csv(trace, regions).strip().splitlines()
+    lines = render((), powertrace._region_rows(trace, regions)).strip().splitlines()
     header = lines[0].split(",")
     assert header[:5] == ["id", "label", "duration_s", "joules_total", "mean_watts"]
     assert header[-1] == "error"
