@@ -1,9 +1,9 @@
 """The one text format cnnergy's tables come in, read and written here.
 
-Every table is CSV with a fixed header: blank and whitespace-only lines are
-skipped, the header and every row are split on commas with each cell
-stripped, and row errors name their line in the file, blank lines included.
-Errors from a file name it as ``<path>: ...``.
+Every table is CSV with a fixed header: lines end at LF, CR LF or CR, blank
+and whitespace-only lines are skipped, the header and every row are split on
+commas with each cell stripped, and row errors name their line in the file,
+blank lines included. Errors from a file name it as ``<path>: ...``.
 
 The reader checks only the format; the records it builds check their own
 values. A name that a command prints as a CSV cell is checked by
@@ -13,6 +13,7 @@ values. A name that a command prints as a CSV cell is checked by
 
 from __future__ import annotations
 
+import io
 from importlib import resources
 
 from .errors import CnnergyError, DataFormatError
@@ -24,33 +25,47 @@ def data_text(relpath: str) -> str:
 
 
 def read_file(path, parse):
-    """``parse(fh)`` of a UTF-8 file open as text. What it raises keeps its
-    class, and it and a file that is not UTF-8 (a DataFormatError) name the
-    file as ``"<path>: ..."``; no parser names the file itself."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    """``parse(fh)`` of a file as a seekable UTF-8 text stream (a pipe held as
+    bytes, a byte-order mark skipped). Errors keep their class and name the
+    file as ``"<path>: ..."``; a file not UTF-8 is refused at its first bad byte."""
+    with open(path, "rb") as raw:
+        raw = raw if raw.seekable() else io.BytesIO(raw.read())
+        fh = io.TextIOWrapper(raw, encoding="utf-8-sig")
+        try:
             return parse(fh)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    except CnnergyError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+        except (UnicodeDecodeError, CnnergyError) as exc:
+            raw.seek(0)
+            try:  # utf-8-sig would name offsets 3 bytes short after a BOM
+                raw.read().decode("utf-8")
+            except UnicodeDecodeError as bad:
+                raise DataFormatError(f"{path}: {bad}") from None
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
-def read_csv(text: str, what: str, header: str, build, error=DataFormatError) -> list:
-    """``build(*cells)`` for every row of a CSV table with the given header.
+def numbered_lines(source):
+    """``(n, line)`` for each line of text or a text stream (each line it yields
+    split again: a ``StringIO`` breaks only at LF) that is not whitespace only,
+    ``n`` counting blank lines, ``line`` without its LF, CR LF or CR end."""
+    chunks = [source] if isinstance(source, str) else source
+    lines = (line for chunk in chunks for line in io.StringIO(chunk, newline=None))
+    return ((n, line.rstrip("\n")) for n, line in enumerate(lines, start=1) if not line.isspace())
+
+
+def read_csv(source, what: str, header: str, build, error=DataFormatError) -> list:
+    """``build(*cells)`` for every row of a CSV text or text stream with this header.
 
     Raises:
         error: the header is not ``header`` (``"<what> header must be
             <header>"``), a row has the wrong number of columns, or ``build``
             raises ``ValueError`` (``"line N: ..."``).
     """
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = numbered_lines(source)
     names = header.split(",")
-    if not lines or [c.strip() for c in lines[0][1].split(",")] != names:
+    if [c.strip() for c in next(lines, (0, ""))[1].split(",")] != names:
         raise error(f"{what} header must be {header}")
     rows = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(names):
             raise error(f"line {lineno}: expected {len(names)} columns, got {len(cells)}")

@@ -437,8 +437,8 @@ def _residual_block(prefix: str, channels: int, skip_from: str, convs: int = 2) 
     return layers
 
 
-def parse_network(text: str, name: str | None = None) -> NetworkSpec:
-    """Parse the line-oriented architecture format.
+def parse_network(source, name: str | None = None) -> NetworkSpec:
+    """Parse the line-oriented architecture format, text or a text stream.
 
     Grammar: ``#`` starts a comment; the first non-comment line is
     ``input <w> <h> <ch>``; each following line is ``<kind> <name>
@@ -459,7 +459,7 @@ def parse_network(text: str, name: str | None = None) -> NetworkSpec:
     layers: list[LayerSpec] = []
     file_name = None
     prev_layer_name: str | None = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in _tables.numbered_lines(source):
         line = raw_line.split("#", 1)[0].strip()
         comment = raw_line.split("#", 1)[1].strip() if "#" in raw_line else ""
         if comment.startswith("network:"):

@@ -59,7 +59,7 @@ def cmd_analyze(args):
         summary = costmodel.CostSummary(*costmodel._builtin_rows(name), args.element_bytes)
     else:
         shaped = _tables.read_file(args.arch, lambda fh: arch.infer_shapes(
-            arch.parse_network(fh.read(), name=Path(args.arch).stem)))
+            arch.parse_network(fh, name=Path(args.arch).stem)))
         name, summary = shaped.spec.name, costmodel.network_cost(
             shaped, element_bytes=args.element_bytes)
     if args.batch is not None:

@@ -102,11 +102,11 @@ class MeasurementRecord:
         return (self.device, self.network, self.step, self.gpus, self.batch)
 
 
-def parse_measurements(text: str) -> list[MeasurementRecord]:
+def parse_measurements(source) -> list[MeasurementRecord]:
     """Parse measurement CSV (header ``device,network,step,gpus,batch,
-    seconds_per_batch,joules_per_batch``)."""
+    seconds_per_batch,joules_per_batch``) from text or a text stream."""
     return read_csv(
-        text, "measurement",
+        source, "measurement",
         "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch",
         lambda device, network, step, gpus, batch, seconds, joules: MeasurementRecord(
             device, network, step, int(gpus), int(batch), float(seconds), float(joules)),
@@ -115,7 +115,7 @@ def parse_measurements(text: str) -> list[MeasurementRecord]:
 
 def load_measurements(path) -> list[MeasurementRecord]:
     """:func:`parse_measurements` of a file; its errors name the file."""
-    return read_file(path, lambda fh: parse_measurements(fh.read()))
+    return read_file(path, parse_measurements)
 
 
 def bundled_measurements() -> list[MeasurementRecord]:
@@ -448,25 +448,29 @@ def load_models(path) -> list[CalibratedModel]:
             the message names the file and the key. Integers in float fields
             are read as floats.
     """
+    return read_file(path, _parse_models)
+
+
+def _parse_models(fh) -> list[CalibratedModel]:
+    """The models of a JSON text stream, for :func:`load_models`."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.load(fh)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise DataFormatError(str(exc)) from None
     entries = payload.get("models") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
-        raise DataFormatError(f"{path}: expected an object with a 'models' list")
+        raise DataFormatError("expected an object with a 'models' list")
     models = []
     for i, entry in enumerate(entries):
         if not _as_written(entry):
-            _check_entry(f"{path}: models[{i}]", entry)
+            _check_entry(f"models[{i}]", entry)
             entry = {**entry, **{key: float(entry[key]) for key in _FLOAT_FIELDS},
                      "residuals": list(map(float, entry["residuals"]))}
         for key in ("device", "network"):  # predict prints both as CSV cells
             try:
                 check_cell(key, entry[key])
             except ValueError as exc:
-                raise DataFormatError(f"{path}: models[{i}]: bad value for {key!r}: {exc}") from None
+                raise DataFormatError(f"models[{i}]: bad value for {key!r}: {exc}") from None
         models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
     return models
 

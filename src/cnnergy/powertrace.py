@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import check_cell, read_csv, read_file
+from ._tables import check_cell, numbered_lines, read_csv, read_file
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -167,14 +167,13 @@ def parse_trace(source) -> PowerTrace:
     """Parse trace CSV (header ``t_s,<label>_w,...``) from text or a text
     stream, in one pass that holds the rows (8 bytes a value), not the text.
 
-    Lines end at LF, CR LF or CR, as a text file's do, and whitespace-only
-    lines are skipped. The first other line is the header; one ``np.loadtxt``
-    reads the rest, so cells may be padded with whitespace and may read
-    ``inf`` or ``nan`` (:meth:`PowerTrace.build` rejects those), but unlike
-    ``float()`` may not hold digit separators (``1_0``) or non-ASCII digits.
-    A ``str``, and a stream that is not seekable, such as a pipe, are read
-    through a ``StringIO`` (4 bytes a character), which
-    :func:`_raise_first_bad_row` can read again.
+    Lines end at LF, CR LF or CR, as a file's do (a stream's are the lines it
+    yields); whitespace-only lines are skipped. The first other line is the
+    header; one ``np.loadtxt`` reads the rest, so cells may be padded with
+    whitespace and may read ``inf`` or ``nan`` (:meth:`PowerTrace.build`
+    rejects those), but unlike ``float()`` may not hold digit separators
+    (``1_0``) or non-ASCII digits. A stream must be seekable (:func:`load_trace`
+    reads a pipe); a ``str`` is read as a ``StringIO`` (4 bytes a character).
 
     Raises:
         TraceFormatError / NonMonotoneTimeError / ChannelCountMismatchError
@@ -182,7 +181,7 @@ def parse_trace(source) -> PowerTrace:
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
     elif not source.seekable():
-        source = io.StringIO(source.read(), newline=None)
+        raise TraceFormatError("a trace stream must be seekable; load_trace reads a pipe")
     lines = (line for line in source if not line.isspace())
     try:
         header = next(lines, None)
@@ -211,19 +210,15 @@ def _header_labels(line: str) -> tuple[str, ...]:
 def _raise_first_bad_row(source):
     """Raise the error of the first row of the seekable text stream
     ``source`` that :func:`parse_trace` cannot read, naming its line in the
-    file (blank lines count). Only this error path reads the text whole, so
-    a byte that is not UTF-8 is named at its offset in the file, and only it
-    numbers the lines."""
+    file (blank lines count); only this error path numbers the lines."""
     source.seek(0)
-    numbered = [(n, ln) for n, ln in enumerate(source.read().split("\n"), start=1)
-                if ln.strip()]
-    n_cols = numbered[0][1].count(",") + 1
-    for lineno, line in numbered[1:]:
+    numbered = numbered_lines(source)
+    n_cols = next(numbered)[1].count(",") + 1
+    for lineno, line in numbered:
         n_cells = line.count(",") + 1
         if n_cells != n_cols:
-            raise ChannelCountMismatchError(
-                f"line {lineno}: expected {n_cols} columns, got {n_cells}"
-            )
+            raise ChannelCountMismatchError(f"line {lineno}: expected {n_cols} columns, "
+                                            f"got {n_cells}")
         try:
             np.loadtxt([line], delimiter=",", comments=None)
         except ValueError:
@@ -237,10 +232,9 @@ def load_trace(path) -> PowerTrace:
 
 
 def parse_regions(source) -> list[Region]:
-    """Parse region CSV (header ``id,label,t_start_s,t_end_s``)."""
-    text = source.read() if hasattr(source, "read") else source
+    """Parse region CSV (header ``id,label,t_start_s,t_end_s``), text or a stream."""
     return read_csv(
-        text, "region", "id,label,t_start_s,t_end_s",
+        source, "region", "id,label,t_start_s,t_end_s",
         lambda rid, label, start, end: Region(rid, label, float(start), float(end)),
         error=TraceFormatError,
     )
@@ -391,8 +385,10 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
     single sample carries the midpoint of the adjacent power levels, so step
     profiles integrate exactly under the trapezoidal rule. Gaussian noise of
     ``noise_sigma`` watts (finite and >= 0; per channel, clamped at 0) is
-    added when nonzero.
+    added when nonzero; ``seed``, if given, must be >= 0.
     """
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed (--seed) must be >= 0, got {seed}")
     if not 0.0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     segs = list(segments)

@@ -1,4 +1,5 @@
 """End-to-end command-line checks (in-process, no subprocesses)."""
+import codecs
 import contextlib
 import csv
 import io
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnnergy import cli, energymodel, powertrace
+from cnnergy import arch, cli, energymodel, powertrace
+from cnnergy._tables import read_file
 from cnnergy.errors import DataFormatError, TraceFormatError
 
 from oracles import trace_csv_reference
 from test_arch import arch_texts
+from test_powertrace import LATE_FAULTS, outcome_in, piped
 
 TOY_ARCH = """\
 # network: toy
@@ -40,6 +43,10 @@ MEASUREMENTS = (
     "pascal,net_a,forward,1,128,0.02,8.0\n"
     "pascal,net_a,backward,1,64,0.03,9.0\n"
 )
+
+MODEL = {"device": "pascal", "network": "net_a", "step": "forward", "gpus": 1,
+         "quantity": "seconds", "slope": 1e-4, "intercept": 0.001, "r_squared": 1.0,
+         "residuals": [0.0, 0.0], "batch_min": 64, "batch_max": 128, "n_points": 2}
 
 # finite cells whose fit overflows: the residuals square past the float range
 OVERFLOWING_MEASUREMENTS = (
@@ -274,6 +281,12 @@ def test_gen_trace_bad_noise_exits_2(sigma, capsys):
     assert err.startswith("error: noise_sigma must be finite and >= 0")
 
 
+def test_gen_trace_negative_seed_exits_2_naming_the_option(capsys):
+    code, out, err = run(["gen-trace", "--segments", "100:1", "--noise", "1", "--seed", "-5"],
+                         capsys)
+    assert (code, out, err) == (2, "", "error: seed (--seed) must be >= 0, got -5\n")
+
+
 def test_gen_trace_bad_segment_exits_2(capsys):
     code, _, err = run(["gen-trace", "--segments", "watts-only"], capsys)
     assert code == 2 and err.startswith("error:")
@@ -402,6 +415,104 @@ def test_a_non_ascii_label_keeps_integrate_in_one_pass(tmp_path):
     assert "r\u00e9il1" in powertrace.load_trace(trace_file).channel_labels
     assert _traced_peak(["integrate", "--trace", str(trace_file), "--regions", str(regions),
                          "--output", str(tmp_path / "out")]) <= 2.5 * array_bytes
+
+
+def test_a_piped_trace_is_held_as_its_bytes(tmp_path):
+    # A pipe is read once and held as bytes, about 1 byte a character of its
+    # text (about 2.2x the arrays); held as a StringIO it was 4 (5.1x).
+    trace_file, _, array_bytes = _big_trace_files(tmp_path)
+    with piped(trace_file.read_bytes()) as pipe:
+        tracemalloc.start()
+        try:
+            powertrace.load_trace(pipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2.5 * array_bytes
+
+
+#: Per input file: its library reader and text parser, the argv of a command
+#: that reads it as @, a text longer than a pipe's buffer, and a row that
+#: the reader refuses, as the file's last line.
+LONG_INPUTS = {
+    "arch": (lambda path: read_file(path, arch.parse_network), arch.parse_network,
+             ["analyze", "--arch", "@"],
+             "# network: piped\ninput 8 8 3\n" + "".join(
+                 f"relu relu_{i}\n" for i in range(9000)), "bogus x\n"),
+    "measurements": (energymodel.load_measurements, energymodel.parse_measurements,
+                     ["calibrate", "--measurements", "@"],
+                     MEASUREMENTS.split("\n")[0] + "\n" + "".join(
+                         f"pascal,n,forward,1,{b},{b * 1e-4},{b * 0.1}\n"
+                         for b in range(1, 4000)), "pascal,n,forward,1,64,x,4\n"),
+    "models": (energymodel.load_models,
+               lambda text: energymodel._parse_models(io.StringIO(text)),
+               ["predict", "--models", "@", "--device", "pascal", "--network", "n0",
+                "--step", "forward", "--gpus", "1", "--batch", "64", "--quantity", "seconds"],
+               json.dumps({"models": [{**MODEL, "network": f"n{i}"} for i in range(600)]},
+                          indent=2), "x\n"),
+    "regions": (powertrace.load_regions, powertrace.parse_regions,
+                ["integrate", "--trace", "@trace", "--regions", "@"],
+                REGIONS + "".join(f"r{i},forward,{i},{i + 1}\n" for i in range(3, 6000)),
+                "x,sideways,0,1\n"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+@pytest.mark.parametrize("reader", sorted(LONG_INPUTS))
+def test_an_input_file_reads_as_its_text_and_as_a_pipe_does(reader, fault, tmp_path, capsys):
+    load, parse, argv, text, bad_row = LONG_INPUTS[reader]
+    data = text.encode() + (bad_row.encode() if fault == "row" else b"")
+    if fault == "byte":
+        data = data[:100_000] + b"\xff" + data[100_000:]
+    path = tmp_path / reader
+    path.write_bytes(data)
+    (tmp_path / "trace").write_text(CONSTANT_TRACE, encoding="utf-8")
+    from_file = outcome_in(path, load)
+    with piped(data) as pipe:
+        assert outcome_in(pipe, load) == from_file
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") and a != "@" else a for a in argv]
+    by_file = run([str(path) if a == "@" else a for a in argv], capsys)
+    with piped(data) as pipe:
+        code, out, err = run([pipe if a == "@" else a for a in argv], capsys)
+        assert (code, out, err.replace(pipe, str(path))) == by_file
+    assert by_file[0] == (0 if fault == "none" else 2)
+    if fault == "byte":
+        assert from_file == (DataFormatError, f"<path>: {LATE_FAULTS['byte']}")
+    else:
+        want = outcome_in(path, lambda _: parse(data.decode()))
+        assert from_file == (want if want[0] == "ok" else (want[0], f"<path>: {want[1]}"))
+        assert (want[0] == "ok") == (fault == "none")
+
+
+#: Per input file: the argv of a command that reads it as @, and a text it reads.
+BOM_INPUTS = {
+    "arch": (["analyze", "--arch", "@"], TOY_ARCH),  # its first line is a comment
+    "measurements": (["calibrate", "--measurements", "@"], MEASUREMENTS),
+    "models": (["predict", "--models", "@", "--device", "pascal", "--network", "net_a",
+                "--step", "forward", "--gpus", "1", "--batch", "64", "--quantity", "seconds"],
+               json.dumps({"models": [MODEL]})),
+    "regions": (["integrate", "--trace", "@trace", "--regions", "@"], REGIONS),
+    "trace": (["integrate", "--trace", "@", "--regions", "@regions"], CONSTANT_TRACE),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BOM_INPUTS))
+def test_a_byte_order_mark_starts_any_input_file(reader, tmp_path, capsys):
+    argv, text = BOM_INPUTS[reader]
+    (tmp_path / "trace").write_text(CONSTANT_TRACE, encoding="utf-8")
+    (tmp_path / "regions").write_text(REGIONS, encoding="utf-8")
+    path = tmp_path / "input"
+    argv = [str(path) if a == "@" else str(tmp_path / a[1:]) if a[0] == "@" else a
+            for a in argv]
+    path.write_text(text, encoding="utf-8")
+    plain = run(argv, capsys)
+    assert plain[0] == 0
+    path.write_text(text, encoding="utf-8-sig")
+    assert run(argv, capsys) == plain
+    # a bad byte is named at its offset in the file, the mark's 3 bytes counted
+    path.write_bytes(codecs.BOM_UTF8 + text.encode()[:10] + b"\xff\n")
+    assert run(argv, capsys) == (2, "", f"error: {path}: 'utf-8' codec can't decode byte "
+                                        "0xff in position 13: invalid start byte\n")
 
 
 def test_integrate_reads_a_form_feed_as_part_of_its_row(tmp_path, capsys):
@@ -784,9 +895,6 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1", "2", "64", "1e308", "9" * 30, "9" * 400, "x"]
-MODEL = {"device": "pascal", "network": "net_a", "step": "forward", "gpus": 1,
-         "quantity": "seconds", "slope": 1e-4, "intercept": 0.001, "r_squared": 1.0,
-         "residuals": [0.0, 0.0], "batch_min": 64, "batch_max": 128, "n_points": 2}
 
 
 def hostile(draw, good=()):

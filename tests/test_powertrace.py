@@ -1,7 +1,10 @@
 """Power-trace parsing, trapezoidal integration, and synthetic traces."""
+import contextlib
 import io
 import math
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from cnnergy.errors import (
     ChannelCountMismatchError,
+    CnnergyError,
     DataFormatError,
     EmptyRegionError,
     InsufficientSamplesError,
@@ -19,7 +23,7 @@ from cnnergy.errors import (
     TraceFormatError,
     TraceTooLargeError,
 )
-from cnnergy import powertrace
+from cnnergy import arch, energymodel, powertrace
 from cnnergy.powertrace import (
     DEFAULT_CHANNEL_LABELS,
     EnergyResult,
@@ -33,7 +37,7 @@ from cnnergy.powertrace import (
     parse_regions,
     parse_trace,
 )
-from cnnergy._tables import render
+from cnnergy._tables import read_file, render
 
 from oracles import (
     cumulative_energy_reference,
@@ -426,15 +430,42 @@ def test_load_trace_reads_a_file_as_parse_trace_reads_its_text(tmp_path, data):
     assert _bits(lambda: powertrace.load_trace(path)) == want
 
 
-class _Unseekable(io.BytesIO):
-    """Bytes that read as a pipe does: once, from the start."""
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A path that reads ``data`` from a pipe, as ``/dev/stdin`` reads one
+    that a shell pipes in; a thread writes it."""
+    read_fd, write_fd = os.pipe()
 
-    def seekable(self):
-        return False
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
-#: A fault past numpy's and the text decoder's first chunks, and the error
-#: it gives.
+def _trace_bits(path):
+    trace = powertrace.load_trace(path)
+    return trace.channel_labels, trace.times.tobytes(), trace.watts.tobytes()
+
+
+def outcome_in(path, load):
+    """What ``load(path)`` returns, or the class and message of the error
+    it raises, with the path written as ``<path>``."""
+    try:
+        return "ok", load(path)
+    except CnnergyError as exc:
+        return type(exc), str(exc).replace(str(path), "<path>")
+
+
+#: A fault past numpy's and the text decoder's first chunks, and past a
+#: pipe's buffer, and the error it gives.
 LATE_FAULTS = {
     "none": None,
     "row": "line 20002: non-numeric cell in '20000,x'",
@@ -451,30 +482,66 @@ def test_a_pipe_reads_as_the_file_does_far_into_the_trace(tmp_path, fault):
         data = data[:100_000] + b"\xff" + data[100_000:]
     path = tmp_path / "trace.csv"
     path.write_bytes(data)
-    from_file = _bits(lambda: powertrace.load_trace(path))
-    try:
-        from_pipe = _bits(lambda: parse_trace(io.TextIOWrapper(_Unseekable(data),
-                                                              encoding="utf-8")))
-    except UnicodeDecodeError as exc:
-        from_pipe = DataFormatError, f"{path}: {exc}"  # as read_file names it
-    else:
-        if isinstance(from_pipe[0], type):
-            from_pipe = from_pipe[0], f"{path}: {from_pipe[1]}"
-    assert from_pipe == from_file
+    from_file = outcome_in(path, _trace_bits)
+    with piped(data) as pipe:
+        assert outcome_in(pipe, _trace_bits) == from_file
     if LATE_FAULTS[fault]:
-        assert from_file[1] == f"{path}: {LATE_FAULTS[fault]}"
+        assert from_file[1] == f"<path>: {LATE_FAULTS[fault]}"
     else:
-        assert from_file[0] == ("a",)
+        assert from_file[1][0] == ("a",)
 
 
-def test_only_lf_cr_lf_and_cr_end_a_line():
+def _times_and_watts(trace):
+    return trace.times.tolist(), trace.watts.tolist()
+
+
+#: Per reader of a text: a text whose one row holds @, and what it reads as.
+ONE_ROW_TEXTS = {
+    "trace": (lambda source: _times_and_watts(parse_trace(source)), "t_s,a_w\n1@,2\n",
+              ([1.0], [[2.0]])),
+    "regions": (parse_regions, "id,label,t_start_s,t_end_s\nr1,forward,0@,1\n",
+                [Region("r1", "forward", 0.0, 1.0)]),
+    "measurements": (energymodel.parse_measurements,
+                     "device,network,step,gpus,batch,seconds_per_batch,joules_per_batch\n"
+                     "pascal,n,forward,1,64@,0.5,4\n",
+                     [energymodel.MeasurementRecord("pascal", "n", "forward", 1, 64, 0.5, 4.0)]),
+    "arch": (lambda source: [layer.kernel_w for layer in arch.parse_network(source).layers],
+             "input 8 8 3\nconv c1 filters=4@k=3\n", [3]),
+}
+
+
+def test_only_lf_cr_lf_and_cr_end_a_line(tmp_path):
     # str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and
-    # \u2029; a text file's lines do not, and neither do a trace's.
-    trace = parse_trace("t_s,a_w\n1\x0c,2\n")
-    assert (trace.times.tolist(), trace.watts.tolist()) == ([1.0], [[2.0]])
+    # \u2029; a text file's lines do not, and neither do those of any reader.
+    path = tmp_path / "one_row"
+    for parse, text, want in ONE_ROW_TEXTS.values():
+        for char in "\x0b\x0c\x1c\x85\u2028\u2029":
+            path.write_text(text.replace("@", char), encoding="utf-8")
+            assert parse(text.replace("@", char)) == want
+            assert read_file(path, parse) == want
+        for newline in ("\r", "\r\n"):
+            path.write_bytes(text.replace("@", " ").replace("\n", newline).encode())
+            assert parse(text.replace("@", " ").replace("\n", newline)) == want
+            assert read_file(path, parse) == want
     with pytest.raises(ChannelCountMismatchError, match="^line 2: expected 2 columns, got 3$"):
         parse_trace("t_s,a_w\n0,1\x0c1,2\n")
     assert parse_trace("t_s,a_w\r0,1\r\n\r1,2\r").times.tolist() == [0.0, 1.0]
+
+
+def test_a_table_stream_splits_its_lines_as_a_file_does():
+    # A StringIO's lines end only at LF; the table readers split them again.
+    for name in ("regions", "measurements", "arch"):
+        parse, text, want = ONE_ROW_TEXTS[name]
+        for newline in ("\r", "\r\n"):
+            assert parse(io.StringIO(text.replace("@", " ").replace("\n", newline))) == want
+
+
+def test_parse_trace_refuses_a_stream_that_cannot_seek():
+    # Its error path reads the stream again; load_trace holds a pipe's bytes.
+    with piped(b"t_s,a_w\n0,1\n") as pipe, open(pipe, encoding="utf-8") as fh:
+        with pytest.raises(TraceFormatError,
+                           match="^a trace stream must be seekable; load_trace reads a pipe$"):
+            parse_trace(fh)
 
 
 def test_parse_trace_rejects_what_only_float_accepts():
@@ -692,6 +759,14 @@ def test_synthetic_size_cap_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_negative_seed_is_refused_before_anything_is_built():
+    # numpy's own error names no option; this one is checked before the size cap
+    with pytest.raises(ValueError, match=r"^seed \(--seed\) must be >= 0, got -5$"):
+        generate_synthetic_trace([SegmentSpec(1e12, 100.0)], noise_sigma=1.0, seed=-5)
+    assert generate_synthetic_trace([SegmentSpec(0.01, 100.0)], noise_sigma=1.0,
+                                    seed=0).n_samples == 11
 
 
 def test_synthetic_size_cap_bounds_the_sample_count(monkeypatch):

@@ -1,7 +1,7 @@
 """Differential fuzz of the table parsers against their hand-written originals.
 
 Each parser now reads through the shared CSV reader. On generated text
-(blank and whitespace-only lines, CRLF endings, padded cells, wrong widths,
+(blank and whitespace-only lines, CR LF and CR endings, padded cells, wrong widths,
 wrong headers, non-numeric, ``nan``/``inf`` and ``#`` cells) it must return
 what the original line loop in ``oracles.py`` returned, or raise the same
 error class with the same message, and every failure must be a
@@ -70,7 +70,7 @@ def csv_texts(draw, header, columns):
             lines.append(draw(st.sampled_from(BLANKS)))
     if not draw(st.integers(0, 4)):
         lines.insert(0, draw(st.sampled_from(BLANKS)))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
