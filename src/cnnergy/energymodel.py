@@ -2,7 +2,7 @@
 
 The package bundles per-batch forward/backward time and energy measurements
 for four networks on two GPU generations (plus the mixed 4-GPU testbed),
-together with the device capability table and per-(network, batch) training
+together with each device's memory size and per-(network, batch) training
 plans. This module loads those tables, fits affine-in-batch predictors per
 configuration group, and computes GFLOPS-per-watt and cross-generation
 deltas; whole-training totals are :func:`cnnergy.tuner.score`'s.
@@ -35,34 +35,22 @@ QUANTITIES = ("seconds", "joules")
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Capability summary of one GPU model."""
+    """One GPU model, as far as memory feasibility needs it."""
 
     name: str
-    generation: str
-    cores: int
-    core_freq_mhz: float
-    peak_tflops: float
     dram_bytes: int
-    bandwidth_bytes_per_s: float
-    tdp_watts: float
 
     def __post_init__(self):
-        for field in ("cores", "core_freq_mhz", "peak_tflops", "dram_bytes",
-                      "bandwidth_bytes_per_s", "tdp_watts"):
-            if not 0 < getattr(self, field) < math.inf:
-                raise ValueError(f"DeviceProfile.{field} must be positive and finite")
+        if not 0 < self.dram_bytes < math.inf:
+            raise ValueError("DeviceProfile.dram_bytes must be positive and finite")
 
 
 def bundled_devices() -> dict[str, DeviceProfile]:
     """Both bundled device profiles by name, read from the table on every
     call, so each call returns a new dict."""
     devices = read_csv(
-        data_text("devices.csv"), "devices",
-        "name,generation,cores,core_freq_mhz,peak_tflops,dram_bytes,"
-        "bandwidth_bytes_per_s,tdp_watts",
-        lambda name, generation, cores, freq, tflops, dram, bandwidth, tdp: DeviceProfile(
-            name, generation, int(cores), float(freq), float(tflops), int(dram),
-            float(bandwidth), float(tdp)),
+        data_text("devices.csv"), "devices", "name,dram_bytes",
+        lambda name, dram: DeviceProfile(name, int(dram)),
     )
     return {device.name: device for device in devices}
 
@@ -151,11 +139,10 @@ class TrainingPlan:
     network: str
     batch: int
     iterations: int
-    epochs: int
 
     def __post_init__(self):
-        if self.batch < 1 or self.iterations < 1 or self.epochs < 1:
-            raise ValueError("batch, iterations and epochs must be >= 1")
+        if self.batch < 1 or self.iterations < 1:
+            raise ValueError("batch and iterations must be >= 1")
 
 
 def bundled_plans() -> dict[tuple[str, int], TrainingPlan]:
@@ -168,9 +155,8 @@ def _parse_plans(text: str) -> dict[tuple[str, int], TrainingPlan]:
     """(network, batch) -> TrainingPlan from the iterations CSV; a later row
     for the same pair replaces an earlier one."""
     plans = read_csv(
-        text, "iterations", "network,batch,iterations,epochs",
-        lambda network, batch, iterations, epochs: TrainingPlan(
-            network, int(batch), int(iterations), int(epochs)),
+        text, "iterations", "network,batch,iterations",
+        lambda network, batch, iterations: TrainingPlan(network, int(batch), int(iterations)),
     )
     return {(plan.network, plan.batch): plan for plan in plans}
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import check_cell, numbered_lines, read_csv, read_file
+from ._tables import check_cell, read_csv, read_file
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -173,13 +173,14 @@ def parse_trace(source) -> PowerTrace:
     whitespace and may read ``inf`` or ``nan`` (:meth:`PowerTrace.build`
     rejects those), but unlike ``float()`` may not hold digit separators
     (``1_0``) or non-ASCII digits. A stream must be seekable (:func:`load_trace`
-    reads a pipe); a ``str`` is read as a ``StringIO`` (4 bytes a character).
+    reads a pipe); a ``str`` is read as its UTF-8 bytes (about 1 byte a character).
 
     Raises:
         TraceFormatError / NonMonotoneTimeError / ChannelCountMismatchError
     """
     if isinstance(source, str):
-        source = io.StringIO(source, newline=None)
+        source = io.TextIOWrapper(io.BytesIO(source.encode("utf-8", "surrogatepass")),
+                                  encoding="utf-8", errors="surrogatepass")
     elif not source.seekable():
         raise TraceFormatError("a trace stream must be seekable; load_trace reads a pipe")
     lines = (line for line in source if not line.isspace())
@@ -209,10 +210,12 @@ def _header_labels(line: str) -> tuple[str, ...]:
 
 def _raise_first_bad_row(source):
     """Raise the error of the first row of the seekable text stream
-    ``source`` that :func:`parse_trace` cannot read, naming its line in the
-    file (blank lines count); only this error path numbers the lines."""
+    ``source`` that :func:`parse_trace` cannot read, naming its line among
+    the lines the stream yields (blank lines count); only this error path
+    numbers the lines."""
     source.seek(0)
-    numbered = numbered_lines(source)
+    numbered = ((n, line.rstrip("\n")) for n, line in enumerate(source, 1)
+                if not line.isspace())
     n_cols = next(numbered)[1].count(",") + 1
     for lineno, line in numbered:
         n_cells = line.count(",") + 1

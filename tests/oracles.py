@@ -308,12 +308,12 @@ def parse_plans_reference(text):
     from cnnergy.errors import DataFormatError
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0].strip() != "network,batch,iterations,epochs":
-        raise DataFormatError("iterations header must be network,batch,iterations,epochs")
+    if lines[0].strip() != "network,batch,iterations":
+        raise DataFormatError("iterations header must be network,batch,iterations")
     plans = {}
     for line in lines[1:]:
-        net, batch, iters, epochs = (c.strip() for c in line.split(","))
-        plan = TrainingPlan(net, int(batch), int(iters), int(epochs))
+        net, batch, iters = (c.strip() for c in line.split(","))
+        plan = TrainingPlan(net, int(batch), int(iters))
         plans[(plan.network, plan.batch)] = plan
     return plans
 

@@ -431,6 +431,24 @@ def test_a_piped_trace_is_held_as_its_bytes(tmp_path):
     assert peak <= 2.5 * array_bytes
 
 
+def test_a_trace_text_is_held_as_its_bytes(tmp_path):
+    # parse_trace reads a str as its UTF-8 bytes, about 1 byte a character of
+    # the text (about 2.2x the arrays); read as a StringIO it was 4 (5.1x).
+    trace_file, _, array_bytes = _big_trace_files(tmp_path)
+    text = trace_file.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        trace = powertrace.parse_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * array_bytes
+    from_file = powertrace.load_trace(trace_file)
+    assert trace.channel_labels == from_file.channel_labels
+    assert trace.times.tobytes() == from_file.times.tobytes()
+    assert trace.watts.tobytes() == from_file.watts.tobytes()
+
+
 #: Per input file: its library reader and text parser, the argv of a command
 #: that reads it as @, a text longer than a pipe's buffer, and a row that
 #: the reader refuses, as the file's last line.

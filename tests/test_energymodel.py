@@ -17,6 +17,7 @@ from cnnergy.energymodel import (
     MeasurementRecord,
     QUANTITIES,
     STEPS,
+    TrainingPlan,
     bundled_devices,
     bundled_measurements,
     bundled_plans,
@@ -55,44 +56,28 @@ def record(device="pascal", network="two_d_cnn", step="forward", gpus=1,
 # ---------------------------------------------------------------------------
 
 def test_device_profile_rejects_non_finite():
-    values = dict(name="demo", generation="demo-2020", cores=1024, core_freq_mhz=1000.0,
-                  peak_tflops=5.5, dram_bytes=8589934592, bandwidth_bytes_per_s=3e11,
-                  tdp_watts=200.0)
-    for field in ("core_freq_mhz", "peak_tflops", "tdp_watts"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-                DeviceProfile(**{**values, field: bad})
+    for bad in (0, -1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError,
+                           match="^DeviceProfile.dram_bytes must be positive and finite$"):
+            DeviceProfile("demo", bad)
 
 
 def test_bundled_devices_keep_every_value():
-    # the values the bundled tables have always held, field by field
+    # the values the bundled table holds, field by field
+    assert [f.name for f in dataclasses.fields(DeviceProfile)] == ["name", "dram_bytes"]
     assert bundled_devices() == {
-        "pascal": DeviceProfile(
-            name="pascal", generation="pascal-2016", cores=3584, core_freq_mhz=1911.0,
-            peak_tflops=11.0, dram_bytes=12884901888, bandwidth_bytes_per_s=480000000000.0,
-            tdp_watts=250.0),
-        "maxwell": DeviceProfile(
-            name="maxwell", generation="maxwell-2015", cores=3072, core_freq_mhz=1392.0,
-            peak_tflops=6.6, dram_bytes=12884901888, bandwidth_bytes_per_s=336500000000.0,
-            tdp_watts=250.0),
+        "pascal": DeviceProfile(name="pascal", dram_bytes=12884901888),
+        "maxwell": DeviceProfile(name="maxwell", dram_bytes=12884901888),
     }
     for device in bundled_devices().values():
-        assert [type(getattr(device, f)) for f in ("cores", "dram_bytes")] == [int, int]
-        assert all(type(getattr(device, f)) is float for f in (
-            "core_freq_mhz", "peak_tflops", "bandwidth_bytes_per_s", "tdp_watts"))
+        assert [type(device.name), type(device.dram_bytes)] == [str, int]
 
 
 def test_bundled_devices():
     devices = bundled_devices()
     assert set(devices) == {"pascal", "maxwell"}
-    pascal, maxwell = devices["pascal"], devices["maxwell"]
-    # both boards carry 12 GB and the same 250 W budget; the newer one is
-    # wider, faster, and higher-bandwidth
-    assert pascal.dram_bytes == maxwell.dram_bytes == 12 * 2 ** 30
-    assert pascal.tdp_watts == maxwell.tdp_watts == 250
-    assert pascal.cores == 3584 and maxwell.cores == 3072
-    assert pascal.peak_tflops > maxwell.peak_tflops
-    assert pascal.bandwidth_bytes_per_s > maxwell.bandwidth_bytes_per_s
+    # both boards carry 12 GB
+    assert devices["pascal"].dram_bytes == devices["maxwell"].dram_bytes == 12 * 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +149,24 @@ def test_record_names_must_read_back_as_one_csv_cell(field, name):
 
 def test_bundled_plans():
     plans = bundled_plans()
-    assert len(plans) == 12
-    assert plans[("resnet_gait", 64)].iterations == 72368
-    assert plans[("caffenet", 256)].iterations == 450_000
-    assert plans[("caffenet", 256)].epochs == 90
+    # the values the bundled table holds, field by field
+    assert [f.name for f in dataclasses.fields(TrainingPlan)] == ["network", "batch", "iterations"]
+    assert plans == {
+        ("resnet_gait", 64): TrainingPlan("resnet_gait", 64, 72_368),
+        ("resnet_gait", 128): TrainingPlan("resnet_gait", 128, 36_184),
+        ("resnet_gait", 256): TrainingPlan("resnet_gait", 256, 18_092),
+        ("two_d_cnn", 64): TrainingPlan("two_d_cnn", 64, 72_368),
+        ("two_d_cnn", 128): TrainingPlan("two_d_cnn", 128, 36_184),
+        ("two_d_cnn", 256): TrainingPlan("two_d_cnn", 256, 18_092),
+        ("caffenet", 64): TrainingPlan("caffenet", 64, 1_800_000),
+        ("caffenet", 128): TrainingPlan("caffenet", 128, 900_000),
+        ("caffenet", 256): TrainingPlan("caffenet", 256, 450_000),
+        ("resnet_im", 64): TrainingPlan("resnet_im", 64, 1_800_000),
+        ("resnet_im", 128): TrainingPlan("resnet_im", 128, 900_000),
+        ("resnet_im", 256): TrainingPlan("resnet_im", 256, 450_000),
+    }
+    for plan in plans.values():
+        assert [type(plan.network), type(plan.batch), type(plan.iterations)] == [str, int, int]
     # doubling the batch halves the iteration count
     for network in ("resnet_gait", "two_d_cnn", "caffenet", "resnet_im"):
         assert plans[(network, 64)].iterations == 2 * plans[(network, 128)].iterations

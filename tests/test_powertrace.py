@@ -544,6 +544,19 @@ def test_parse_trace_refuses_a_stream_that_cannot_seek():
             parse_trace(fh)
 
 
+def test_parse_trace_numbers_the_lines_a_stream_yields():
+    # A StringIO's lines end only at LF, for its rows and for its error.
+    with pytest.raises(ChannelCountMismatchError, match="^line 2: expected 2 columns, got 3$"):
+        parse_trace(io.StringIO("t_s,a_w\n0,1\r1,2\n"))
+
+
+def test_a_trace_text_keeps_its_lone_surrogates():
+    # a str is read as its UTF-8 bytes; a surrogate that is not UTF-8 goes through
+    assert parse_trace("t_s,\ud800_w\n0,1\n").channel_labels == ("\ud800",)
+    with pytest.raises(TraceFormatError, match=r"^line 2: non-numeric cell in '0,\\ud800'$"):
+        parse_trace("t_s,a_w\n0,\ud800\n")
+
+
 def test_parse_trace_rejects_what_only_float_accepts():
     # The one intended difference from float(): numpy reads neither digit
     # separators nor non-ASCII digits.

@@ -2,10 +2,12 @@
 
 The fenced ``python`` blocks are executed; every ``cnnergy ...`` line of the
 ``sh`` blocks is run through ``cli.main``, in order, next to the inputs they
-name; and every ``__all__`` name is either shown in README code or used by
-another module of the package.
+name; every ``__all__`` name is either shown in README code or used by
+another module of the package; and every field of a bundled table's record
+is read by package code outside that record's class.
 """
 import ast
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -14,6 +16,8 @@ import pytest
 
 import cnnergy
 from cnnergy.cli import main
+from cnnergy.energymodel import DeviceProfile, MeasurementRecord, TrainingPlan
+from cnnergy.tuner import AccuracyRecord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -79,3 +83,28 @@ def test_every_export_is_documented_or_used():
     used = _names_used_across_modules()
     assert [name for name in cnnergy.__all__
             if name not in documented and name not in used] == []
+
+
+def _attributes_read_outside(cls) -> set[str]:
+    """Attribute names that a package module reads (``x.name``) outside the
+    body of ``cls``."""
+    read = set()
+    for path in Path(cnnergy.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = set()
+        if cls.__module__ == f"cnnergy.{path.stem}":
+            body = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == cls.__name__)
+            own = {id(node) for node in ast.walk(body)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and id(node) not in own}
+    return read
+
+
+@pytest.mark.parametrize("record", [DeviceProfile, TrainingPlan, MeasurementRecord,
+                                    AccuracyRecord], ids=lambda record: record.__name__)
+def test_every_bundled_record_field_is_read(record):
+    # a bundled column that no code reads is parsed and checked for nothing
+    read = _attributes_read_outside(record)
+    assert [f.name for f in dataclasses.fields(record) if f.name not in read] == []

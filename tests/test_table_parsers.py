@@ -90,8 +90,8 @@ REGION_TEXTS = csv_texts(
     [["r1", "r2", "a b"], ["forward", "backward", "update", "load", "other"],
      ["0", "1.5", "-1"], ["2", "3.5", "1e3"]])
 PLAN_TEXTS = csv_texts(
-    "network,batch,iterations,epochs",
-    [NETWORKS, ["64", "128"], ["72368", "1"], ["20", "90"]])
+    "network,batch,iterations",
+    [NETWORKS, ["64", "128"], ["72368", "1"]])
 
 def assert_same(parse, reference, text):
     got = outcome(parse, text)
@@ -142,7 +142,7 @@ def test_parse_plans_matches_original_except_its_bare_errors(text):
         assert got == want
     elif want[1] is IndexError:
         assert got == ("error", DataFormatError,
-                       "iterations header must be network,batch,iterations,epochs")
+                       "iterations header must be network,batch,iterations")
     else:
         assert want[1] is ValueError
         assert got[:2] == ("error", DataFormatError)
@@ -171,8 +171,8 @@ def test_row_errors_name_the_line_in_the_file():
 
 
 def test_plans_bad_row_is_a_data_format_error():
-    text = "network,batch,iterations,epochs\nresnet_gait,64,72368\n"
-    with pytest.raises(DataFormatError, match="^line 2: expected 4 columns, got 3$"):
+    text = "network,batch,iterations\nresnet_gait,64\n"
+    with pytest.raises(DataFormatError, match="^line 2: expected 3 columns, got 2$"):
         _parse_plans(text)
 
 

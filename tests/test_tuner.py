@@ -97,7 +97,7 @@ def test_memory_estimate_scales_with_element_bytes():
 def test_config_rejects_indivisible_batch():
     with pytest.raises(IndivisibleBatchError):
         TrainingConfig("resnet_gait", 100, GpuSet.homogeneous("pascal", 3),
-                       TrainingPlan("resnet_gait", 100, 10, 1))
+                       TrainingPlan("resnet_gait", 100, 10))
 
 
 def test_config_rejects_plan_mismatch():
@@ -201,7 +201,7 @@ def linear_records(batches=(32, 64, 128), gpus=1):
 def test_score_falls_back_to_calibrated_models():
     recs = linear_records()
     models, _ = calibrate(recs, gpu_counts=(1,))
-    plan = TrainingPlan("two_d_cnn", 96, 1000, 1)
+    plan = TrainingPlan("two_d_cnn", 96, 1000)
     cfg = TrainingConfig("two_d_cnn", 96, GpuSet.homogeneous("pascal", 1), plan)
     report = score(cfg, [], PROFILES, models=models)
     assert report.feasible
@@ -215,7 +215,7 @@ def test_score_falls_back_to_calibrated_models():
 def test_score_model_fallback_warns_on_extrapolation():
     recs = linear_records()
     models, _ = calibrate(recs, gpu_counts=(1,))
-    plan = TrainingPlan("two_d_cnn", 512, 1000, 1)
+    plan = TrainingPlan("two_d_cnn", 512, 1000)
     cfg = TrainingConfig("two_d_cnn", 512, GpuSet.homogeneous("pascal", 1), plan)
     report = score(cfg, [], PROFILES, models=models)
     assert report.feasible
@@ -283,7 +283,7 @@ def test_rank_drops_infeasible_and_handles_empty():
 
 def test_rank_tie_break_is_deterministic():
     def report(network, batch, gpus):
-        plan = TrainingPlan(network, batch, 10, 1)
+        plan = TrainingPlan(network, batch, 10)
         cfg = TrainingConfig(network, batch, GpuSet.homogeneous("pascal", gpus), plan)
         return ConfigReport(cfg, feasible=True, total_seconds=5.0,
                             total_joules=7.0, edp_joule_seconds=35.0)
@@ -372,7 +372,7 @@ def test_recommend_reports_pick_lowest_edp_qualifier():
            AccuracyRecord("two_d_cnn", 128, "weighted-average", 98.0)]
 
     def report(batch, edp_value):
-        plan = TrainingPlan("two_d_cnn", batch, 10, 1)
+        plan = TrainingPlan("two_d_cnn", batch, 10)
         cfg = TrainingConfig("two_d_cnn", batch, GpuSet.homogeneous("pascal", 1), plan)
         return ConfigReport(cfg, feasible=True, total_seconds=1.0,
                             total_joules=edp_value, edp_joule_seconds=edp_value)
@@ -415,7 +415,7 @@ def test_bundled_grid_full_size_and_testbed():
 
 def test_bundled_grid_skips_missing_plans_and_indivisible_batches():
     some_plans = {("two_d_cnn", 64): PLANS[("two_d_cnn", 64)],
-                  ("two_d_cnn", 50): TrainingPlan("two_d_cnn", 50, 10, 1)}
+                  ("two_d_cnn", 50): TrainingPlan("two_d_cnn", 50, 10)}
     configs = bundled_grid("pascal", some_plans, networks=("two_d_cnn",),
                            batches=(50, 64), gpu_counts=(1, 4))
     got = {(c.batch, c.gpu_set.total_gpus) for c in configs}
