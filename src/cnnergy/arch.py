@@ -92,6 +92,8 @@ class LayerSpec:
     ``_KINDS`` says which fields each kind has; the rest keep their defaults.
     A name is a cell of the cost CSV: it is non-empty, holds no comma, double
     quote or line break, and is not ``total``, the name of the totals row.
+    It is also the second word of its architecture line, so it is one
+    ``str.split()`` word without ``#``.
     """
 
     name: str
@@ -109,6 +111,8 @@ class LayerSpec:
 
     def __post_init__(self):
         _tables.check_cell("layer name", self.name, refused=("", "total"))
+        if "#" in self.name or self.name.split() != [self.name]:
+            raise ValueError(f"layer name must be one word without '#', got {self.name!r}")
         if self.kind not in _RULES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         needed, ranged, fixed = _RULES[self.kind]
@@ -349,15 +353,29 @@ def _builtin_shapes(name: str) -> ShapedNetwork:
 _KIND_ALIASES = {"bn": "batch_norm", **{kind: kind for kind in _KINDS},
                  **{spelling: kind for kind, (spelling, _, _) in _KINDS.items()}}
 
-#: Architecture-file key -> LayerSpec field (``k`` sets both kernel fields).
-_FIELD_OF_KEY = {key: field for field, (key, _) in _FIELDS.items()}
-
 #: Per kind: its spelling, then (field, key, always written?, default) in order.
 _EMIT = {kind: (spelling, tuple((f, key, f in always, _DEFAULTS[f])
                                 for f, (key, _) in _FIELDS.items() if f in always + may))
          for kind, (spelling, always, may) in _KINDS.items()}
 
-_INT_KEYS = {"filters", "units", "k", "kw", "kh", "stride", "pad", "groups", "count", "convs"}
+#: Each architecture-file key: how its text reads and the LayerSpec fields it
+#: sets. A field with a bool default reads as the ``bias`` flag (``bool``),
+#: one with a lowest value as ``int`` and any other as ``str``. ``k`` sets
+#: both kernel fields; resblock's ``count`` and ``convs`` set none.
+_KEYS = {**{key: (bool if type(_DEFAULTS[f]) is bool else int if type(bound) is int else str,
+                  (f,)) for f, (key, bound) in _FIELDS.items()},
+         "k": (int, ("kernel_w", "kernel_h")), "count": (int, ()), "convs": (int, ())}
+
+#: The layer lines one residual block stands for, per ``convs`` value: ``{b}``
+#: is the block's name, ``{f}`` its filters and ``{s}`` the layer before the
+#: block, whose output the sum adds.
+_BLOCK_LINES = {
+    2: ("conv {b}_conv1 filters={f} k=3 pad=1", "bn {b}_bn1", "relu {b}_relu1",
+        "conv {b}_conv2 filters={f} k=3 pad=1", "bn {b}_bn2", "sum {b}_sum skip={s}",
+        "relu {b}_relu_out"),
+    1: ("conv {b}_conv filters={f} k=3 pad=1", "bn {b}_bn", "relu {b}_relu",
+        "sum {b}_sum skip={s}", "relu {b}_relu_out"),
+}
 
 
 def _parse_kv(tokens: list[str], lineno: int) -> dict[str, object]:
@@ -368,35 +386,43 @@ def _parse_kv(tokens: list[str], lineno: int) -> dict[str, object]:
         key, _, raw = token.partition("=")
         if key in kv:
             raise ArchSyntaxError(f"duplicate key {key!r}", lineno)
-        if key in _INT_KEYS:
+        if key not in _KEYS:
+            raise ArchSyntaxError(f"unknown key {key!r}", lineno)
+        read = _KEYS[key][0]
+        if read is int:
             try:
                 kv[key] = int(raw)
             except ValueError:
                 raise ArchSyntaxError(f"key {key} needs an integer, got {raw!r}", lineno) from None
-        elif key == "bias":
+        elif read is bool:
             if raw not in ("true", "false"):
                 raise ArchSyntaxError(f"bias must be true or false, got {raw!r}", lineno)
             kv[key] = raw == "true"
-        elif key in ("type", "skip"):
-            kv[key] = raw
         else:
-            raise ArchSyntaxError(f"unknown key {key!r}", lineno)
+            kv[key] = raw
     return kv
 
 
-def _layer_from_kv(kind: str, name: str, kv: dict[str, object], lineno: int) -> LayerSpec:
-    k = kv.pop("k", None)
-    if k is not None:
-        if "kw" in kv or "kh" in kv:
-            raise ArchSyntaxError("give either k= or kw=/kh=, not both", lineno)
-        kv["kw"] = kv["kh"] = k
-    if kind == "pool":
-        kv.setdefault("type", "max")
-    unexpected = sorted(kv.keys() - _FIELD_OF_KEY.keys())
+def _read_layer(tokens: list[str], lineno: int) -> LayerSpec:
+    """The layer of one ``<kind> <name> key=value ...`` line, split into words."""
+    kind_token, name, *kv_tokens = tokens
+    kv = _parse_kv(kv_tokens, lineno)
+    kind = _KIND_ALIASES.get(kind_token)
+    if kind is None:
+        raise ArchSyntaxError(f"unknown layer kind {kind_token!r}", lineno)
+    args: dict[str, object] = {}
+    for key, value in kv.items():
+        for f in _KEYS[key][1]:
+            if f in args:  # only k= and kw=/kh= set one field twice
+                raise ArchSyntaxError("give either k= or kw=/kh=, not both", lineno)
+            args[f] = value
+    unexpected = [key for key in kv if not _KEYS[key][1]]
     if unexpected:
-        raise ArchSyntaxError(f"unexpected keys for {kind}: {unexpected}", lineno)
+        raise ArchSyntaxError(f"unexpected keys for {kind}: {sorted(unexpected)}", lineno)
+    if kind == "pool":
+        args.setdefault("pool_kind", "max")
     try:
-        return LayerSpec(name, kind, **{_FIELD_OF_KEY[key]: value for key, value in kv.items()})
+        return LayerSpec(name, kind, **args)
     except ValueError as exc:
         raise ArchSemanticError(str(exc), lineno) from None
 
@@ -407,47 +433,16 @@ def _check_room(n_layers: int, lineno: int) -> None:
                                 f"{MAX_LAYERS}", lineno)
 
 
-def _residual_block(prefix: str, channels: int, skip_from: str, convs: int = 2) -> list[LayerSpec]:
-    """Expand one residual block into explicit layers.
-
-    ``convs=2`` gives the classic expansion conv-bn-relu-conv-bn-sum-relu;
-    ``convs=1`` gives the lighter conv-bn-relu-sum-relu variant. The sum's
-    second input is the output of ``skip_from`` (the block's input), so the
-    caller must keep channel counts aligned across the block.
-    """
-    conv = dict(kernel_w=3, kernel_h=3, padding=1, out_channels=channels)
-    if convs == 2:
-        layers = [
-            LayerSpec(f"{prefix}_conv1", "conv", **conv),
-            LayerSpec(f"{prefix}_bn1", "batch_norm"),
-            LayerSpec(f"{prefix}_relu1", "relu"),
-            LayerSpec(f"{prefix}_conv2", "conv", **conv),
-            LayerSpec(f"{prefix}_bn2", "batch_norm"),
-        ]
-    elif convs == 1:
-        layers = [
-            LayerSpec(f"{prefix}_conv", "conv", **conv),
-            LayerSpec(f"{prefix}_bn", "batch_norm"),
-            LayerSpec(f"{prefix}_relu", "relu"),
-        ]
-    else:
-        raise ValueError("residual blocks support convs=1 or convs=2")
-    layers.append(LayerSpec(f"{prefix}_sum", "residual_sum", skip=skip_from))
-    layers.append(LayerSpec(f"{prefix}_relu_out", "relu"))
-    return layers
-
-
 def parse_network(source, name: str | None = None) -> NetworkSpec:
     """Parse the line-oriented architecture format, text or a text stream.
 
     Grammar: ``#`` starts a comment; the first non-comment line is
     ``input <w> <h> <ch>``; each following line is ``<kind> <name>
-    key=value ...`` with keys ``filters,units,k,kw,kh,stride,pad,groups,
-    bias,type,skip``. ``resblock <name> filters=<n> count=<m> [convs=1|2]``
-    expands to that many residual blocks, ``<name>1``, ``<name>2``, ...,
-    wired to the running tensor. A ``# network: <name>`` comment names the
-    network. ``_KINDS`` says which keys each kind takes, and a network has
-    at most :data:`MAX_LAYERS` layers.
+    key=value ...``, with the keys of ``_KEYS``. ``resblock <name>
+    filters=<n> count=<m> [convs=1|2]`` stands for that many residual blocks,
+    ``<name>1``, ``<name>2``, ..., each read as its ``_BLOCK_LINES``. A
+    ``# network: <name>`` comment names the network. ``_KINDS`` says which
+    keys each kind takes, and a network has at most :data:`MAX_LAYERS` layers.
 
     Raises:
         ArchSyntaxError: malformed line (with its line number).
@@ -458,7 +453,6 @@ def parse_network(source, name: str | None = None) -> NetworkSpec:
     input_shape: TensorShape | None = None
     layers: list[LayerSpec] = []
     file_name = None
-    prev_layer_name: str | None = None
     for lineno, raw_line in _tables.numbered_lines(source):
         line = raw_line.split("#", 1)[0].strip()
         comment = raw_line.split("#", 1)[1].strip() if "#" in raw_line else ""
@@ -476,42 +470,31 @@ def parse_network(source, name: str | None = None) -> NetworkSpec:
             except ValueError as exc:
                 raise ArchSemanticError(str(exc), lineno) from None
             continue
-        kind_token, *rest = tokens
-        if kind_token == "input":
+        if tokens[0] == "input":
             raise ArchSyntaxError("duplicate input line", lineno)
-        if not rest:
+        if len(tokens) < 2:
             raise ArchSyntaxError(f"layer line needs a name: {line!r}", lineno)
-        layer_name, *kv_tokens = rest
-        kv = _parse_kv(kv_tokens, lineno)
-        if kind_token == "resblock":
-            filters = kv.pop("filters", None)
-            count = kv.pop("count", None)
-            convs = kv.pop("convs", 2)
-            if kv:
-                raise ArchSyntaxError(f"unexpected keys for resblock: {sorted(kv)}", lineno)
-            if filters is None or count is None or count < 1:
-                raise ArchSyntaxError("resblock needs filters=<n> count=<m>", lineno)
-            if prev_layer_name is None:
-                raise ArchSemanticError("resblock cannot be the first layer", lineno)
-            # a block is convs x (conv, bn) + relu + sum + relu_out (_residual_block)
-            _check_room(len(layers) + count * (2 * convs + 3), lineno)
-            prev = prev_layer_name
-            try:
-                for i in range(1, count + 1):
-                    block = _residual_block(f"{layer_name}{i}", filters, skip_from=prev,
-                                            convs=convs)
-                    layers += block
-                    prev = block[-1].name
-            except ValueError as exc:
-                raise ArchSemanticError(str(exc), lineno) from None
-            prev_layer_name = prev
+        if tokens[0] != "resblock":
+            _check_room(len(layers) + 1, lineno)
+            layers.append(_read_layer(tokens, lineno))
             continue
-        kind = _KIND_ALIASES.get(kind_token)
-        if kind is None:
-            raise ArchSyntaxError(f"unknown layer kind {kind_token!r}", lineno)
-        _check_room(len(layers) + 1, lineno)
-        layers.append(_layer_from_kv(kind, layer_name, kv, lineno))
-        prev_layer_name = layer_name
+        kv = _parse_kv(tokens[2:], lineno)
+        filters = kv.pop("filters", None)
+        count = kv.pop("count", None)
+        convs = kv.pop("convs", 2)
+        if kv:
+            raise ArchSyntaxError(f"unexpected keys for resblock: {sorted(kv)}", lineno)
+        if filters is None or count is None or count < 1:
+            raise ArchSyntaxError("resblock needs filters=<n> count=<m>", lineno)
+        if not layers:
+            raise ArchSemanticError("resblock cannot be the first layer", lineno)
+        if convs not in _BLOCK_LINES:
+            raise ArchSemanticError("residual blocks support convs=1 or convs=2", lineno)
+        block = _BLOCK_LINES[convs]
+        _check_room(len(layers) + count * len(block), lineno)
+        for i in range(1, count + 1):
+            fills = {"b": f"{tokens[1]}{i}", "f": filters, "s": layers[-1].name}
+            layers += [_read_layer(text.format_map(fills).split(), lineno) for text in block]
     if input_shape is None:
         raise ArchSyntaxError("missing input line")
     net_name = file_name or name or "network"

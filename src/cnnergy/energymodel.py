@@ -219,9 +219,9 @@ def _check_listed(what: str, option: str, values, counts: bool = True) -> None:
         seen.add(value)
 
 
-def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
-              ) -> tuple[list[CalibratedModel], list[SkippedGroup]]:
-    """Least-squares affine fits per (device, network, step, gpus) group.
+def calibrate(records, gpu_counts=(1, 2)) -> tuple[list[CalibratedModel], list[SkippedGroup]]:
+    """Least-squares affine fits per (device, network, step, gpus) group, one
+    per quantity of :data:`QUANTITIES`.
 
     Only groups whose gpus value is in ``gpu_counts`` are fitted — the
     default (1, 2) leaves out the 4-GPU rows, which mix device generations
@@ -251,7 +251,7 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
         distinct = len(set(batches))
         if distinct < 2:
             skipped += [SkippedGroup(*group, quantity, f"only {distinct} distinct batch size(s)")
-                        for quantity in quantities]
+                        for quantity in QUANTITIES]
             continue
         fitted.append(group)
         by_batches.setdefault(batches, []).append((group, recs))
@@ -261,9 +261,9 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
     calls = list(by_batches.items())
     for batches, members in calls:  # grows when a call is split below
         x = np.array(batches, dtype=float)
-        keys = [(*group, quantity) for group, _ in members for quantity in quantities]
+        keys = [(*group, quantity) for group, _ in members for quantity in QUANTITIES]
         series = [[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
-                   for r in recs] for _, recs in members for quantity in quantities]
+                   for r in recs] for _, recs in members for quantity in QUANTITIES]
         # LAPACK's least-squares routine rescales every series of a call when
         # the largest value is extreme, which changes the last bits of each
         # series fitted with it; so such a call is split into one per group.
@@ -285,7 +285,7 @@ def calibrate(records, gpu_counts=(1, 2), quantities=QUANTITIES
             fits[key] = CalibratedModel(*key, *fit, batches[0], batches[-1], len(batches))
             if not ok:
                 overflowed.add(key)
-    models = [fits[(*group, quantity)] for group in fitted for quantity in quantities]
+    models = [fits[(*group, quantity)] for group in fitted for quantity in QUANTITIES]
     if overflowed:
         m = next(m for m in models if m.key in overflowed)
         raise DataFormatError(

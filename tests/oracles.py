@@ -10,6 +10,7 @@ import math
 from dataclasses import fields
 
 from cnnergy import arch, energymodel, tuner
+from cnnergy.arch import LayerSpec
 from cnnergy.costmodel import LayerCost
 from cnnergy.energymodel import QUANTITIES, CalibratedModel, MeasurementRecord, SkippedGroup
 from cnnergy.errors import DataFormatError, MissingDeviceError, NothingFeasibleError
@@ -533,6 +534,42 @@ def emit_network_reference(net):
             parts.append(f"skip={layer.skip}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# resblock: the function parse_network expanded each residual block with
+# before it read the block's layer lines as file lines
+# ---------------------------------------------------------------------------
+
+def residual_block_reference(prefix: str, channels: int, skip_from: str, convs: int = 2
+                             ) -> list[LayerSpec]:
+    """Expand one residual block into explicit layers.
+
+    ``convs=2`` gives the classic expansion conv-bn-relu-conv-bn-sum-relu;
+    ``convs=1`` gives the lighter conv-bn-relu-sum-relu variant. The sum's
+    second input is the output of ``skip_from`` (the block's input), so the
+    caller must keep channel counts aligned across the block.
+    """
+    conv = dict(kernel_w=3, kernel_h=3, padding=1, out_channels=channels)
+    if convs == 2:
+        layers = [
+            LayerSpec(f"{prefix}_conv1", "conv", **conv),
+            LayerSpec(f"{prefix}_bn1", "batch_norm"),
+            LayerSpec(f"{prefix}_relu1", "relu"),
+            LayerSpec(f"{prefix}_conv2", "conv", **conv),
+            LayerSpec(f"{prefix}_bn2", "batch_norm"),
+        ]
+    elif convs == 1:
+        layers = [
+            LayerSpec(f"{prefix}_conv", "conv", **conv),
+            LayerSpec(f"{prefix}_bn", "batch_norm"),
+            LayerSpec(f"{prefix}_relu", "relu"),
+        ]
+    else:
+        raise ValueError("residual blocks support convs=1 or convs=2")
+    layers.append(LayerSpec(f"{prefix}_sum", "residual_sum", skip=skip_from))
+    layers.append(LayerSpec(f"{prefix}_relu_out", "relu"))
+    return layers
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Architecture description, shape inference, and the parser/emitter."""
+import re
 import time
 from dataclasses import fields
 
@@ -34,6 +35,7 @@ from oracles import (
     REFERENCE_LAYER_KINDS,
     check_layer_reference,
     emit_network_reference,
+    residual_block_reference,
     slide_positions,
 )
 
@@ -217,7 +219,8 @@ def layer_args(draw):
     for field in draw(st.lists(st.sampled_from(LAYER_FIELDS), max_size=3, unique=True)):
         kwargs[field] = draw(st.sampled_from(
             TEXT_VALUES if field in ("pool_kind", "skip") else INT_VALUES))
-    names = ["x", "x", "x", "x", "", "a,b", 'a"b', "a\nb", "a\rb", "total"]
+    names = ["x", "x", "x", "x", "", "a,b", 'a"b', "a\nb", "a\rb", "total",
+             "a b", "a#b", "a\x0cb"]
     return draw(st.sampled_from(names)), kind, kwargs
 
 
@@ -227,14 +230,20 @@ def breaks_cost_csv(name):
     return name == "total" or any(c in name for c in ',"\r\n')
 
 
+def breaks_layer_line(name):
+    """Whether ``name`` as the name of an architecture line would read back
+    as another name or none."""
+    return "#" in name or name.split() != [name]
+
+
 @given(layer_args())
 @settings(max_examples=600, deadline=None)
 def test_layer_spec_rejects_what_the_reference_rejects(args):
-    # a name that would break the cost CSV is refused besides
+    # a name that would break the cost CSV or its layer line is refused besides
     name, kind, kwargs = args
     rejected = rejects(LayerSpec, name, kind, kwargs)
     assert rejected == (rejects(check_layer_reference, name, kind, kwargs)
-                        or breaks_cost_csv(name))
+                        or breaks_cost_csv(name) or breaks_layer_line(name))
     assert rejected or emits_like_the_reference(LayerSpec(name, kind, **kwargs))
 
 
@@ -252,6 +261,14 @@ def test_parse_network_names_the_line_of_a_csv_breaking_layer_name(name):
     # layer_args draws such names for LayerSpec itself
     with pytest.raises(ArchSemanticError, match=f"^line 3: layer name must be .*{name!r}"):
         parse_network(f"input 8 8 4\nrelu r\nrelu {name}\n")
+
+
+@pytest.mark.parametrize("name", ["a b", "a#b", "a\x0cb", " a"])
+def test_layer_names_must_read_back_from_their_layer_line(name):
+    # emit_network writes the name as the second word of a line
+    with pytest.raises(ValueError, match=re.escape(
+            f"layer name must be one word without '#', got {name!r}")):
+        LayerSpec(name, "relu")
 
 
 def test_resblock_names_may_start_with_total():
@@ -562,6 +579,26 @@ resblock b filters=4 count=1 convs=1
 def test_parse_resblock_cannot_lead():
     with pytest.raises(ArchSemanticError):
         parse_network("input 8 8 4\nresblock b filters=4 count=1\n")
+
+
+def test_parse_refuses_a_convs_value_before_counting_its_layers():
+    text = "input 8 8 4\nconv stem filters=4 k=3 pad=1\nresblock b filters=4 count=5 convs=1000\n"
+    with pytest.raises(ArchSemanticError,
+                       match="^line 3: residual blocks support convs=1 or convs=2$"):
+        parse_network(text)
+
+
+@given(st.text(st.characters(exclude_categories=("Z", "C"), exclude_characters='#,"'),
+               min_size=1, max_size=6),
+       st.integers(1, 64), st.integers(1, 4), st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_resblock_parses_to_the_reference_blocks(name, filters, count, convs):
+    net = parse_network(f"input 8 8 {filters}\nconv stem filters={filters} k=3 pad=1\n"
+                        f"resblock {name} filters={filters} count={count} convs={convs}\n")
+    expected = [net.layers[0]]
+    for i in range(1, count + 1):
+        expected += residual_block_reference(f"{name}{i}", filters, expected[-1].name, convs)
+    assert net.layers == tuple(expected)
 
 
 def test_parse_refuses_a_resblock_past_the_layer_limit_before_building_it():

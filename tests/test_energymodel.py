@@ -219,16 +219,9 @@ def test_calibrate_skips_single_batch_groups():
     assert {s.quantity for s in skipped} == set(QUANTITIES)
 
 
-def test_calibrate_one_quantity_keeps_models_and_skipped_order():
+def test_calibrate_keeps_skipped_groups_in_order():
     recs = (linear_records(step="backward") + [record(batch=64)]
             + [record(gpus=2, batch=64), record(gpus=2, batch=64, seconds=0.02)])
-    models, skipped = calibrate(recs, quantities=("seconds",))
-    both, _ = calibrate(recs)
-    assert models == [find_model(both, "pascal", "two_d_cnn", "backward", 1, "seconds")]
-    assert [(s.step, s.gpus, s.quantity, s.reason) for s in skipped] == [
-        ("forward", 1, "seconds", "only 1 distinct batch size(s)"),
-        ("forward", 2, "seconds", "only 1 distinct batch size(s)"),
-    ]
     _, skipped = calibrate(recs)
     assert [(s.step, s.gpus, s.quantity) for s in skipped] == [
         ("forward", 1, "seconds"), ("forward", 1, "joules"),
@@ -294,27 +287,26 @@ def record_sets(draw):
     return draw(st.permutations(recs))
 
 
-@given(record_sets(), st.sampled_from([(1, 2), (1, 2, 4), (4,)]),
-       st.sampled_from([QUANTITIES, ("seconds",), ("joules",), ("joules", "seconds")]))
+@given(record_sets(), st.sampled_from([(1, 2), (1, 2, 4), (4,)]))
 # A group with an extreme value next to one without, on one batch vector:
 # fitted together, the second group's zero slope came out in other bits.
 @example([record(network="net_a", gpus=g, batch=b, seconds=1.0, joules=j)
-          for g, j in ((1, 1e300), (2, 1.0)) for b in (1, 32)], (1, 2), QUANTITIES)
+          for g, j in ((1, 1e300), (2, 1.0)) for b in (1, 32)], (1, 2))
 @example([record(network="net_a", gpus=g, batch=b, seconds=s, joules=1.0)
-          for g, s in ((1, 1e-300), (2, 3.0)) for b in (1, 32, 64)], (1, 2), ("seconds",))
+          for g, s in ((1, 1e-300), (2, 3.0)) for b in (1, 32, 64)], (1, 2))
 @settings(max_examples=300, deadline=None)
-def test_calibrate_fits_equal_the_per_group_oracle_bit_for_bit(recs, gpu_counts, quantities):
+def test_calibrate_fits_equal_the_per_group_oracle_bit_for_bit(recs, gpu_counts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's overflow warnings
-        expected, expected_skipped = calibrate_reference(recs, gpu_counts, quantities)
+        expected, expected_skipped = calibrate_reference(recs, gpu_counts)
     overflowed = [m for m in expected if not all(map(math.isfinite, (
         m.slope, m.intercept, m.r_squared, *m.residuals)))]
     if overflowed:
         with pytest.raises(DataFormatError, match="^the fit of {} overflows: ".format(
                 "/".join(map(str, overflowed[0].key)))):
-            calibrate(recs, gpu_counts, quantities)
+            calibrate(recs, gpu_counts)
         return
-    models, skipped = calibrate(recs, gpu_counts, quantities)
+    models, skipped = calibrate(recs, gpu_counts)
     assert fit_bits(models) == fit_bits(expected)
     assert skipped == expected_skipped
 

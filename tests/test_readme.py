@@ -3,8 +3,9 @@
 The fenced ``python`` blocks are executed; every ``cnnergy ...`` line of the
 ``sh`` blocks is run through ``cli.main``, in order, next to the inputs they
 name; every ``__all__`` name is either shown in README code or used by
-another module of the package; and every field of a bundled table's record
-is read by package code outside that record's class.
+another module of the package; every field of a bundled table's record is
+read by package code outside that record's class; and the layer lines quoted
+for a ``resblock`` are the ones the parser reads.
 """
 import ast
 import dataclasses
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cnnergy
+from cnnergy import arch
 from cnnergy.cli import main
 from cnnergy.energymodel import DeviceProfile, MeasurementRecord, TrainingPlan
 from cnnergy.tuner import AccuracyRecord
@@ -25,6 +27,8 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTA
 SH_BLOCKS = re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTALL)
 ARCH_EXAMPLE = re.search(r"\*\*Architecture text\*\*.*?^```\n(.*?)^```", TEXT,
                          flags=re.MULTILINE | re.DOTALL).group(1)
+BLOCK_QUOTES = re.findall(r"With `convs=(\d)`.*?^```text\n(.*?)^```", TEXT,
+                          flags=re.MULTILINE | re.DOTALL)
 COMMANDS = [shlex.split(line, comments=True)[1:]
             for block in SH_BLOCKS
             for line in block.replace("\\\n", " ").splitlines()
@@ -39,6 +43,11 @@ def test_readme_has_python_examples():
 def test_readme_python_block_runs(source, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_quotes_the_lines_a_resblock_stands_for():
+    assert {int(convs): tuple(body.splitlines()) for convs, body in BLOCK_QUOTES} == (
+        arch._BLOCK_LINES)
 
 
 def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
