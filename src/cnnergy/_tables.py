@@ -6,9 +6,12 @@ commas with each cell stripped, and row errors name their line in the file,
 blank lines included. Errors from a file name it as ``<path>: ...``.
 
 The reader checks only the format; the records it builds check their own
-values. A name that a command prints as a CSV cell is checked by
-:func:`check_cell`. Every report a command prints is written by
-:func:`render`, as CSV or as aligned columns.
+values: each record is a ``typing.NamedTuple``, and :func:`checked` makes one
+whose ``_check`` runs however it is built. A name that a command prints as a
+CSV cell is checked by :func:`check_cell`. Every report a command prints is
+written by :func:`render`, as CSV or as aligned columns. The value sets that
+tables and commands share live here, so the CLI reads them without loading
+the modules that use them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,37 @@ import io
 from importlib import resources
 
 from .errors import CnnergyError, DataFormatError
+
+#: The steps of a measurement row and the quantities measured per batch.
+STEPS = ("forward", "backward")
+QUANTITIES = ("seconds", "joules")
+#: The totals ``rank`` can order configurations by.
+RANK_METRICS = ("time", "energy", "edp")
+
+
+class Checked:
+    """Mixin, first among the bases of a record class over a NamedTuple with
+    a ``_check`` method, which raises on a bad field value. Every way to
+    build a record runs it: the constructor, ``_make`` and so ``_replace``,
+    and pickle and ``copy``, which build through the constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+def checked(base):
+    """The record class of the NamedTuple class ``base``: a :class:`Checked`
+    subclass of the same name and documentation."""
+    return type(base.__name__, (Checked, base),
+                {"__slots__": (), "__doc__": base.__doc__, "__module__": base.__module__})
 
 
 def data_text(relpath: str) -> str:

@@ -16,10 +16,11 @@ the parser's kind spellings and keys and :func:`emit_network` all derive from it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from . import _tables
+from ._tables import Checked, checked
 from .errors import (
     ArchSemanticError,
     ArchSyntaxError,
@@ -63,15 +64,15 @@ BUILTIN_NETWORK_NAMES = ("two_d_cnn", "resnet_gait", "caffenet", "resnet_im")
 MAX_LAYERS = 10_000
 
 
-@dataclass(frozen=True)
-class TensorShape:
+@checked
+class TensorShape(NamedTuple):
     """Spatial width/height plus channel count of one activation tensor."""
 
     width: int
     height: int
     channels: int
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("width", "height", "channels"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
@@ -85,8 +86,8 @@ class TensorShape:
         return f"{self.width}x{self.height}x{self.channels}"
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+@checked
+class LayerSpec(NamedTuple):
     """One layer of a network: a kind plus the geometry that kind needs.
 
     ``_KINDS`` says which fields each kind has; the rest keep their defaults.
@@ -109,7 +110,7 @@ class LayerSpec:
     pool_kind: str | None = None
     skip: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         _tables.check_cell("layer name", self.name, refused=("", "total"))
         if "#" in self.name or self.name.split() != [self.name]:
             raise ValueError(f"layer name must be one word without '#', got {self.name!r}")
@@ -144,20 +145,20 @@ def _kind_rules(always: tuple[str, ...], may: tuple[str, ...]):
     return needed, ranged, fixed
 
 
-_DEFAULTS = {f.name: f.default for f in fields(LayerSpec)}
+_DEFAULTS = LayerSpec._field_defaults
 _RULES = {kind: _kind_rules(always, may) for kind, (_, always, may) in _KINDS.items()}
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Checked, NamedTuple("NetworkSpec", [
+        ("name", str), ("input", TensorShape), ("layers", tuple[LayerSpec, ...])])):
     """Named network: an input shape plus an ordered layer list."""
 
-    name: str
-    input: TensorShape
-    layers: tuple[LayerSpec, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+    def __new__(cls, name: str, input: TensorShape, layers):
+        return super().__new__(cls, name, input, tuple(layers))
+
+    def _check(self):
         seen: set[str] = set()
         for layer in self.layers:
             if layer.name in seen:
@@ -170,26 +171,29 @@ class NetworkSpec:
             raise ValueError("softmax must be the last layer")
 
 
-@dataclass(frozen=True)
-class ShapedLayer:
+class ShapedLayer(NamedTuple("ShapedLayer", [
+        ("spec", LayerSpec), ("input", TensorShape), ("output", TensorShape)])):
     """A layer applied to an input shape. ``output`` is worked out at
     construction by :func:`layer_output`, so a layer that does not fit its
-    input is refused with the error that names it."""
+    input is refused with the error that names it; ``_replace`` works it out
+    again and takes no ``output``."""
 
-    spec: LayerSpec
-    input: TensorShape
-    output: TensorShape = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "output", layer_output(self.spec, self.input))
+    def __new__(cls, spec: LayerSpec, input: TensorShape):
+        return super().__new__(cls, spec, input, layer_output(spec, input))
+
+    def __getnewargs__(self):  # pickle and copy build through __new__
+        return self.spec, self.input
+
+    def _replace(self, **changes):
+        return ShapedLayer(**{"spec": self.spec, "input": self.input, **changes})
 
 
-@dataclass(frozen=True)
-class ShapedNetwork:
-    """A network whose per-layer tensor geometry has been resolved."""
-
-    spec: NetworkSpec
-    per_layer: tuple[ShapedLayer, ...]
+class ShapedNetwork(NamedTuple("ShapedNetwork", [
+        ("spec", NetworkSpec), ("per_layer", tuple[ShapedLayer, ...])])):
+    """A network whose per-layer tensor geometry has been resolved. It has a
+    ``__dict__``, which holds its cached sums."""
 
     @property
     def output(self) -> TensorShape:

@@ -19,9 +19,8 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from . import _tables, arch, costmodel, energymodel, tuner
+from . import _tables, arch, costmodel
 from .errors import CnnergyError, DataFormatError, NothingFeasibleError
-from .multigpu import GpuSet
 
 
 def _fmt(value: float) -> str:
@@ -136,16 +135,20 @@ def cmd_gen_trace(args):
 
 
 # ---------------------------------------------------------------------------
-# calibrate / predict
+# calibrate / predict / rank (energymodel and tuner load only here)
 # ---------------------------------------------------------------------------
 
 def _load_records(args) -> list[energymodel.MeasurementRecord]:
+    from . import energymodel
+
     if args.bundled:
         return energymodel.bundled_measurements()
     return energymodel.load_measurements(args.measurements)
 
 
 def cmd_calibrate(args):
+    from . import energymodel
+
     records = _load_records(args)
     models, skipped = energymodel.calibrate(records, gpu_counts=args.gpus)
     if not models:
@@ -163,8 +166,10 @@ def cmd_calibrate(args):
 
 
 def cmd_predict(args):
+    from . import energymodel
+
     models = energymodel.load_models(args.models)
-    quantities = (args.quantity,) if args.quantity else energymodel.QUANTITIES
+    quantities = (args.quantity,) if args.quantity else _tables.QUANTITIES
     rows = [("device", "network", "step", "gpus", "batch", "quantity", "value", "extrapolated")]
     for quantity in quantities:
         model = energymodel.find_model(models, args.device, args.network,
@@ -175,15 +180,13 @@ def cmd_predict(args):
     return (), rows, ()
 
 
-# ---------------------------------------------------------------------------
-# rank
-# ---------------------------------------------------------------------------
-
-def _gpu_set_label(gpu_set: GpuSet) -> str:
+def _gpu_set_label(gpu_set: multigpu.GpuSet) -> str:
     return "+".join(f"{name}:{count}" for name, count in gpu_set.members if count > 0)
 
 
 def cmd_rank(args):
+    from . import tuner
+
     grid = (args.device, args.networks, args.batches, args.gpus, args.update_overhead_pct)
     # The bundled tables cannot change within a process, so each of their
     # grids is scored once; a measurements file is read and scored every call.
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(func=cmd_calibrate)
         else:
             p.add_argument("--device", required=True, help="device profile name")
-            p.add_argument("--metric", choices=tuner.RANK_METRICS, default="edp",
+            p.add_argument("--metric", choices=_tables.RANK_METRICS, default="edp",
                            help="ranking metric (default: edp)")
             p.add_argument("--networks", type=lambda s: tuple(s.split(",")),
                            help="networks to include (default: all built-ins)")
@@ -279,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, metavar="FILE", help="model JSON file")
     p.add_argument("--device", required=True)
     p.add_argument("--network", required=True)
-    p.add_argument("--step", required=True, choices=energymodel.STEPS)
+    p.add_argument("--step", required=True, choices=_tables.STEPS)
     p.add_argument("--gpus", type=int, required=True)
     p.add_argument("--batch", type=int, required=True)
-    p.add_argument("--quantity", choices=energymodel.QUANTITIES,
+    p.add_argument("--quantity", choices=_tables.QUANTITIES,
                    help="restrict to one quantity (default: both)")
     p.set_defaults(func=cmd_predict)
 

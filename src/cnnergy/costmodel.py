@@ -22,12 +22,11 @@ geometry, works out for it, so the counts here take its shapes as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
 from . import arch
-from ._tables import render
+from ._tables import checked, render
 from .arch import ShapedLayer, ShapedNetwork
 
 
@@ -53,8 +52,8 @@ class LayerCost(NamedTuple):
                 + self.mul01 + self.bias_add)
 
 
-@dataclass(frozen=True)
-class CostSummary:
+@checked
+class CostSummary(NamedTuple):
     """Whole-network cost: per-layer rows plus their column sums.
 
     ``per_layer`` holds one :class:`LayerCost` row per layer and ``total``
@@ -69,9 +68,10 @@ class CostSummary:
     total: LayerCost
     element_bytes: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.element_bytes < 1:
-            raise ValueError("element_bytes must be >= 1")
+            raise ValueError(f"element_bytes (--element-bytes) must be >= 1, "
+                             f"got {self.element_bytes}")
 
     @property
     def total_ops(self) -> int:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple, get_type_hints
 
-from ._tables import check_cell, data_text, read_csv, read_file
+from ._tables import QUANTITIES, STEPS, check_cell, checked, data_text, read_csv, read_file
 from .costmodel import CostSummary
 from .errors import (
     DataFormatError,
@@ -25,22 +25,19 @@ from .errors import (
     MismatchedRecordsError,
 )
 
-STEPS = ("forward", "backward")
-QUANTITIES = ("seconds", "joules")
-
 
 # ---------------------------------------------------------------------------
 # Device profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeviceProfile:
+@checked
+class DeviceProfile(NamedTuple):
     """One GPU model, as far as memory feasibility needs it."""
 
     name: str
     dram_bytes: int
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 < self.dram_bytes < math.inf:
             raise ValueError("DeviceProfile.dram_bytes must be positive and finite")
 
@@ -59,8 +56,8 @@ def bundled_devices() -> dict[str, DeviceProfile]:
 # Measurement records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+@checked
+class MeasurementRecord(NamedTuple):
     """Per-batch time and energy of one (device, network, step, gpus, batch).
 
     ``joules_per_batch`` is energy drawn by one measured GPU of this device
@@ -75,7 +72,7 @@ class MeasurementRecord:
     seconds_per_batch: float
     joules_per_batch: float
 
-    def __post_init__(self):
+    def _check(self):
         check_cell("device", self.device)
         check_cell("network", self.network)
         if self.step not in STEPS:
@@ -132,15 +129,15 @@ def records_by_key(records) -> dict[tuple, MeasurementRecord]:
 # Training plans and derived columns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainingPlan:
+@checked
+class TrainingPlan(NamedTuple):
     """How long one training run is: iterations at a batch size."""
 
     network: str
     batch: int
     iterations: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.batch < 1 or self.iterations < 1:
             raise ValueError("batch and iterations must be >= 1")
 
@@ -165,8 +162,7 @@ def _parse_plans(text: str) -> dict[tuple[str, int], TrainingPlan]:
 # Affine-in-batch calibration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CalibratedModel:
+class CalibratedModel(NamedTuple):
     """value = slope * batch + intercept for one configuration group."""
 
     device: str
@@ -187,8 +183,7 @@ class CalibratedModel:
         return (self.device, self.network, self.step, self.gpus, self.quantity)
 
 
-@dataclass(frozen=True)
-class SkippedGroup:
+class SkippedGroup(NamedTuple):
     device: str
     network: str
     step: str
@@ -197,8 +192,7 @@ class SkippedGroup:
     reason: str
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     value: float
     extrapolation_warning: bool
 
@@ -302,7 +296,7 @@ def predict(model: CalibratedModel, batch: int) -> Prediction:
         DataFormatError: the prediction overflows to a non-finite value.
     """
     if batch < 1:
-        raise ValueError("batch must be >= 1")
+        raise ValueError(f"batch (--batch) must be >= 1, got {batch}")
     value = model.slope * batch + model.intercept
     if not math.isfinite(value):
         raise DataFormatError(f"predicted {model.quantity} at batch {batch} overflows ({value})")
@@ -332,7 +326,7 @@ def _json_number(value) -> str:
 
 
 def _model_json(m: CalibratedModel) -> str:
-    """One model as ``json.dumps(m.__dict__, indent=2, sort_keys=True)``
+    """One model as ``json.dumps(m._asdict(), indent=2, sort_keys=True)``
     writes it two levels deep."""
     for value in (m.slope, m.intercept, m.r_squared, *m.residuals):
         if not math.isfinite(value):
@@ -376,8 +370,8 @@ def save_models(models, path) -> None:
         fh.write(text)
 
 
-_JSON_KINDS = {"str": str, "int": int, "float": float, "tuple[float, ...]": list}
-_MODEL_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(CalibratedModel)}
+_JSON_KINDS = {str: str, int: int, float: float, tuple[float, ...]: list}
+_MODEL_FIELDS = {name: _JSON_KINDS[kind] for name, kind in get_type_hints(CalibratedModel).items()}
 _MODEL_KINDS = tuple(_MODEL_FIELDS.values())
 _FLOAT_FIELDS = [key for key, kind in _MODEL_FIELDS.items() if kind is float]
 
@@ -490,8 +484,7 @@ def gflops_per_watt(summary: CostSummary, fwd: MeasurementRecord,
     return flops / joules / 1e9
 
 
-@dataclass(frozen=True)
-class GenerationGap:
+class GenerationGap(NamedTuple):
     """Relative time/energy delta between two devices for one configuration."""
 
     network: str

@@ -7,9 +7,10 @@ cost of exchanging gradients over a PCIe link is given in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
+from ._tables import Checked
 from .errors import IndivisibleBatchError, MissingDeviceError
 
 #: PCIe 3.0 x16 effective payload bandwidth, bytes/second.
@@ -18,14 +19,14 @@ DEFAULT_LINK_BANDWIDTH = 15.75e9
 DEFAULT_LINK_LATENCY = 5e-6
 
 
-@dataclass(frozen=True)
-class GpuSet:
-    """A set of GPUs training one model: (device name, count) members."""
+class GpuSet(Checked, NamedTuple("GpuSet", [("members", tuple[tuple[str, int], ...])])):
+    """A set of GPUs training one model: (device name, count) members. It has
+    a ``__dict__``, which holds its cached properties."""
 
-    members: tuple[tuple[str, int], ...]
+    def __new__(cls, members):
+        return super().__new__(cls, tuple((str(n), int(c)) for n, c in members))
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple((str(n), int(c)) for n, c in self.members))
+    def _check(self):
         if any(count < 0 for _, count in self.members):
             raise ValueError("member counts must be >= 0")
         names = [name for name, _ in self.members]

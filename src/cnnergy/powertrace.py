@@ -18,11 +18,11 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import check_cell, read_csv, read_file
+from ._tables import check_cell, checked, read_csv, read_file
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -48,8 +48,7 @@ DEFAULT_CHANNEL_LABELS = (
 MAX_SYNTHETIC_VALUES = 50_000_000
 
 
-@dataclass(frozen=True)
-class PowerTrace:
+class PowerTrace(NamedTuple):
     """Immutable sampled power series.
 
     ``times`` has shape (n,), strictly increasing; ``watts`` has shape
@@ -132,8 +131,8 @@ class PowerTrace:
         return float(self.times[-1])
 
 
-@dataclass(frozen=True)
-class Region:
+@checked
+class Region(NamedTuple):
     """A labeled time interval to integrate over."""
 
     id: str
@@ -141,7 +140,7 @@ class Region:
     t_start: float
     t_end: float
 
-    def __post_init__(self):
+    def _check(self):
         check_cell("region id", self.id)
         if self.label not in REGION_LABELS:
             raise ValueError(
@@ -153,8 +152,7 @@ class Region:
             raise ValueError(f"region {self.id!r}: t_start must be < t_end")
 
 
-@dataclass(frozen=True)
-class EnergyResult:
+class EnergyResult(NamedTuple):
     """Integrated energy over one region (channel sum plus breakdown)."""
 
     joules_total: float
@@ -337,8 +335,8 @@ def integrate(trace: PowerTrace, region: Region) -> EnergyResult:
 # Synthetic traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SegmentSpec:
+@checked
+class SegmentSpec(NamedTuple):
     """One piece of a piecewise-linear total-power profile.
 
     Constant at ``start_watts`` when ``end_watts`` is None, otherwise a
@@ -349,7 +347,7 @@ class SegmentSpec:
     start_watts: float
     end_watts: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 < self.duration_s < math.inf:
             raise ValueError("segment duration must be finite and > 0")
         if not all(0 <= watts < math.inf for watts in (self.start_watts, self.final_watts)):
@@ -398,9 +396,9 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
     if not segs:
         raise ValueError("at least one segment is required")
     if not 0 < sample_rate < math.inf:
-        raise ValueError("sample_rate must be finite and > 0")
+        raise ValueError(f"sample_rate (--rate) must be finite and > 0, got {sample_rate}")
     if channels < 1:
-        raise ValueError("channels must be >= 1")
+        raise ValueError(f"channels (--channels) must be >= 1, got {channels}")
     dt = 1.0 / sample_rate
     # Upper bound on the sample count: each segment has its junction sample
     # and fewer than duration / dt + 1 interior ones, plus the final sample.

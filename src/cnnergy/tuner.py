@@ -13,10 +13,10 @@ optional percentage adjustment covers it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from ._tables import data_text, read_csv
+from ._tables import RANK_METRICS, checked, data_text, read_csv
 from .arch import BUILTIN_NETWORK_NAMES, ShapedNetwork, _builtin_shapes, _check_builtin
 from .energymodel import (
     DeviceProfile,
@@ -39,8 +39,6 @@ from .errors import (
 )
 from .multigpu import GpuSet, set_energy, split_batch
 
-RANK_METRICS = ("time", "energy", "edp")
-
 #: Host-side fixed overhead reserved on each GPU (context, workspace), bytes.
 DEFAULT_FIXED_OVERHEAD_BYTES = 2 ** 30
 
@@ -59,8 +57,7 @@ def edp(total_seconds: float, total_joules: float) -> float:
 # Memory feasibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MemoryEstimate:
+class MemoryEstimate(NamedTuple):
     feasible: bool
     estimate_bytes: int
     dram_bytes: int
@@ -93,8 +90,8 @@ def memory_feasible(shaped: ShapedNetwork, batch: int, device: DeviceProfile,
 # Configurations and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainingConfig:
+@checked
+class TrainingConfig(NamedTuple):
     """One point of the tuning grid."""
 
     network: str
@@ -102,7 +99,7 @@ class TrainingConfig:
     gpu_set: GpuSet
     plan: TrainingPlan
 
-    def __post_init__(self):
+    def _check(self):
         split_batch(self.batch, self.gpu_set.total_gpus)  # raises IndivisibleBatch
         if self.plan.network != self.network or self.plan.batch != self.batch:
             raise ValueError(
@@ -111,8 +108,7 @@ class TrainingConfig:
             )
 
 
-@dataclass(frozen=True)
-class ConfigReport:
+class ConfigReport(NamedTuple):
     """Scored configuration. Totals are None when infeasible."""
 
     config: TrainingConfig
@@ -259,14 +255,14 @@ def rank(reports, metric: str = "edp") -> list[ConfigReport]:
 # Accuracy records and recommendations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AccuracyRecord:
+@checked
+class AccuracyRecord(NamedTuple):
     network: str
     batch: int
     metric: str
     value: float
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.value <= 100.0:
             raise ValueError(f"accuracy must be in [0, 100], got {self.value}")
 
@@ -302,8 +298,7 @@ MULTI_GPU_ADVISORY = ("sets larger than a GPU pair scale unevenly across "
                       "networks; validate them case by case before committing")
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     dataset_class: str
     net_family: str
     network: str

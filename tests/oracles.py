@@ -7,7 +7,7 @@ its shared table reader cannot hide in a shared implementation.
 """
 import json
 import math
-from dataclasses import fields
+from typing import get_type_hints
 
 from cnnergy import arch, energymodel, tuner
 from cnnergy.arch import LayerSpec
@@ -375,13 +375,13 @@ def calibrate_reference(records, gpu_counts=(1, 2), quantities=QUANTITIES
 
 
 def save_models_reference(models, path) -> None:
-    payload = {"models": [m.__dict__ for m in models]}
+    payload = {"models": [m._asdict() for m in models]}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-_JSON_KINDS = {"str": str, "int": int, "float": float, "tuple[float, ...]": list}
-_MODEL_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(CalibratedModel)}
+_JSON_KINDS = {str: str, int: int, float: float, tuple[float, ...]: list}
+_MODEL_FIELDS = {name: _JSON_KINDS[kind] for name, kind in get_type_hints(CalibratedModel).items()}
 
 
 def _json_fits(kind, value) -> bool:

@@ -7,7 +7,6 @@ the bundled measurements must reproduce; every checker counts the rows it
 verified so a truncated table cannot fake a pass.
 """
 import csv
-import dataclasses
 import time
 from pathlib import Path
 
@@ -315,8 +314,8 @@ def test_criterion_7_property_suites():
                for cfg in tuner.bundled_grid("pascal", PLANS)]
     baseline = [r.config for r in tuner.rank(list(reports), metric="edp")]
     for factor in (0.001, 0.5, 3.7, 1000.0):
-        scaled = [dataclasses.replace(
-            r, total_joules=None if r.total_joules is None else r.total_joules * factor,
+        scaled = [r._replace(
+            total_joules=None if r.total_joules is None else r.total_joules * factor,
             edp_joule_seconds=None if r.edp_joule_seconds is None
             else r.total_seconds * r.total_joules * factor) for r in reports]
         assert [r.config for r in tuner.rank(scaled, metric="edp")] == baseline

@@ -1,7 +1,6 @@
 """Architecture description, shape inference, and the parser/emitter."""
 import re
 import time
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -171,7 +170,7 @@ VALID_FIELDS = {
     "residual_sum": {"skip": "l0"},
     "softmax": {}, "relu": {}, "dropout": {}, "batch_norm": {},
 }
-LAYER_FIELDS = [f.name for f in fields(LayerSpec)][2:]
+LAYER_FIELDS = list(LayerSpec._fields[2:])
 INT_VALUES = [None, -1, 0, 1, 3, True, False]
 TEXT_VALUES = [None, "max", "average", "other", "l0"]
 

@@ -122,7 +122,8 @@ def test_analyze_rejects_element_bytes_below_one(tmp_path, capsys):
     path.write_text("input 4 4 1\n", encoding="utf-8")
     for source in (["--builtin", "caffenet"], ["--arch", str(path)]):
         code, out, err = run(["analyze", *source, "--element-bytes", "0"], capsys)
-        assert (code, out, err) == (2, "", "error: element_bytes must be >= 1\n")
+        assert (code, out, err) == (
+            2, "", "error: element_bytes (--element-bytes) must be >= 1, got 0\n")
 
 
 def test_analyze_refuses_a_comma_in_a_layer_name(tmp_path, capsys):
@@ -285,6 +286,15 @@ def test_gen_trace_negative_seed_exits_2_naming_the_option(capsys):
     code, out, err = run(["gen-trace", "--segments", "100:1", "--noise", "1", "--seed", "-5"],
                          capsys)
     assert (code, out, err) == (2, "", "error: seed (--seed) must be >= 0, got -5\n")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--rate", "0", "sample_rate (--rate) must be finite and > 0, got 0.0"),
+    ("--channels", "0", "channels (--channels) must be >= 1, got 0"),
+])
+def test_gen_trace_out_of_range_option_exits_2_naming_it(option, value, message, capsys):
+    code, out, err = run(["gen-trace", "--segments", "100:1", option, value], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_gen_trace_bad_segment_exits_2(capsys):
@@ -674,6 +684,15 @@ def test_calibrate_model_out_round_trips_through_predict(tmp_path, capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == 1
     assert rows[0].endswith(",1")  # 512 is far outside the fitted range
+
+
+def test_predict_batch_below_one_exits_2_naming_the_option(tmp_path, capsys):
+    model_file = tmp_path / "models.json"
+    model_file.write_text(json.dumps({"models": [MODEL]}), encoding="utf-8")
+    code, out, err = run(["predict", "--models", str(model_file), "--device", "pascal",
+                          "--network", "net_a", "--step", "forward", "--gpus", "1",
+                          "--batch", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: batch (--batch) must be >= 1, got 0\n")
 
 
 def test_predict_missing_model_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ fresh interpreters.
 
 pytest itself has numpy loaded, so every check runs in a subprocess.
 """
+import ast
 import json
 import os
 import subprocess
@@ -25,15 +26,15 @@ def fresh(code: str) -> str:
 
 
 def cli_run(argv) -> dict:
-    """``cli.main(argv)`` in a new interpreter: exit code, stdout, numpy loaded."""
-    code = ("import contextlib, io, json, sys\n"
+    """``cli.main(argv)`` in a new interpreter: exit code, stdout and every
+    module loaded once it has returned."""
+    code = ("import contextlib, io, sys\n"
             "from cnnergy import cli\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    code = cli.main({list(argv)!r})\n"
-            "print(json.dumps({'code': code, 'out': out.getvalue(),\n"
-            "                  'numpy': 'numpy' in sys.modules}))\n")
-    return json.loads(fresh(code))
+            "print(repr({'code': code, 'out': out.getvalue(), 'modules': sorted(sys.modules)}))\n")
+    return ast.literal_eval(fresh(code))
 
 
 MODULES = ("arch", "costmodel", "energymodel", "errors", "multigpu", "powertrace", "tuner")
@@ -80,13 +81,15 @@ def test_every_export_and_every_module_resolve_first_thing():
 def test_importtime_logs_each_module_the_cli_loads():
     # ``python -X importtime`` logs only imports that go through the import
     # statement's machinery, so a module loaded another way would hide its
-    # cost in the line of the module that asked for it.
-    done = subprocess.run([sys.executable, "-X", "importtime", "-c", "import cnnergy.cli"],
+    # cost in the line of the module that asked for it. ``rank`` is the
+    # command that loads the most cnnergy modules without numpy.
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "cnnergy.cli",
+                           "rank", "--bundled", "--device", "pascal"],
                           env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
-    for module in ("arch", "costmodel", "energymodel", "tuner"):
+    for module in ("arch", "costmodel", "energymodel", "multigpu", "tuner"):
         assert f"cnnergy.{module}" in logged, done.stderr
 
 
@@ -95,31 +98,48 @@ def model_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "models.json"
     result = cli_run(["calibrate", "--bundled", "--model-out", str(path)])
     assert result["code"] == 0 and result["out"].startswith("# fitted: ")
-    assert result["numpy"]  # the affine fit is the one model-side numpy user
+    assert "numpy" in result["modules"]  # the affine fit is the one model-side numpy user
     return path
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--builtin", "resnet_im"],
-    ["rank", "--bundled", "--device", "pascal"],
-    ["predict", "--models", "MODELS", "--device", "pascal", "--network", "caffenet",
-     "--step", "forward", "--gpus", "1", "--batch", "128"],
+@pytest.fixture(scope="module")
+def resource_reader_modules():
+    """What a fresh interpreter holds once it has imported ``argparse`` and
+    ``importlib.resources``, which read the arguments and the bundled tables;
+    from Python 3.12 on, ``importlib.resources`` imports ``inspect`` itself."""
+    return set(fresh("import argparse, importlib.resources, sys\n"
+                     "print('\\n'.join(sys.modules))\n").split())
+
+
+#: What a command that needs no numpy loads none of: records are named tuples,
+#: so no command needs ``dataclasses`` or the ``inspect`` it imports.
+NOT_NEEDED = ("numpy", "dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["analyze", "--builtin", "resnet_im"],
+     NOT_NEEDED + ("json", "cnnergy.energymodel", "cnnergy.multigpu", "cnnergy.tuner")),
+    (["rank", "--bundled", "--device", "pascal"], NOT_NEEDED),
+    (["predict", "--models", "MODELS", "--device", "pascal", "--network", "caffenet",
+      "--step", "forward", "--gpus", "1", "--batch", "128"], NOT_NEEDED),
 ], ids=["analyze", "rank", "predict"])
-def test_commands_that_leave_numpy_unloaded(argv, model_file):
+def test_commands_that_leave_numpy_unloaded(argv, unloaded, model_file,
+                                            resource_reader_modules):
     result = cli_run([str(model_file) if a == "MODELS" else a for a in argv])
     assert result["code"] == 0 and result["out"]
-    assert not result["numpy"]
+    assert [m for m in unloaded
+            if m in result["modules"] and m not in resource_reader_modules] == []
 
 
 def test_trace_commands_in_a_fresh_process(tmp_path):
     trace = tmp_path / "trace.csv"
     generated = cli_run(["gen-trace", "--segments", "100:2", "--rate", "100",
                          "--channels", "2", "--output", str(trace)])
-    assert generated["code"] == 0 and generated["numpy"]
+    assert generated["code"] == 0 and "numpy" in generated["modules"]
     regions = tmp_path / "regions.csv"
     regions.write_text("id,label,t_start_s,t_end_s\nr1,forward,0,1\n", encoding="utf-8")
     result = cli_run(["integrate", "--trace", str(trace), "--regions", str(regions)])
-    assert result["code"] == 0 and result["numpy"]
+    assert result["code"] == 0 and "numpy" in result["modules"]
     header, row = result["out"].splitlines()
     joules_total = float(row.split(",")[header.split(",").index("joules_total")])
     assert joules_total == pytest.approx(100.0)  # 100 W, split over the channels, for 1 s

@@ -352,7 +352,8 @@ def test_network_cost_rejects_element_bytes_below_one():
     shaped = infer_shapes(builtin_network("two_d_cnn"))
     empty = infer_shapes(parse_network("input 4 4 1\n"))
     for net in (shaped, empty):
-        with pytest.raises(ValueError, match="element_bytes must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=r"^element_bytes \(--element-bytes\) must be >= 1, got 0$"):
             network_cost(net, element_bytes=0)
 
 

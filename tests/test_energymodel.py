@@ -1,5 +1,4 @@
 """Device profiles, measurement tables, affine calibration, efficiency."""
-import dataclasses
 import json
 import math
 import re
@@ -64,7 +63,7 @@ def test_device_profile_rejects_non_finite():
 
 def test_bundled_devices_keep_every_value():
     # the values the bundled table holds, field by field
-    assert [f.name for f in dataclasses.fields(DeviceProfile)] == ["name", "dram_bytes"]
+    assert list(DeviceProfile._fields) == ["name", "dram_bytes"]
     assert bundled_devices() == {
         "pascal": DeviceProfile(name="pascal", dram_bytes=12884901888),
         "maxwell": DeviceProfile(name="maxwell", dram_bytes=12884901888),
@@ -150,7 +149,7 @@ def test_record_names_must_read_back_as_one_csv_cell(field, name):
 def test_bundled_plans():
     plans = bundled_plans()
     # the values the bundled table holds, field by field
-    assert [f.name for f in dataclasses.fields(TrainingPlan)] == ["network", "batch", "iterations"]
+    assert list(TrainingPlan._fields) == ["network", "batch", "iterations"]
     assert plans == {
         ("resnet_gait", 64): TrainingPlan("resnet_gait", 64, 72_368),
         ("resnet_gait", 128): TrainingPlan("resnet_gait", 128, 36_184),
@@ -266,7 +265,7 @@ def fit_bits(models):
     """Every model as a tuple, each float as its ``float.hex``."""
     return [tuple(tuple(map(float.hex, v)) if isinstance(v, tuple)
                   else v.hex() if isinstance(v, float) else v
-                  for v in dataclasses.astuple(m)) for m in models]
+                  for v in m) for m in models]
 
 
 FIT_VALUES = st.one_of(st.floats(1e-4, 1e4), st.sampled_from([1e-300, 1e300, 1.7e308]))
@@ -368,7 +367,7 @@ def test_predict_clamps_and_warns():
 
 def test_predict_rejects_an_overflowing_value():
     models, _ = calibrate(linear_records())
-    steep = dataclasses.replace(models[0], slope=1e308)
+    steep = models[0]._replace(slope=1e308)
     with pytest.raises(DataFormatError, match="predicted seconds at batch 1000"):
         predict(steep, 1000)
 
@@ -392,7 +391,7 @@ def test_save_models_refuses_a_non_finite_number(tmp_path):
     path = tmp_path / "models.json"
     for field, value in (("slope", math.inf), ("r_squared", math.nan),
                          ("residuals", (0.0, -math.inf))):
-        bad = dataclasses.replace(models[1], **{field: value})
+        bad = models[1]._replace(**{field: value})
         with pytest.raises(ValueError, match=r"^model \('pascal', 'two_d_cnn', 'forward', 1, "
                                              r"'joules'\): cannot save the non-finite number"):
             save_models([models[0], bad], path)
@@ -403,7 +402,7 @@ def test_save_models_refuses_a_non_finite_number(tmp_path):
                                          ("network", "net\na")])
 def test_save_models_refuses_a_name_that_load_models_refuses(field, name, tmp_path):
     models, _ = calibrate(linear_records())
-    bad = dataclasses.replace(models[1], **{field: name})
+    bad = models[1]._replace(**{field: name})
     path = tmp_path / "models.json"
     with pytest.raises(ValueError, match=rf"^model {re.escape(repr(bad.key))}: {field} must be "
                                          "without commas, double quotes or line breaks"):
@@ -452,7 +451,7 @@ def model_entries(draw):
     """A saved model entry, left as written or with one key dropped, added or
     given a value of another JSON type (booleans, NaN and huge integers
     included, in the residual list too); now and then not an object at all."""
-    entry = draw(SAVED_MODELS).__dict__
+    entry = draw(SAVED_MODELS)._asdict()
     entry = {**entry, "residuals": list(entry["residuals"])}
     key = draw(st.sampled_from(sorted(entry)))
     mutation = draw(st.sampled_from(["none", "drop", "add", "retype", "bool", "nan", "int",

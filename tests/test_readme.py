@@ -8,7 +8,6 @@ read by package code outside that record's class; and the layer lines quoted
 for a ``resblock`` are the ones the parser reads.
 """
 import ast
-import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -116,4 +115,4 @@ def _attributes_read_outside(cls) -> set[str]:
 def test_every_bundled_record_field_is_read(record):
     # a bundled column that no code reads is parsed and checked for nothing
     read = _attributes_read_outside(record)
-    assert [f.name for f in dataclasses.fields(record) if f.name not in read] == []
+    assert [name for name in record._fields if name not in read] == []

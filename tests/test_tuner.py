@@ -1,6 +1,5 @@
 """Memory feasibility, config scoring, ranking, and batch recommendations."""
 import copy
-import dataclasses
 
 import pytest
 
@@ -298,8 +297,8 @@ def test_rank_tie_break_is_deterministic():
 def test_rank_edp_order_invariant_under_energy_scaling():
     reports = [r for r in pascal_reports() if r.feasible]
     baseline = [r.config for r in rank(reports, metric="edp")]
-    scaled = [dataclasses.replace(
-        r, total_joules=r.total_joules * 3.7,
+    scaled = [r._replace(
+        total_joules=r.total_joules * 3.7,
         edp_joule_seconds=r.total_seconds * r.total_joules * 3.7) for r in reports]
     assert [r.config for r in rank(scaled, metric="edp")] == baseline
 
