@@ -1,9 +1,10 @@
 """The one text format cnnergy's tables come in, read and written here.
 
-Every table is CSV with a fixed header: lines end at LF, CR LF or CR, blank
-and whitespace-only lines are skipped, the header and every row are split on
-commas with each cell stripped, and row errors name their line in the file,
-blank lines included. Errors from a file name it as ``<path>: ...``.
+Every table is CSV with a fixed header: lines end at LF, CR LF or CR (a
+stream's are the lines it yields, as for a trace), blank and whitespace-only
+lines are skipped, the header and every row are split on commas with each
+cell stripped, and row errors name their line in the file, blank lines
+included. Errors from a file name it as ``<path>: ...``.
 
 The reader checks only the format; the records it builds check their own
 values: each record is a ``typing.NamedTuple``, and :func:`checked` makes one
@@ -78,11 +79,10 @@ def read_file(path, parse):
 
 
 def numbered_lines(source):
-    """``(n, line)`` for each line of text or a text stream (each line it yields
-    split again: a ``StringIO`` breaks only at LF) that is not whitespace only,
-    ``n`` counting blank lines, ``line`` without its LF, CR LF or CR end."""
-    chunks = [source] if isinstance(source, str) else source
-    lines = (line for chunk in chunks for line in io.StringIO(chunk, newline=None))
+    """``(n, line)`` for each line of text or a text stream that is not
+    whitespace only, ``n`` counting blank lines, ``line`` without its end: a
+    text's lines end at LF, CR LF or CR, a stream's are the lines it yields."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     return ((n, line.rstrip("\n")) for n, line in enumerate(lines, start=1) if not line.isspace())
 
 

@@ -10,10 +10,8 @@ deltas; whole-training totals are :func:`cnnergy.tuner.score`'s.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, get_type_hints
 
 from ._tables import QUANTITIES, STEPS, check_cell, checked, data_text, read_csv, read_file
@@ -328,6 +326,8 @@ def _json_number(value) -> str:
 def _model_json(m: CalibratedModel) -> str:
     """One model as ``json.dumps(m._asdict(), indent=2, sort_keys=True)``
     writes it two levels deep."""
+    from json.encoder import encode_basestring_ascii  # rank, which saves nothing, loads no json
+
     for value in (m.slope, m.intercept, m.r_squared, *m.residuals):
         if not math.isfinite(value):
             raise ValueError(f"model {m.key}: cannot save the non-finite number {value!r}")
@@ -433,6 +433,8 @@ def load_models(path) -> list[CalibratedModel]:
 
 def _parse_models(fh) -> list[CalibratedModel]:
     """The models of a JSON text stream, for :func:`load_models`."""
+    import json
+
     try:
         payload = json.load(fh)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError

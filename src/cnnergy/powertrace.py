@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import check_cell, checked, read_csv, read_file
+from ._tables import check_cell, checked, numbered_lines, read_csv, read_file
 from .errors import (
     ChannelCountMismatchError,
     CnnergyError,
@@ -212,8 +212,7 @@ def _raise_first_bad_row(source):
     the lines the stream yields (blank lines count); only this error path
     numbers the lines."""
     source.seek(0)
-    numbered = ((n, line.rstrip("\n")) for n, line in enumerate(source, 1)
-                if not line.isspace())
+    numbered = numbered_lines(source)
     n_cols = next(numbered)[1].count(",") + 1
     for lineno, line in numbered:
         n_cells = line.count(",") + 1
@@ -443,9 +442,6 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
 #: the arrays alive at once.
 _CSV_BLOCK_ROWS = 4096
 
-#: The powers of ten that a float64 holds exactly.
-_EXACT_POW10 = 10.0 ** np.arange(23)
-
 #: A scaled value farther than this from its nearest integer is a near-tie,
 #: left to Python's ``%`` (see :class:`_GCells`).
 _NEAR_TIE = 0.5 - 2.0 ** -20
@@ -456,23 +452,24 @@ class _GCells:
     columns of characters (one array per character position) with the width
     of each cell.
 
-    Each value is scaled to ``m = |v| * 10**k`` with ``k = p - 1 -
-    floor(log10|v|)``, so that m lies in ``[10**(p-1), 10**p)``. If ``|k| <=
-    22``, the scaling is one multiply or divide by an exact power of ten, so
-    m is within half an ulp, 2**-24 at most for ``p <= 9``, of the exact
-    product; ``rint(m)`` then gives the same p digits as Python's correctly
-    rounded ``%`` wherever m is not within 2**-20 of a half. The rest,
-    near-ties (true ties included, which Python breaks to even on the exact
-    binary value) and values with ``|k| > 22`` (``|v| < 10**(p-23)`` or
-    ``>= 10**(p+22)``: 1e-17 and 1e28 for watts), are the *slow* cells: one
-    bulk ``%`` formats them all.
-    Where ``floor(log10|v|)`` is one off, v lies within about 1e-13 of a
-    power of ten, which rounding to p digits reaches anyway: m rounds to
-    ``10**(p-1)``, or to ``10**p`` and carries, with the same digits.
+    Cells that ``%g`` writes in fixed notation, with a decimal exponent X in
+    ``-4 <= X < p``, are formatted here. Each value is scaled to ``m = |v| *
+    10**k`` with ``k = p - 1 - X`` and ``X = floor(log10|v|)``, so that m lies
+    in ``[10**(p-1), 10**p)``. As k lies in ``[0, p + 3]``, the scaling is one
+    multiply by an exact power of ten, at most ``10**12`` for ``p <= 9``, so
+    m is within half an ulp, 2**-24 at most, of the exact product; ``rint(m)``
+    then gives the same p digits as Python's correctly rounded ``%`` wherever
+    m is not within 2**-20 of a half. Where ``floor(log10|v|)`` is one off, v
+    lies within about 1e-13 of a power of ten, which rounding to p digits
+    reaches anyway: m rounds to ``10**(p-1)``, or to ``10**p`` and carries,
+    with the same digits.
 
-    The rounded digits are then laid out as ``%g`` does: fixed notation for
-    exponents X in ``-4 <= X < p``, ``d.ddde±XX`` otherwise, trailing zeros
-    stripped, ``0`` and ``-0`` for zeros.
+    The rounded digits are then laid out as ``%g`` does: trailing zeros
+    stripped, a ``0.000`` lead where X < 0, ``0`` and ``-0`` for zeros.
+    The *slow* cells, near-ties (true ties included, which Python breaks to
+    even on the exact binary value) and every cell in exponential notation
+    (X < -4 or X >= p after rounding: watts below 1e-4 or from 1e6,
+    timestamps from 1e9), are formatted by one bulk ``%``.
     """
 
     def __init__(self, values: np.ndarray, p: int):
@@ -480,15 +477,15 @@ class _GCells:
         a = np.abs(values)
         zero = a == 0.0
         k = (p - 1) - np.floor(np.log10(np.maximum(a, 5e-324))).astype(np.intp)
-        # One of the two factors is 1; out of range, k is clipped (slow cells).
-        m = a * _EXACT_POW10[np.clip(k, 0, 22)] / _EXACT_POW10[np.clip(-k, 0, 22)]
+        # Out of range, k is clipped: those are slow cells.
+        m = a * (10.0 ** np.arange(p + 4))[np.clip(k, 0, p + 3)]
         r = np.rint(m)
         slow = np.abs(m - r) > _NEAR_TIE
-        slow |= (k < -22) | (k > 22)
-        slow &= ~zero
         carry = r == 10.0 ** p  # rounded up to one digit more
         r[carry] = 10.0 ** (p - 1)
         k -= carry
+        slow |= (k < 0) | (k > p + 3)
+        slow &= ~zero
         # Zeros, and slow cells until their text replaces it, print as "0".
         plain = zero | slow
         r[plain] = 0.0
@@ -511,9 +508,8 @@ class _GCells:
         digits += ord("0")
 
         # Masks pick by arithmetic, not np.where, which branches per value.
-        fixed = (exponent >= -4) & (exponent < p)
-        small = fixed & (exponent < 0)  # 0.000ddd: its "0." and zeros lead
-        before_point = 1 + fixed * exponent + small * (p - 1 - exponent)  # p if small
+        small = exponent < 0  # 0.000ddd: its "0." and zeros lead
+        before_point = 1 + exponent + small * (p - 1 - exponent)  # p if small
         point = kept > before_point
         n_digits = np.maximum(kept, before_point) - small * (p - kept)  # kept if small
         # Row j is each cell's j-th character after the sign and the lead:
@@ -531,12 +527,8 @@ class _GCells:
                 row += (before_point > j) * (digits[j] - row)
         self.negative = np.signbit(values) & ~slow
         self.lead = small * (1 - exponent)
-        self.mantissa_width = n_digits + point
-        self.exponent = exponent
         self.small = np.flatnonzero(small)
-        self.exponential = np.flatnonzero(~fixed)
-        self.width = self.negative + self.lead + self.mantissa_width
-        self.width[self.exponential] += 4  # e±XX: |X| <= p + 22 has two digits
+        self.width = self.negative + self.lead + n_digits + point
         self.slow = np.flatnonzero(slow)
         if self.slow.size:
             text = ("%%.%dg\n" % p) * self.slow.size % tuple(values[self.slow].tolist())
@@ -549,24 +541,14 @@ class _GCells:
         return start + self.negative + self.lead
 
     def write_rest(self, buf: np.ndarray, start: np.ndarray) -> None:
-        """Write each cell's sign, lead and exponent, and the slow cells'
-        text, for cells beginning at ``start``."""
+        """Write each cell's sign and lead, and the slow cells' text, for
+        cells beginning at ``start``."""
         if self.small.size:
             at = start[self.small] + self.negative[self.small]
             lead = self.lead[self.small]
             for j, char in enumerate(b"0.000"):
                 inside = np.flatnonzero(lead > j)
                 buf[at[inside] + j] = char
-        if self.exponential.size:
-            cells = self.exponential
-            at = self.mantissa_start(start)[cells] + self.mantissa_width[cells]
-            exponent = self.exponent[cells]
-            buf[at] = ord("e")
-            buf[at + 1] = ord("+") + 2 * (exponent < 0)  # or "-"
-            exponent = np.abs(exponent)
-            tens = exponent // 10
-            buf[at + 2] = tens + ord("0")
-            buf[at + 3] = exponent - 10 * tens + ord("0")
         buf[start[self.negative]] = ord("-")
         if self.slow.size:
             # Each text ends in the "\n" that the cell's separator overwrites.
@@ -594,9 +576,9 @@ def _csv_block(times: np.ndarray, watts: np.ndarray) -> str:
     t_at, w_at = t_cells.mantissa_start(t_start), w_cells.mantissa_start(w_start)
     # Each mantissa is written whole, all its p + 1 columns, even where it is
     # shorter. Column j of a cell lies before column j of every later cell,
-    # so what spills past a mantissa lands on its own exponent or separator,
-    # written afterwards, or on a later cell's column of a lower index, which
-    # this loop, from the last column to the first, also writes afterwards.
+    # so what spills past a mantissa lands on its own separator, written
+    # afterwards, or on a later cell's column of a lower index, which this
+    # loop, from the last column to the first, also writes afterwards.
     for j in range(9, -1, -1):
         buf[t_at + j] = t_cells.mantissa[j]
         if j <= 6:

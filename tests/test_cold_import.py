@@ -119,7 +119,7 @@ NOT_NEEDED = ("numpy", "dataclasses", "inspect")
 @pytest.mark.parametrize("argv, unloaded", [
     (["analyze", "--builtin", "resnet_im"],
      NOT_NEEDED + ("json", "cnnergy.energymodel", "cnnergy.multigpu", "cnnergy.tuner")),
-    (["rank", "--bundled", "--device", "pascal"], NOT_NEEDED),
+    (["rank", "--bundled", "--device", "pascal"], NOT_NEEDED + ("json",)),
     (["predict", "--models", "MODELS", "--device", "pascal", "--network", "caffenet",
       "--step", "forward", "--gpus", "1", "--batch", "128"], NOT_NEEDED),
 ], ids=["analyze", "rank", "predict"])

@@ -528,12 +528,18 @@ def test_only_lf_cr_lf_and_cr_end_a_line(tmp_path):
     assert parse_trace("t_s,a_w\r0,1\r\n\r1,2\r").times.tolist() == [0.0, 1.0]
 
 
-def test_a_table_stream_splits_its_lines_as_a_file_does():
-    # A StringIO's lines end only at LF; the table readers split them again.
-    for name in ("regions", "measurements", "arch"):
-        parse, text, want = ONE_ROW_TEXTS[name]
-        for newline in ("\r", "\r\n"):
-            assert parse(io.StringIO(text.replace("@", " ").replace("\n", newline))) == want
+def test_every_reader_reads_a_bare_cr_stream_as_one_line():
+    # A stream's lines are the lines it yields, and a StringIO's end only at
+    # LF: with bare CRs its whole text is the header line, which every reader
+    # refuses; with CR LF each line ends in a CR that the reader strips.
+    refusals = {"trace": r"^trace header must be t_s,<label>_w,\.\.\.; got 't_s,a_w\\r1 ,2\\r'$",
+                "regions": "^region header must be ",
+                "measurements": "^measurement header must be ",
+                "arch": "^line 1: first line must be: input <w> <h> <ch>$"}
+    for name, (parse, text, want) in ONE_ROW_TEXTS.items():
+        with pytest.raises(CnnergyError, match=refusals[name]):
+            parse(io.StringIO(text.replace("@", " ").replace("\n", "\r")))
+        assert parse(io.StringIO(text.replace("@", " ").replace("\n", "\r\n"))) == want
 
 
 def test_parse_trace_refuses_a_stream_that_cannot_seek():
@@ -582,7 +588,7 @@ def test_parse_trace_strips_watt_suffix():
 
 #: Values at the vectorised formatter's decision boundaries: ties at 6 and 9
 #: digits, rounding that carries into one more digit, the fixed/exponential
-#: edges, the edge of exact scaling (|k| = 22), neighbours of powers of ten
+#: edges and values far past them (1e-17, 1e28), neighbours of powers of ten
 #: (where floor(log10) may be one off) and the ends of the range.
 EDGE_WATTS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
               123456.5, 12345.25, 1234.125, 999999.5, 99999.95, 9.999995e-05, 999999.7,
@@ -628,6 +634,14 @@ def test_trace_csv_matches_cell_by_cell_emitter_across_blocks():
                                      channels=3, noise_sigma=2.0, seed=5)
     assert trace.n_samples > 2 * powertrace._CSV_BLOCK_ROWS
     assert trace_csv(trace) == trace_csv_reference(trace)
+
+
+def test_only_exponential_notation_and_near_ties_are_formatted_by_percent():
+    # Fixed notation, the 0.000ddd lead included, is formatted at array speed.
+    fixed = [0.0, -0.0, 0.00012, 0.5, 6.25, 999999.4]
+    assert powertrace._GCells(np.array(fixed), 6).slow.tolist() == []
+    cells = powertrace._GCells(np.array(fixed + [9.99e-05, 1e6, 123456.5]), 6)
+    assert cells.slow.tolist() == [6, 7, 8]
 
 
 def test_parse_regions():
