@@ -18,7 +18,7 @@ the modules that use them.
 from __future__ import annotations
 
 import io
-from importlib import resources
+import os
 
 from .errors import CnnergyError, DataFormatError
 
@@ -55,8 +55,10 @@ def checked(base):
 
 
 def data_text(relpath: str) -> str:
-    """Text of a bundled file under ``cnnergy/data``."""
-    return resources.files("cnnergy").joinpath(f"data/{relpath}").read_text(encoding="utf-8")
+    """Text of a bundled file under ``cnnergy/data``, read by the package's
+    loader, so that a zipped install reads it too."""
+    path = os.path.join(os.path.dirname(__file__), "data", relpath)
+    return __loader__.get_data(path).decode("utf-8")
 
 
 def read_file(path, parse):

@@ -15,9 +15,9 @@ or no group to fit).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
-from pathlib import Path
 
 from . import _tables, arch, costmodel
 from .errors import CnnergyError, DataFormatError, NothingFeasibleError
@@ -57,8 +57,11 @@ def cmd_analyze(args):
         name = args.builtin  # as the built-in's own `# network:` line names it
         summary = costmodel.CostSummary(*costmodel._builtin_rows(name), args.element_bytes)
     else:
+        base = os.path.basename(args.arch)
+        dot = base.rfind(".")  # a leading or trailing dot starts no suffix, as for pathlib's stem
+        stem = base[:dot] if 0 < dot < len(base) - 1 else base
         shaped = _tables.read_file(args.arch, lambda fh: arch.infer_shapes(
-            arch.parse_network(fh, name=Path(args.arch).stem)))
+            arch.parse_network(fh, name=stem)))
         name, summary = shaped.spec.name, costmodel.network_cost(
             shaped, element_bytes=args.element_bytes)
     if args.batch is not None:

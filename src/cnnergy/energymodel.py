@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import NamedTuple, get_type_hints
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from ._tables import QUANTITIES, STEPS, check_cell, checked, data_text, read_csv, read_file
 from .costmodel import CostSummary
@@ -160,8 +161,11 @@ def _parse_plans(text: str) -> dict[tuple[str, int], TrainingPlan]:
 # Affine-in-batch calibration
 # ---------------------------------------------------------------------------
 
+@checked
 class CalibratedModel(NamedTuple):
-    """value = slope * batch + intercept for one configuration group."""
+    """value = slope * batch + intercept for one configuration group, fitted
+    to ``n_points`` records, one residual each, over batches ``batch_min`` to
+    ``batch_max``."""
 
     device: str
     network: str
@@ -175,6 +179,49 @@ class CalibratedModel(NamedTuple):
     batch_min: int
     batch_max: int
     n_points: int
+
+    def _check(self):
+        """Refuse as ``bad value for '<field>': ...`` the first field, in field
+        order, not of its exact type (a bool is no int, an int no float) or
+        breaking its rule, which reads no later field. Written without loops,
+        as calibrate builds one model per fit."""
+        (device, network, step, gpus, quantity, slope, intercept, r_squared, residuals,
+         batch_min, batch_max, n_points) = self
+        if type(device) is not str:
+            raise ValueError(f"bad value for 'device': {device!r}")
+        try:  # predict prints both names as CSV cells
+            check_cell("device", device)
+        except ValueError as exc:
+            raise ValueError(f"bad value for 'device': {exc}") from None
+        if type(network) is not str:
+            raise ValueError(f"bad value for 'network': {network!r}")
+        try:
+            check_cell("network", network)
+        except ValueError as exc:
+            raise ValueError(f"bad value for 'network': {exc}") from None
+        if step not in STEPS:
+            raise ValueError(f"bad value for 'step': {step!r}")
+        if type(gpus) is not int or gpus < 1:
+            raise ValueError(f"bad value for 'gpus': {gpus!r}")
+        if quantity not in QUANTITIES:
+            raise ValueError(f"bad value for 'quantity': {quantity!r}")
+        if type(slope) is not float or not math.isfinite(slope):
+            raise ValueError(f"bad value for 'slope': {slope!r}")
+        if type(intercept) is not float or not math.isfinite(intercept):
+            raise ValueError(f"bad value for 'intercept': {intercept!r}")
+        if type(r_squared) is not float or not -math.inf < r_squared <= 1.0:
+            raise ValueError(f"bad value for 'r_squared': {r_squared!r}")
+        if type(residuals) is not tuple or len(residuals) < 2:
+            raise ValueError(f"bad value for 'residuals': {residuals!r}")
+        for value in residuals:
+            if type(value) is not float or not math.isfinite(value):
+                raise ValueError(f"bad value for 'residuals': {residuals!r}")
+        if type(batch_min) is not int or batch_min < 1:
+            raise ValueError(f"bad value for 'batch_min': {batch_min!r}")
+        if type(batch_max) is not int or batch_max <= batch_min:
+            raise ValueError(f"bad value for 'batch_max': {batch_max!r}")
+        if type(n_points) is not int or n_points != len(residuals):
+            raise ValueError(f"bad value for 'n_points': {n_points!r}")
 
     @property
     def key(self) -> tuple[str, str, str, int, str]:
@@ -224,65 +271,65 @@ def calibrate(records, gpu_counts=(1, 2)) -> tuple[list[CalibratedModel], list[S
 
     Raises:
         DataFormatError: ``gpu_counts`` repeats a count or holds one below 1,
-            or a fit overflows, so its slope, intercept, R² or a residual is
-            not finite; the message names the first such group.
+            or a fit overflows, so that :class:`CalibratedModel` refuses its
+            slope, intercept, R² or a residual as not finite; the message
+            names the first such group.
     """
     _check_listed("gpu_counts", "gpus", gpu_counts)
     import numpy as np  # only fitting needs numpy; keep it off the import path
 
+    batch = attrgetter("batch")
     groups: dict[tuple, list[MeasurementRecord]] = {}
     for rec in records:
         if rec.gpus in gpu_counts:
-            groups.setdefault((rec.device, rec.network, rec.step, rec.gpus), []).append(rec)
+            groups.setdefault(rec[:4], []).append(rec)  # (device, network, step, gpus)
     skipped: list[SkippedGroup] = []
-    fitted: list[tuple] = []  # the groups to fit, sorted
+    fitted: list[tuple] = []  # (group, (batch_min, batch_max, n_points)) to fit, sorted
     by_batches: dict[tuple[int, ...], list] = {}  # batch vector -> [(group, records)]
     for group, recs in sorted(groups.items()):
-        recs.sort(key=lambda r: r.batch)
-        batches = tuple(r.batch for r in recs)
+        recs.sort(key=batch)
+        batches = tuple(map(batch, recs))
         distinct = len(set(batches))
         if distinct < 2:
             skipped += [SkippedGroup(*group, quantity, f"only {distinct} distinct batch size(s)")
                         for quantity in QUANTITIES]
             continue
-        fitted.append(group)
+        fitted.append((group, (batches[0], batches[-1], len(batches))))
         by_batches.setdefault(batches, []).append((group, recs))
 
-    fits: dict[tuple, CalibratedModel] = {}  # model key -> model
-    overflowed = set()  # model keys
+    series = [attrgetter(f"{quantity}_per_batch") for quantity in QUANTITIES]  # record fields
+    fits: dict[tuple, tuple] = {}  # model key -> (slope, intercept, r_squared, residuals)
     calls = list(by_batches.items())
     for batches, members in calls:  # grows when a call is split below
-        x = np.array(batches, dtype=float)
-        keys = [(*group, quantity) for group, _ in members for quantity in QUANTITIES]
-        series = [[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
-                   for r in recs] for _, recs in members for quantity in QUANTITIES]
+        y = np.array([list(map(value, recs)) for _, recs in members for value in series],
+                     dtype=float)
         # LAPACK's least-squares routine rescales every series of a call when
         # the largest value is extreme, which changes the last bits of each
         # series fitted with it; so such a call is split into one per group.
-        if len(members) > 1 and not (1e-280 < min(map(min, series), default=1.0)
-                                     and max(map(max, series), default=1.0) < 1e280):
+        if len(members) > 1 and not 1e-280 < y.min() <= y.max() < 1e280:
             calls += [(batches, [member]) for member in members]
             continue
-        y = np.array(series, dtype=float).reshape(-1, len(batches))
-        with np.errstate(all="ignore"):  # an overflow is raised below, naming its group
+        x = np.array(batches, dtype=float)
+        with np.errstate(all="ignore"):  # CalibratedModel refuses an overflow below
             slope, intercept = np.polyfit(x, y.T, 1)
             residuals = y - (slope[:, None] * x + intercept[:, None])
-            ss_res = np.sum(residuals ** 2, axis=1)
-            ss_tot = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
+            # .sum and a division give np.sum's and np.mean's bits at less cost per call
+            ss_res = (residuals ** 2).sum(axis=1)
+            ss_tot = ((y - y.sum(axis=1, keepdims=True) / len(batches)) ** 2).sum(axis=1)
             r_squared = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
-        finite = (np.isfinite(slope) & np.isfinite(intercept) & np.isfinite(r_squared)
-                  & np.isfinite(residuals).all(axis=1))
-        for key, *fit, ok in zip(keys, slope.tolist(), intercept.tolist(), r_squared.tolist(),
-                                 map(tuple, residuals.tolist()), finite.tolist()):
-            fits[key] = CalibratedModel(*key, *fit, batches[0], batches[-1], len(batches))
-            if not ok:
-                overflowed.add(key)
-    models = [fits[(*group, quantity)] for group in fitted for quantity in QUANTITIES]
-    if overflowed:
-        m = next(m for m in models if m.key in overflowed)
-        raise DataFormatError(
-            f"the fit of {'/'.join(map(str, m.key))} overflows: slope {m.slope!r}, "
-            f"intercept {m.intercept!r}, r_squared {m.r_squared!r}")
+        keys = [(*group, quantity) for group, _ in members for quantity in QUANTITIES]
+        fits.update(zip(keys, zip(slope.tolist(), intercept.tolist(), r_squared.tolist(),
+                                  map(tuple, residuals.tolist()))))
+    models = []
+    for group, span in fitted:
+        for quantity in QUANTITIES:
+            fit = fits[(*group, quantity)]
+            try:
+                models.append(CalibratedModel(*group, quantity, *fit, *span))
+            except ValueError:
+                raise DataFormatError(
+                    f"the fit of {'/'.join(map(str, (*group, quantity)))} overflows: "
+                    f"slope {fit[0]!r}, intercept {fit[1]!r}, r_squared {fit[2]!r}") from None
     return models, skipped
 
 
@@ -318,117 +365,53 @@ def find_model(models, device: str, network: str, step: str, gpus: int,
     )
 
 
-def _json_number(value) -> str:
-    """A number as ``json`` writes it (``float.__repr__``/``int.__repr__``)."""
-    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
-
-
 def _model_json(m: CalibratedModel) -> str:
     """One model as ``json.dumps(m._asdict(), indent=2, sort_keys=True)``
-    writes it two levels deep."""
+    writes it two levels deep; a model's numbers are exactly ints and floats,
+    which ``repr`` writes as ``json`` does."""
     from json.encoder import encode_basestring_ascii  # rank, which saves nothing, loads no json
 
-    for value in (m.slope, m.intercept, m.r_squared, *m.residuals):
-        if not math.isfinite(value):
-            raise ValueError(f"model {m.key}: cannot save the non-finite number {value!r}")
-    try:  # load_models refuses what predict could not print as one CSV cell
-        check_cell("device", m.device)
-        check_cell("network", m.network)
-    except ValueError as exc:
-        raise ValueError(f"model {m.key}: {exc}") from None
-    residuals = ("[\n        " + ",\n        ".join(map(_json_number, m.residuals)) + "\n      ]"
-                 if m.residuals else "[]")
+    residuals = ",\n        ".join(map(repr, m.residuals))
     return (f'    {{\n'
-            f'      "batch_max": {_json_number(m.batch_max)},\n'
-            f'      "batch_min": {_json_number(m.batch_min)},\n'
+            f'      "batch_max": {m.batch_max!r},\n'
+            f'      "batch_min": {m.batch_min!r},\n'
             f'      "device": {encode_basestring_ascii(m.device)},\n'
-            f'      "gpus": {_json_number(m.gpus)},\n'
-            f'      "intercept": {_json_number(m.intercept)},\n'
-            f'      "n_points": {_json_number(m.n_points)},\n'
+            f'      "gpus": {m.gpus!r},\n'
+            f'      "intercept": {m.intercept!r},\n'
+            f'      "n_points": {m.n_points!r},\n'
             f'      "network": {encode_basestring_ascii(m.network)},\n'
-            f'      "quantity": {encode_basestring_ascii(m.quantity)},\n'
-            f'      "r_squared": {_json_number(m.r_squared)},\n'
-            f'      "residuals": {residuals},\n'
-            f'      "slope": {_json_number(m.slope)},\n'
-            f'      "step": {encode_basestring_ascii(m.step)}\n'
+            f'      "quantity": "{m.quantity}",\n'
+            f'      "r_squared": {m.r_squared!r},\n'
+            f'      "residuals": [\n        {residuals}\n      ],\n'
+            f'      "slope": {m.slope!r},\n'
+            f'      "step": "{m.step}"\n'
             f'    }}')
 
 
 def save_models(models, path) -> None:
     """Write ``{"models": [...]}`` JSON, indented by two spaces with sorted
-    keys, one object per model with the :class:`CalibratedModel` fields.
-
-    Raises:
-        ValueError: a model holds a non-finite number, or a device or
-            network name that is not one CSV cell (see
-            :func:`~._tables.check_cell`); the message names the model's
-            key. Nothing is written then.
-    """
+    keys, one object per model with the :class:`CalibratedModel` fields."""
     entries = ",\n".join(map(_model_json, models))
     text = f'{{\n  "models": [\n{entries}\n  ]\n}}\n' if entries else '{\n  "models": []\n}\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-_JSON_KINDS = {str: str, int: int, float: float, tuple[float, ...]: list}
-_MODEL_FIELDS = {name: _JSON_KINDS[kind] for name, kind in get_type_hints(CalibratedModel).items()}
-_MODEL_KINDS = tuple(_MODEL_FIELDS.values())
-_FLOAT_FIELDS = [key for key, kind in _MODEL_FIELDS.items() if kind is float]
-
-
-def _json_fits(kind, value) -> bool:
-    """Whether a JSON value can stand for a ``kind`` field of CalibratedModel;
-    a number must be finite as a float, and JSON booleans are not numbers here."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(float(value))
-        except OverflowError:  # an integer beyond the float range
-            return False
-    if kind is list:
-        return isinstance(value, list) and all(_json_fits(float, v) for v in value)
-    return isinstance(value, kind)
-
-
-def _as_written(entry) -> bool:
-    """Whether a model entry is as :func:`save_models` writes it: exactly the
-    fields, each of its JSON type (floats as floats), every number finite."""
-    return (type(entry) is dict and entry.keys() == _MODEL_FIELDS.keys()
-            and tuple(map(type, map(entry.__getitem__, _MODEL_FIELDS))) == _MODEL_KINDS
-            and all(type(v) is float for v in entry["residuals"])
-            and all(map(math.isfinite, (entry["slope"], entry["intercept"],
-                                        entry["r_squared"], *entry["residuals"]))))
-
-
-def _check_entry(where: str, entry) -> None:
-    """Raise naming the first missing, unknown or mistyped key of an entry
-    that is not as :func:`save_models` writes it; return if it is still a
-    model (a finite integer in a float field, say)."""
-    if not isinstance(entry, dict):
-        raise DataFormatError(f"{where}: expected an object")
-    for key in entry:
-        if key not in _MODEL_FIELDS:
-            raise DataFormatError(f"{where}: unknown key {key!r}")
-    for key, kind in _MODEL_FIELDS.items():
-        if key not in entry:
-            raise DataFormatError(f"{where}: missing key {key!r}")
-        if not _json_fits(kind, entry[key]):
-            raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
-
-
 def load_models(path) -> list[CalibratedModel]:
-    """Read models written by :func:`save_models`.
+    """Read models written by :func:`save_models`; integers in float fields
+    are read as floats.
 
     Raises:
         DataFormatError: the file is not UTF-8 JSON, the JSON is not
-            ``{"models": [...]}``, or a model has a missing, unknown or
-            mistyped key (non-finite numbers included) or a device or network
-            name that is not one CSV cell (see :func:`~._tables.check_cell`);
-            the message names the file and the key. Integers in float fields
-            are read as floats.
+            ``{"models": [...]}``, or a model has a missing or unknown key or
+            a value that :class:`CalibratedModel` refuses; the message names
+            the file, the model and the key.
     """
     return read_file(path, _parse_models)
+
+
+_MODEL_KEYS = frozenset(CalibratedModel._fields)
+_model_values = itemgetter(*CalibratedModel._fields)
 
 
 def _parse_models(fh) -> list[CalibratedModel]:
@@ -444,17 +427,31 @@ def _parse_models(fh) -> list[CalibratedModel]:
         raise DataFormatError("expected an object with a 'models' list")
     models = []
     for i, entry in enumerate(entries):
-        if not _as_written(entry):
-            _check_entry(f"models[{i}]", entry)
-            entry = {**entry, **{key: float(entry[key]) for key in _FLOAT_FIELDS},
-                     "residuals": list(map(float, entry["residuals"]))}
-        for key in ("device", "network"):  # predict prints both as CSV cells
-            try:
-                check_cell(key, entry[key])
-            except ValueError as exc:
-                raise DataFormatError(f"models[{i}]: bad value for {key!r}: {exc}") from None
-        models.append(CalibratedModel(**{**entry, "residuals": tuple(entry["residuals"])}))
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"models[{i}]: expected an object")
+        if entry.keys() != _MODEL_KEYS:
+            faults = [*(f"unknown key {key!r}" for key in entry if key not in _MODEL_KEYS),
+                      *(f"missing key {key!r}" for key in CalibratedModel._fields
+                        if key not in entry)]
+            raise DataFormatError(f"models[{i}]: {faults[0]}")
+        values = _model_values(entry)  # in field order: 5-7 the floats, 8 the residuals
+        residuals = values[8]
+        if type(residuals) is list:
+            residuals = tuple(map(_json_float, residuals))
+        try:
+            models.append(CalibratedModel(*values[:5], *map(_json_float, values[5:8]),
+                                          residuals, *values[9:]))
+        except ValueError as exc:
+            raise DataFormatError(f"models[{i}]: {exc}") from None
     return models
+
+
+def _json_float(value):
+    """A JSON integer as the float it stands for; any other value as it is."""
+    try:
+        return float(value) if type(value) is int else value
+    except OverflowError:  # an integer beyond the float range, for the model to refuse
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ its shared table reader cannot hide in a shared implementation.
 """
 import json
 import math
-from typing import get_type_hints
+from collections import namedtuple
 
 from cnnergy import arch, energymodel, tuner
 from cnnergy.arch import LayerSpec
@@ -342,6 +342,14 @@ def fit_affine_reference(batches, series) -> list[tuple[float, float, float, tup
     return fits
 
 
+class OverflowedFit(namedtuple("OverflowedFit", CalibratedModel._fields)):
+    """The fields of a fit with a number that is not finite, which a
+    CalibratedModel refuses to hold."""
+
+    __slots__ = ()
+    key = CalibratedModel.key
+
+
 def calibrate_reference(records, gpu_counts=(1, 2), quantities=QUANTITIES
                         ) -> tuple[list[CalibratedModel], list[SkippedGroup]]:
     """Least-squares affine fits per (device, network, step, gpus) group.
@@ -349,7 +357,9 @@ def calibrate_reference(records, gpu_counts=(1, 2), quantities=QUANTITIES
     Only groups whose gpus value is in ``gpu_counts`` are fitted — the
     default (1, 2) leaves out the 4-GPU rows, which mix device generations
     and synchronization stalls. Groups with fewer than two distinct batch
-    sizes are skipped with a diagnostic rather than raised.
+    sizes are skipped with a diagnostic rather than raised. A fit whose
+    slope, intercept, R² or a residual is not finite is an
+    :class:`OverflowedFit` in the list.
     """
     groups: dict[tuple, list[MeasurementRecord]] = {}
     for rec in records:
@@ -369,8 +379,10 @@ def calibrate_reference(records, gpu_counts=(1, 2), quantities=QUANTITIES
         series = [[r.seconds_per_batch if quantity == "seconds" else r.joules_per_batch
                    for r in recs] for quantity in quantities]
         for quantity, fit in zip(quantities, fit_affine_reference(batches, series)):
-            models.append(CalibratedModel(device, network, step, gpus, quantity, *fit,
-                                          min(batches), max(batches), len(batches)))
+            finite = all(map(math.isfinite, (*fit[:3], *fit[3])))
+            models.append((CalibratedModel if finite else OverflowedFit)(
+                device, network, step, gpus, quantity, *fit,
+                min(batches), max(batches), len(batches)))
     return models, skipped
 
 
@@ -380,35 +392,64 @@ def save_models_reference(models, path) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-_JSON_KINDS = {str: str, int: int, float: float, tuple[float, ...]: list}
-_MODEL_FIELDS = {name: _JSON_KINDS[kind] for name, kind in get_type_hints(CalibratedModel).items()}
-
-
-def _json_fits(kind, value) -> bool:
-    """Whether a JSON value can stand for a ``kind`` field of CalibratedModel;
-    a number must be finite, and JSON booleans are not numbers here."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
+def _read_as_float(value):
+    """A JSON integer as its float, unless it is beyond the float range; any
+    other value as it is."""
+    if type(value) is int:
         try:
-            return isinstance(value, (int, float)) and math.isfinite(float(value))
+            return float(value)
         except OverflowError:
-            return False
-    if kind is list:
-        return isinstance(value, list) and all(_json_fits(float, v) for v in value)
-    return isinstance(value, kind)
+            return value
+    return value
+
+
+def _finite_float(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
+def _model_fault(m: dict):
+    """``(key, why)`` for the first field of a model entry, in field order,
+    whose value breaks its rule; None if every value holds."""
+    for key in ("device", "network"):
+        if type(m[key]) is not str:
+            return key, repr(m[key])
+        if any(c in m[key] for c in ',"\r\n'):
+            return key, (f"{key} must be without commas, double quotes or line breaks, "
+                         f"got {m[key]!r}")
+    rules = {
+        "step": lambda: m["step"] in ("forward", "backward"),
+        "gpus": lambda: type(m["gpus"]) is int and m["gpus"] >= 1,
+        "quantity": lambda: m["quantity"] in ("seconds", "joules"),
+        "slope": lambda: _finite_float(m["slope"]),
+        "intercept": lambda: _finite_float(m["intercept"]),
+        "r_squared": lambda: _finite_float(m["r_squared"]) and m["r_squared"] <= 1,
+        "residuals": lambda: (type(m["residuals"]) is tuple and len(m["residuals"]) >= 2
+                              and all(map(_finite_float, m["residuals"]))),
+        "batch_min": lambda: type(m["batch_min"]) is int and m["batch_min"] >= 1,
+        "batch_max": lambda: type(m["batch_max"]) is int and m["batch_max"] > m["batch_min"],
+        "n_points": lambda: type(m["n_points"]) is int and m["n_points"] == len(m["residuals"]),
+    }
+    for key, holds in rules.items():  # each rule runs once the fields before it hold
+        if not holds():
+            return key, repr(m[key])
+    return None
 
 
 def load_models_reference(path) -> list[CalibratedModel]:
-    """Read models written by :func:`save_models`.
+    """Read models written by :func:`save_models`, key by key.
 
     Raises:
         DataFormatError: the file is not UTF-8 JSON, the JSON is not
-            ``{"models": [...]}``, or a model has a missing, unknown or
-            mistyped key (non-finite numbers included), or a device or
-            network name that holds a comma, a double quote or a line break;
-            the message names the file and the key. Integers in float fields
-            are read as floats.
+            ``{"models": [...]}``, or a model has an unknown key (the first
+            in the entry), a missing key (the first in field order), or a
+            value that breaks its field's rule (the first in field order):
+            a device or network name is a string without a comma, a double
+            quote or a line break; step and quantity are in their sets;
+            gpus and batch_min are integers >= 1 and batch_max an integer
+            above batch_min; slope, intercept and r_squared are finite
+            floats, r_squared at most 1; residuals are two or more finite
+            floats, and n_points is their count. Booleans are not numbers
+            here. Integers in float fields are read as floats first.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -418,27 +459,26 @@ def load_models_reference(path) -> list[CalibratedModel]:
     entries = payload.get("models") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
         raise DataFormatError(f"{path}: expected an object with a 'models' list")
+    fields = CalibratedModel._fields
     models = []
     for i, entry in enumerate(entries):
         where = f"{path}: models[{i}]"
         if not isinstance(entry, dict):
             raise DataFormatError(f"{where}: expected an object")
         for key in entry:
-            if key not in _MODEL_FIELDS:
+            if key not in fields:
                 raise DataFormatError(f"{where}: unknown key {key!r}")
-        for key, kind in _MODEL_FIELDS.items():
+        for key in fields:
             if key not in entry:
                 raise DataFormatError(f"{where}: missing key {key!r}")
-            if not _json_fits(kind, entry[key]):
-                raise DataFormatError(f"{where}: bad value for {key!r}: {entry[key]!r}")
-        for key in ("device", "network"):
-            if any(c in entry[key] for c in ',"\r\n'):
-                raise DataFormatError(
-                    f"{where}: bad value for {key!r}: {key} must be without commas, "
-                    f"double quotes or line breaks, got {entry[key]!r}")
-        floats = {key: float(entry[key]) for key, kind in _MODEL_FIELDS.items() if kind is float}
-        models.append(CalibratedModel(**{**entry, **floats,
-                                         "residuals": tuple(map(float, entry["residuals"]))}))
+        model = {**entry, **{key: _read_as_float(entry[key])
+                             for key in ("slope", "intercept", "r_squared")}}
+        if isinstance(model["residuals"], list):
+            model["residuals"] = tuple(map(_read_as_float, model["residuals"]))
+        fault = _model_fault(model)
+        if fault:
+            raise DataFormatError(f"{where}: bad value for {fault[0]!r}: {fault[1]}")
+        models.append(CalibratedModel(**model))
     return models
 
 

@@ -742,6 +742,22 @@ def test_predict_refuses_a_model_name_that_is_not_one_csv_cell(key, name, slope,
                    f"without commas, double quotes or line breaks, got {name!r}\n")
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"gpus": 0}, "gpus"), ({"batch_min": 512, "batch_max": 64}, "batch_max"),
+    ({"n_points": -3}, "n_points"), ({"r_squared": 7.5}, "r_squared"),
+    ({"step": "sideways"}, "step"), ({"quantity": "watts"}, "quantity"),
+], ids=["gpus", "batch-span", "n-points", "r-squared", "step", "quantity"])
+def test_predict_refuses_a_model_out_of_range_naming_the_field(edit, field, tmp_path, capsys):
+    model_file = tmp_path / "models.json"
+    model_file.write_text(json.dumps({"models": [MODEL, {**MODEL, **edit}]}), encoding="utf-8")
+    code, out, err = run(["predict", "--models", str(model_file), "--device", "pascal",
+                          "--network", "net_a", "--step", "forward", "--gpus", "1",
+                          "--batch", "64"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {model_file}: models[1]: bad value for {field!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_predict_model_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     model_file = tmp_path / "models.json"
     model_file.write_bytes(b"\xff\xfe{}")

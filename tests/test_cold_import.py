@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -17,24 +18,27 @@ import cnnergy
 SRC = str(Path(cnnergy.__file__).resolve().parents[1])
 
 
-def fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports cnnergy from this tree."""
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+def fresh(code: str, plain: bool = False) -> str:
+    """Run ``code`` in a new interpreter that imports cnnergy from this tree;
+    a ``plain`` one runs without ``site`` (``python -S``), so that no ``.pth``
+    file of the host imports anything first."""
+    done = subprocess.run([sys.executable, *["-S"] * plain, "-c", code],
+                          env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def cli_run(argv) -> dict:
-    """``cli.main(argv)`` in a new interpreter: exit code, stdout and every
-    module loaded once it has returned."""
+def cli_run(argv, plain: bool = False) -> dict:
+    """``cli.main(argv)`` in a new interpreter, ``plain`` as for :func:`fresh`:
+    exit code, stdout and every module loaded once it has returned."""
     code = ("import contextlib, io, sys\n"
             "from cnnergy import cli\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    code = cli.main({list(argv)!r})\n"
             "print(repr({'code': code, 'out': out.getvalue(), 'modules': sorted(sys.modules)}))\n")
-    return ast.literal_eval(fresh(code))
+    return ast.literal_eval(fresh(code, plain))
 
 
 MODULES = ("arch", "costmodel", "energymodel", "errors", "multigpu", "powertrace", "tuner")
@@ -103,11 +107,10 @@ def model_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def resource_reader_modules():
-    """What a fresh interpreter holds once it has imported ``argparse`` and
-    ``importlib.resources``, which read the arguments and the bundled tables;
-    from Python 3.12 on, ``importlib.resources`` imports ``inspect`` itself."""
-    return set(fresh("import argparse, importlib.resources, sys\n"
+def argparse_modules():
+    """What a fresh interpreter holds once it has imported ``argparse``,
+    which reads the arguments: its own imports, and what ``site`` imported."""
+    return set(fresh("import argparse, sys\n"
                      "print('\\n'.join(sys.modules))\n").split())
 
 
@@ -123,12 +126,40 @@ NOT_NEEDED = ("numpy", "dataclasses", "inspect")
     (["predict", "--models", "MODELS", "--device", "pascal", "--network", "caffenet",
       "--step", "forward", "--gpus", "1", "--batch", "128"], NOT_NEEDED),
 ], ids=["analyze", "rank", "predict"])
-def test_commands_that_leave_numpy_unloaded(argv, unloaded, model_file,
-                                            resource_reader_modules):
+def test_commands_that_leave_numpy_unloaded(argv, unloaded, model_file, argparse_modules):
     result = cli_run([str(model_file) if a == "MODELS" else a for a in argv])
     assert result["code"] == 0 and result["out"]
     assert [m for m in unloaded
-            if m in result["modules"] and m not in resource_reader_modules] == []
+            if m in result["modules"] and m not in argparse_modules] == []
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--builtin", "resnet_gait"],
+                                  ["rank", "--bundled", "--device", "pascal"]],
+                         ids=["analyze", "rank"])
+def test_commands_on_a_plain_interpreter_load_no_resource_reader(argv):
+    # bundled tables are read by the package's loader, and file names split by os.path
+    result = cli_run(argv, plain=True)
+    assert result["code"] == 0 and result["out"]
+    assert [m for m in ("importlib.resources", "pathlib", "inspect")
+            if m in result["modules"]] == []
+
+
+def test_a_zipped_package_prints_the_golden_output(tmp_path):
+    package = Path(cnnergy.__file__).resolve().parent
+    archive = tmp_path / "cnnergy.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, path.relative_to(package.parent).as_posix())
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    for argv, name in ((["analyze", "--builtin", "two_d_cnn"], "analyze_two_d_cnn"),
+                       (["rank", "--bundled", "--device", "pascal"], "rank_pascal_edp")):
+        # without site and run from tmp_path, the archive is the only cnnergy on the path
+        done = subprocess.run([sys.executable, "-S", "-m", "cnnergy.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(archive)},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (golden / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_trace_commands_in_a_fresh_process(tmp_path):

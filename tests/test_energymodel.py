@@ -391,10 +391,10 @@ def test_save_models_refuses_a_non_finite_number(tmp_path):
     path = tmp_path / "models.json"
     for field, value in (("slope", math.inf), ("r_squared", math.nan),
                          ("residuals", (0.0, -math.inf))):
-        bad = models[1]._replace(**{field: value})
-        with pytest.raises(ValueError, match=r"^model \('pascal', 'two_d_cnn', 'forward', 1, "
-                                             r"'joules'\): cannot save the non-finite number"):
-            save_models([models[0], bad], path)
+        # the model refuses the number, so there is no such model to save
+        with pytest.raises(ValueError,
+                           match=rf"^bad value for '{field}': {re.escape(repr(value))}$"):
+            save_models([models[0], models[1]._replace(**{field: value})], path)
         assert not path.exists()
 
 
@@ -402,24 +402,33 @@ def test_save_models_refuses_a_non_finite_number(tmp_path):
                                          ("network", "net\na")])
 def test_save_models_refuses_a_name_that_load_models_refuses(field, name, tmp_path):
     models, _ = calibrate(linear_records())
-    bad = models[1]._replace(**{field: name})
     path = tmp_path / "models.json"
-    with pytest.raises(ValueError, match=rf"^model {re.escape(repr(bad.key))}: {field} must be "
+    # the model refuses the name, so there is no such model to save
+    with pytest.raises(ValueError, match=rf"^bad value for '{field}': {field} must be "
                                          "without commas, double quotes or line breaks"):
-        save_models([models[0], bad], path)
+        save_models([models[0], models[1]._replace(**{field: name})], path)
     assert not path.exists()
 
 
 JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300, -1.7e308]))
 
-SAVED_MODELS = st.builds(
-    CalibratedModel, device=st.text(), network=st.text(), step=st.sampled_from(STEPS),
-    gpus=st.integers(1, 8), quantity=st.sampled_from(QUANTITIES), slope=JSON_FLOATS,
-    intercept=JSON_FLOATS, r_squared=JSON_FLOATS,
-    residuals=st.lists(JSON_FLOATS, max_size=4).map(tuple),
-    batch_min=st.integers(1, 2 ** 70), batch_max=st.integers(1, 2 ** 70),
-    n_points=st.integers(0, 9))
+CELL_NAMES = st.text(st.characters(exclude_characters=',"\r\n'))
+
+
+@st.composite
+def saved_models(draw):
+    """Any model there can be: every rule of CalibratedModel holds."""
+    residuals = tuple(draw(st.lists(JSON_FLOATS, min_size=2, max_size=4)))
+    batch_min = draw(st.integers(1, 2 ** 70 - 1))
+    return CalibratedModel(
+        draw(CELL_NAMES), draw(CELL_NAMES), draw(st.sampled_from(STEPS)), draw(st.integers(1, 8)),
+        draw(st.sampled_from(QUANTITIES)), draw(JSON_FLOATS), draw(JSON_FLOATS),
+        draw(JSON_FLOATS.filter(lambda r_squared: r_squared <= 1)), residuals, batch_min,
+        draw(st.integers(batch_min + 1, 2 ** 70)), len(residuals))
+
+
+SAVED_MODELS = saved_models()
 
 
 @given(st.lists(SAVED_MODELS, max_size=4))
@@ -586,8 +595,15 @@ def _saved_model_entry(tmp_path):
     (lambda e: e.update(gpus=1.5), "models[0]: bad value for 'gpus': 1.5"),
     (lambda e: e.update(n_points=True), "models[0]: bad value for 'n_points': True"),
     (lambda e: e.update(device=7), "models[0]: bad value for 'device': 7"),
+    (lambda e: e.update(gpus=0), "models[0]: bad value for 'gpus': 0"),
+    (lambda e: e.update(batch_min=512, batch_max=64), "models[0]: bad value for 'batch_max': 64"),
+    (lambda e: e.update(n_points=-3), "models[0]: bad value for 'n_points': -3"),
+    (lambda e: e.update(r_squared=7.5), "models[0]: bad value for 'r_squared': 7.5"),
+    (lambda e: e.update(step="sideways"), "models[0]: bad value for 'step': 'sideways'"),
+    (lambda e: e.update(quantity="watts"), "models[0]: bad value for 'quantity': 'watts'"),
 ], ids=["no-residuals", "unknown-key", "str-slope", "nan-intercept", "null-residual",
-        "float-gpus", "bool-n-points", "int-device"])
+        "float-gpus", "bool-n-points", "int-device", "zero-gpus", "batch-min-above-max",
+        "negative-n-points", "r-squared-above-one", "sideways-step", "watts-quantity"])
 def test_load_models_names_the_file_and_the_bad_key(tmp_path, edit, message):
     entry = _saved_model_entry(tmp_path)
     edit(entry)

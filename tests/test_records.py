@@ -35,7 +35,8 @@ RECORDS = [
      ValueError("gpus and batch must be >= 1")),
     (CONFIG.plan, {"iterations": 0}, ValueError("batch and iterations must be >= 1")),
     (energymodel.CalibratedModel("pascal", "n", "forward", 1, "seconds", 1e-4, 0.001, 1.0,
-                                 (0.0, 0.0), 64, 128, 2), None, None),
+                                 (0.0, 0.0), 64, 128, 2), {"batch_min": 0},
+     ValueError("bad value for 'batch_min': 0")),
     (energymodel.SkippedGroup("pascal", "n", "forward", 1, "seconds", "why"), None, None),
     (energymodel.Prediction(0.5, False), None, None),
     (energymodel.GenerationGap("n", "forward", 1, 64, 10.0, -5.0), None, None),
