@@ -253,32 +253,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="noise RNG seed")
     p.set_defaults(func=cmd_gen_trace)
 
-    for name, helptext in (("calibrate", "fit affine batch-size models"),
-                           ("rank", "rank training configurations")):
-        p = sub.add_parser(name, parents=[common], help=helptext)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--bundled", action="store_true",
-                         help="use the bundled measurement tables")
-        src.add_argument("--measurements", metavar="FILE", help="measurements CSV")
-        if name == "calibrate":
-            p.add_argument("--gpus", type=_int_list, default=(1, 2),
-                           help="GPU counts to fit (default: 1,2)")
-            p.add_argument("--model-out", metavar="FILE",
-                           help="also save the fitted models as JSON")
-            p.set_defaults(func=cmd_calibrate)
-        else:
-            p.add_argument("--device", required=True, help="device profile name")
-            p.add_argument("--metric", choices=_tables.RANK_METRICS, default="edp",
-                           help="ranking metric (default: edp)")
-            p.add_argument("--networks", type=lambda s: tuple(s.split(",")),
-                           help="networks to include (default: all built-ins)")
-            p.add_argument("--gpus", type=_int_list, default=(1, 2, 4),
-                           help="GPU counts to include (default: 1,2,4)")
-            p.add_argument("--batches", type=_int_list, default=(64, 128, 256),
-                           help="batch sizes to include (default: 64,128,256)")
-            p.add_argument("--update-overhead-pct", type=float, default=0.0,
-                           help="extra percent for the weight-update phase")
-            p.set_defaults(func=cmd_rank)
+    measured = argparse.ArgumentParser(add_help=False)
+    src = measured.add_mutually_exclusive_group(required=True)
+    src.add_argument("--bundled", action="store_true", help="use the bundled measurement tables")
+    src.add_argument("--measurements", metavar="FILE", help="measurements CSV")
+
+    p = sub.add_parser("calibrate", parents=[common, measured], help="fit affine batch-size models")
+    p.add_argument("--gpus", type=_int_list, default=(1, 2),
+                   help="GPU counts to fit (default: 1,2)")
+    p.add_argument("--model-out", metavar="FILE", help="also save the fitted models as JSON")
+    p.set_defaults(func=cmd_calibrate)
+
+    p = sub.add_parser("rank", parents=[common, measured], help="rank training configurations")
+    p.add_argument("--device", required=True, help="device profile name")
+    p.add_argument("--metric", choices=_tables.RANK_METRICS, default="edp",
+                   help="ranking metric (default: edp)")
+    p.add_argument("--networks", type=lambda s: tuple(s.split(",")),
+                   help="networks to include (default: all built-ins)")
+    p.add_argument("--gpus", type=_int_list, default=(1, 2, 4),
+                   help="GPU counts to include (default: 1,2,4)")
+    p.add_argument("--batches", type=_int_list, default=(64, 128, 256),
+                   help="batch sizes to include (default: 64,128,256)")
+    p.add_argument("--update-overhead-pct", type=float, default=0.0,
+                   help="extra percent for the weight-update phase")
+    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("predict", parents=[common],
                        help="evaluate saved calibration models")

@@ -76,6 +76,8 @@ class MeasurementRecord(NamedTuple):
         check_cell("network", self.network)
         if self.step not in STEPS:
             raise ValueError(f"step must be one of {STEPS}, got {self.step!r}")
+        if type(self.gpus) is not int or type(self.batch) is not int:  # a bool is no int
+            raise ValueError(f"gpus and batch must be ints, got {self.gpus!r} and {self.batch!r}")
         if self.gpus < 1 or self.batch < 1:
             raise ValueError("gpus and batch must be >= 1")
         if not (0 < self.seconds_per_batch < math.inf and 0 < self.joules_per_batch < math.inf):

@@ -62,7 +62,8 @@ class PowerTrace(NamedTuple):
 
     @classmethod
     def build(cls, channel_labels, times, watts) -> "PowerTrace":
-        """Validate raw arrays and return an immutable trace.
+        """Validate copies of raw arrays and return an immutable trace, which
+        shares no memory with ``times`` and ``watts``.
 
         Raises:
             ChannelCountMismatchError: watts row width != len(channel_labels).
@@ -71,6 +72,15 @@ class PowerTrace(NamedTuple):
                 one CSV cell (see :func:`check_cell`); non-finite or negative
                 readings, or no samples.
         """
+        return cls._adopt(channel_labels, np.array(times, dtype=float),
+                          np.array(watts, dtype=float))
+
+    @classmethod
+    def _adopt(cls, channel_labels, t, w) -> "PowerTrace":
+        """:meth:`build` of float arrays that nothing else holds, nor their
+        base: they are made read-only, not copied. The package's reader and
+        generator hand over the arrays they made, so that building a trace
+        never holds two copies of them."""
         labels = tuple(str(l) for l in channel_labels)
         try:
             for label in labels:
@@ -80,8 +90,6 @@ class PowerTrace(NamedTuple):
         if len(set(labels)) < len(labels):
             twice = next(l for i, l in enumerate(labels) if l in labels[:i])
             raise TraceFormatError(f"channel label {twice!r} appears twice")
-        t = np.asarray(times, dtype=float)
-        w = np.asarray(watts, dtype=float)
         if t.ndim != 1 or w.ndim != 2 or w.shape[0] != t.shape[0]:
             raise TraceFormatError(
                 f"times {t.shape} and watts {w.shape} must be (n,) and (n, channels)"
@@ -195,7 +203,7 @@ def parse_trace(source) -> PowerTrace:
         data = None
     if data is None or data.shape[1] != len(labels) + 1:
         _raise_first_bad_row(source)
-    return PowerTrace.build(labels, data[:, 0], data[:, 1:])
+    return PowerTrace._adopt(labels, data[:, 0], data[:, 1:])
 
 
 def _header_labels(line: str) -> tuple[str, ...]:
@@ -431,7 +439,7 @@ def generate_synthetic_trace(segments, sample_rate: float = 1000.0, channels: in
         np.clip(watts, 0.0, None, out=watts)
     else:
         watts = np.repeat(per_channel, channels, axis=1)
-    return PowerTrace.build(default_labels(channels), t_arr, watts)
+    return PowerTrace._adopt(default_labels(channels), t_arr, watts)
 
 
 # ---------------------------------------------------------------------------

@@ -313,8 +313,8 @@ def recommend(dataset_class: str, net_family: str, accuracy,
     """Suggest a batch size for a (dataset size, network family) pair.
 
     Batches within ``tolerance_pct`` percent of the best ``accuracy`` record
-    qualify, and the qualifier with the lowest EDP wins (EDP taken from
-    ``reports`` when given, otherwise the largest qualifier is suggested).
+    qualify, and the first of them in :func:`rank`'s EDP order of ``reports``
+    wins; with none feasible and scored there, the largest qualifier does.
 
     Raises:
         DataFormatError: ``accuracy`` holds no record for the pair's network
@@ -338,27 +338,17 @@ def recommend(dataset_class: str, net_family: str, accuracy,
     best = max(by_batch.values())
     floor = best * (1.0 - tolerance_pct / 100.0)
     qualifying = tuple(sorted(b for b, v in by_batch.items() if v >= floor))
-    if reports is not None:
-        candidates = [r for r in reports
-                      if r.feasible and r.config.network == network
-                      and r.config.batch in qualifying
-                      and r.edp_joule_seconds is not None]
-        if candidates:
-            winner = min(candidates, key=lambda r: (
-                r.edp_joule_seconds, r.config.batch, r.config.gpu_set.total_gpus))
-            return Recommendation(
-                dataset_class, net_family, network, winner.config.batch, qualifying,
-                f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
-                f"{metric} accuracy ({best:g}%); "
-                f"batch {winner.config.batch} has the lowest EDP among them; "
-                f"{MULTI_GPU_ADVISORY}",
-            )
-    suggested = qualifying[-1]
+    batch, why = qualifying[-1], "the largest of them saves the most time and energy"
+    try:
+        batch = rank([r for r in reports or () if r.config.network == network
+                      and r.config.batch in qualifying], metric="edp")[0].config.batch
+        why = f"batch {batch} has the lowest EDP among them"
+    except NothingFeasibleError:
+        pass
     return Recommendation(
-        dataset_class, net_family, network, suggested, qualifying,
+        dataset_class, net_family, network, batch, qualifying,
         f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
-        f"{metric} accuracy ({best:g}%); the largest of them saves the most "
-        f"time and energy; {MULTI_GPU_ADVISORY}",
+        f"{metric} accuracy ({best:g}%); {why}; {MULTI_GPU_ADVISORY}",
     )
 
 

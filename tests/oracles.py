@@ -613,6 +613,53 @@ def residual_block_reference(prefix: str, channels: int, skip_from: str, convs: 
 
 
 # ---------------------------------------------------------------------------
+# recommend: tuner.recommend as it stood before it took its winner from rank;
+# the EDP order is its own min key, with one return per branch
+# ---------------------------------------------------------------------------
+
+def recommend_reference(dataset_class, net_family, accuracy, tolerance_pct=5.0,
+                        reports=None, metric=None) -> tuner.Recommendation:
+    if dataset_class not in ("small", "large"):
+        raise ValueError('dataset_class must be "small" or "large"')
+    if net_family not in ("plain_conv", "residual"):
+        raise ValueError('net_family must be "plain_conv" or "residual"')
+    network = tuner.FAMILY_NETWORKS[(dataset_class, net_family)]
+    metric = metric or tuner.PRIMARY_METRIC[dataset_class]
+    by_batch = {}
+    for rec in accuracy:
+        if rec.network == network and rec.metric == metric:
+            by_batch[rec.batch] = rec.value
+    if not by_batch:
+        raise DataFormatError(
+            f"no accuracy records for network {network!r} with metric {metric!r}"
+        )
+    best = max(by_batch.values())
+    floor = best * (1.0 - tolerance_pct / 100.0)
+    qualifying = tuple(sorted(b for b, v in by_batch.items() if v >= floor))
+    if reports is not None:
+        candidates = [r for r in reports
+                      if r.feasible and r.config.network == network
+                      and r.config.batch in qualifying
+                      and r.edp_joule_seconds is not None]
+        if candidates:
+            winner = min(candidates, key=lambda r: (
+                r.edp_joule_seconds, r.config.batch, r.config.gpu_set.total_gpus))
+            return tuner.Recommendation(
+                dataset_class, net_family, network, winner.config.batch, qualifying,
+                f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
+                f"{metric} accuracy ({best:g}%); "
+                f"batch {winner.config.batch} has the lowest EDP among them; "
+                f"{tuner.MULTI_GPU_ADVISORY}",
+            )
+    return tuner.Recommendation(
+        dataset_class, net_family, network, qualifying[-1], qualifying,
+        f"batches {list(qualifying)} sit within {tolerance_pct:g}% of the best "
+        f"{metric} accuracy ({best:g}%); the largest of them saves the most "
+        f"time and energy; {tuner.MULTI_GPU_ADVISORY}",
+    )
+
+
+# ---------------------------------------------------------------------------
 # rank: cli.cmd_rank as it stood before the bundled grids were scored once per
 # process; every call builds its grid and scores each configuration afresh
 # ---------------------------------------------------------------------------

@@ -601,6 +601,19 @@ def test_input_file_errors_keep_their_class(tmp_path):
 # calibrate / predict
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("command", [["calibrate"], ["rank", "--device", "pascal"]],
+                         ids=lambda command: command[0])
+def test_calibrate_and_rank_take_exactly_one_measurement_source(command, capsys):
+    for source, message in (([], "one of the arguments --bundled --measurements is required"),
+                            (["--bundled", "--measurements", "m.csv"],
+                             "argument --measurements: not allowed with argument --bundled")):
+        with pytest.raises(SystemExit) as refused:
+            cli.main([*command, *source])
+        err = capsys.readouterr().err
+        assert refused.value.code == 2
+        assert "(--bundled | --measurements FILE)" in err and err.endswith(f"{message}\n")
+
+
 def test_calibrate_bundled_fits_everything(capsys):
     code, out, _ = run(["calibrate", "--bundled"], capsys)
     assert code == 0

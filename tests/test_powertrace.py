@@ -121,6 +121,23 @@ def test_trace_arrays_are_immutable():
         trace.watts[0, 0] = 0.0
 
 
+def test_build_leaves_the_callers_arrays_writable():
+    t, w = np.array([0.0, 1.0]), np.array([[1.0], [2.0]])
+    trace = PowerTrace.build(["a"], t, w)
+    t[0], w[0, 0] = -1.0, 9.0
+    assert trace.times.tolist() == [0.0, 1.0]
+    assert trace.watts.tolist() == [[1.0], [2.0]]
+
+
+def test_build_from_views_does_not_follow_their_base():
+    data = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
+    trace = PowerTrace.build(["a", "b"], data[:, 0], data[:, 1:])
+    data[2, 0], data[0, 1] = -5.0, 7.0
+    assert trace.times.tolist() == [0.0, 1.0, 2.0]
+    assert trace.watts[:, 0].tolist() == [1.0, 3.0, 5.0]
+    assert trace.watts.flags.c_contiguous
+
+
 def test_region_validation():
     Region("r", "forward", 0.0, 1.0)
     with pytest.raises(ValueError):

@@ -3,11 +3,14 @@
 The fenced ``python`` blocks are executed; every ``cnnergy ...`` line of the
 ``sh`` blocks is run through ``cli.main``, in order, next to the inputs they
 name; every ``__all__`` name is either shown in README code or used by
-another module of the package; every field of a bundled table's record is
-read by package code outside that record's class; and the layer lines quoted
-for a ``resblock`` are the ones the parser reads.
+another module of the package; every public property and method of an
+exported class is named in README or read by package code outside that
+class; every field of a bundled table's record is read by package code
+outside that record's class; and the layer lines quoted for a ``resblock``
+are the ones the parser reads.
 """
 import ast
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -32,6 +35,12 @@ COMMANDS = [shlex.split(line, comments=True)[1:]
             for block in SH_BLOCKS
             for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("cnnergy ")]
+#: Every word of README's code blocks and inline code spans.
+DOCUMENTED = set(re.findall(r"\w+", "\n".join(
+    re.findall(r"^```\w*\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTALL)
+    + re.findall(r"`([^`\n]+)`", TEXT))))
+EXPORTED_CLASSES = [value for value in (getattr(cnnergy, name) for name in cnnergy.__all__)
+                    if inspect.isclass(value)]
 
 
 def test_readme_has_python_examples():
@@ -85,12 +94,9 @@ def _names_used_across_modules() -> set[str]:
 
 
 def test_every_export_is_documented_or_used():
-    code = re.findall(r"^```\w*\n(.*?)^```", TEXT, flags=re.MULTILINE | re.DOTALL)
-    code += re.findall(r"`([^`\n]+)`", TEXT)
-    documented = set(re.findall(r"\w+", "\n".join(code)))
     used = _names_used_across_modules()
     assert [name for name in cnnergy.__all__
-            if name not in documented and name not in used] == []
+            if name not in DOCUMENTED and name not in used] == []
 
 
 def _attributes_read_outside(cls) -> set[str]:
@@ -116,3 +122,20 @@ def test_every_bundled_record_field_is_read(record):
     # a bundled column that no code reads is parsed and checked for nothing
     read = _attributes_read_outside(record)
     assert [name for name in record._fields if name not in read] == []
+
+
+def _public_members(cls) -> list[str]:
+    """The properties and methods, public by name, that ``cls`` and its
+    package bases define (a record's fields are neither)."""
+    return sorted({name for base in cls.__mro__ if base.__module__.startswith("cnnergy.")
+                   for name, value in vars(base).items() if not name.startswith("_")
+                   and (inspect.isfunction(value)
+                        or isinstance(value, (property, classmethod, staticmethod)))})
+
+
+@pytest.mark.parametrize("cls", EXPORTED_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_public_member_of_an_export_is_documented_or_read(cls):
+    # a property that only tests read is surface that nothing uses or explains
+    read = _attributes_read_outside(cls)
+    assert [name for name in _public_members(cls)
+            if name not in DOCUMENTED and name not in read] == []

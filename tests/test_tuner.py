@@ -2,6 +2,8 @@
 import copy
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cnnergy.arch import builtin_network, infer_shapes
 from cnnergy.energymodel import (
@@ -27,6 +29,8 @@ from cnnergy.tuner import (
     FAMILY_NETWORKS,
     HETERO_TESTBED,
     MULTI_GPU_ADVISORY,
+    PRIMARY_METRIC,
+    Recommendation,
     TrainingConfig,
     bundled_accuracy,
     bundled_grid,
@@ -37,6 +41,8 @@ from cnnergy.tuner import (
     recommend,
     score,
 )
+
+from oracles import recommend_reference
 
 PROFILES = bundled_devices()
 PASCAL, MAXWELL = PROFILES["pascal"], PROFILES["maxwell"]
@@ -391,6 +397,72 @@ def test_recommend_validation():
         recommend("small", "transformer", acc)
     with pytest.raises(DataFormatError):
         recommend("small", "residual", bundled_accuracy("imagenet"))
+
+
+GPU_SETS = (GpuSet.homogeneous("pascal", 1), GpuSet.homogeneous("maxwell", 2), HETERO_TESTBED)
+BATCHES = st.sampled_from([32, 64, 128, 256])
+
+
+@st.composite
+def recommend_args(draw):
+    """Arguments of ``recommend``: accuracy tables and report lists that are
+    mostly about the pair's own network and metric, reports scored and
+    unscored, feasible and not, or no reports at all."""
+    dataset_class = draw(st.sampled_from(["small", "large"]))
+    net_family = draw(st.sampled_from(["plain_conv", "residual"]))
+    own = FAMILY_NETWORKS[(dataset_class, net_family)]
+    networks = st.sampled_from([own] * 4 + ["two_d_cnn", "resnet_im"])
+    metric = draw(st.sampled_from([None, "top-1", "top-5"]))
+    metrics = st.sampled_from([metric or PRIMARY_METRIC[dataset_class]] * 3 + ["top-5"])
+    accuracy = draw(st.lists(st.builds(
+        AccuracyRecord, networks, BATCHES, metrics,
+        st.sampled_from([90.0, 99.0, 100.0]) | st.floats(0.0, 100.0)), max_size=8))
+    reports = None
+    if draw(st.integers(0, 4)):
+        # totals from a few values, so that ties are common; None is unscored
+        totals = st.sampled_from(draw(st.lists(st.floats(0.0, 1e12), min_size=1, max_size=3))
+                                 + [None])
+        reports = []
+        for _ in range(draw(st.integers(0, 10))):
+            network, batch = draw(networks), draw(BATCHES)
+            cfg = TrainingConfig(network, batch, draw(st.sampled_from(GPU_SETS)),
+                                 TrainingPlan(network, batch, 10))
+            reports.append(ConfigReport(cfg, draw(st.integers(0, 3)) > 0, "why",
+                                        draw(totals), draw(totals), draw(totals)))
+    tolerance_pct = draw(st.sampled_from([0.0, 5.0, 10.0, 100.0]) | st.floats(0.0, 100.0))
+    return dataset_class, net_family, accuracy, tolerance_pct, reports, metric
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DataFormatError as exc:
+        return type(exc), str(exc)
+
+
+def _two_d_cnn_report(batch, feasible, edp_value):
+    cfg = TrainingConfig("two_d_cnn", batch, GPU_SETS[0], TrainingPlan("two_d_cnn", batch, 10))
+    return ConfigReport(cfg, feasible, "why", edp_value, 1.0, edp_value)
+
+
+TUMGAID = bundled_accuracy("tumgaid")  # two_d_cnn qualifies 64 and 128 at 5%
+
+
+@given(recommend_args())
+@example(("small", "plain_conv", TUMGAID, 5.0, [], None))
+@example(("small", "plain_conv", TUMGAID, 5.0,
+          [_two_d_cnn_report(64, False, None), _two_d_cnn_report(128, False, None)], None))
+@example(("small", "plain_conv", TUMGAID, 5.0,
+          [_two_d_cnn_report(128, True, 1.0), _two_d_cnn_report(64, True, 1.0)], None))
+@settings(max_examples=500, deadline=None)
+def test_recommend_matches_the_reference(args):
+    got, want = _outcome(lambda: recommend(*args)), _outcome(lambda: recommend_reference(*args))
+    assert type(got) is type(want)
+    if isinstance(want, Recommendation):
+        for field in Recommendation._fields:
+            assert getattr(got, field) == getattr(want, field), field
+    else:
+        assert got == want
 
 
 def test_family_networks_cover_all_builtins():
