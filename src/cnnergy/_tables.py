@@ -27,6 +27,8 @@ STEPS = ("forward", "backward")
 QUANTITIES = ("seconds", "joules")
 #: The totals ``rank`` can order configurations by.
 RANK_METRICS = ("time", "energy", "edp")
+#: The bundled architectures, each shipped as ``cnnergy/data/networks/<name>.net``.
+BUILTIN_NETWORK_NAMES = ("two_d_cnn", "resnet_gait", "caffenet", "resnet_im")
 
 
 class Checked:

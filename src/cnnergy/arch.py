@@ -20,7 +20,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import _tables
-from ._tables import Checked, checked
+from ._tables import BUILTIN_NETWORK_NAMES, Checked, checked
 from .errors import (
     ArchSemanticError,
     ArchSyntaxError,
@@ -55,9 +55,6 @@ _FIELDS = {"kernel_w": ("kw", 1), "kernel_h": ("kh", 1), "out_channels": ("filte
            "stride": ("stride", 1), "padding": ("pad", 0), "groups": ("groups", 1),
            "has_bias": ("bias", None), "pool_kind": ("type", ("max", "average")),
            "units": ("units", 1), "skip": ("skip", None)}
-
-#: The bundled architectures, each shipped as ``cnnergy/data/networks/<name>.net``.
-BUILTIN_NETWORK_NAMES = ("two_d_cnn", "resnet_gait", "caffenet", "resnet_im")
 
 #: Most layers a parsed network may have, ``resblock`` expansions included;
 #: about 67x the 149 layers of resnet_gait.

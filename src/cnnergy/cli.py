@@ -19,7 +19,7 @@ import os
 import sys
 from functools import cache
 
-from . import _tables, arch, costmodel
+from . import _tables
 from .errors import CnnergyError, DataFormatError, NothingFeasibleError
 
 
@@ -49,10 +49,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# analyze (costmodel loads only here, arch here and in rank)
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args):
+    from . import arch, costmodel
+
     if args.builtin:
         name = args.builtin  # as the built-in's own `# network:` line names it
         summary = costmodel.CostSummary(*costmodel._builtin_rows(name), args.element_bytes)
@@ -183,10 +185,6 @@ def cmd_predict(args):
     return (), rows, ()
 
 
-def _gpu_set_label(gpu_set: multigpu.GpuSet) -> str:
-    return "+".join(f"{name}:{count}" for name, count in gpu_set.members if count > 0)
-
-
 def cmd_rank(args):
     from . import tuner
 
@@ -199,10 +197,10 @@ def cmd_rank(args):
     rows = [("rank", "network", "batch", "gpus", "gpu_set", "kiloseconds", "megajoules",
              "edp_mj_ks"), *[
         (str(position), r.config.network, str(r.config.batch), str(r.config.gpu_set.total_gpus),
-         _gpu_set_label(r.config.gpu_set), _fmt(r.kiloseconds), _fmt(r.megajoules),
+         str(r.config.gpu_set), _fmt(r.kiloseconds), _fmt(r.megajoules),
          _fmt(r.edp_mj_ks)) for position, r in enumerate(ranked, start=1)]]
     tail = [f"# infeasible: {r.config.network} batch={r.config.batch} "
-            f"gpu_set={_gpu_set_label(r.config.gpu_set)} ({r.reason})"
+            f"gpu_set={r.config.gpu_set} ({r.reason})"
             for r in reports if not r.feasible]
     return [f"# metric: {args.metric}"], rows, tail
 
@@ -226,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common],
                        help="per-layer operation and data-volume report")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--builtin", choices=arch.BUILTIN_NETWORK_NAMES,
+    src.add_argument("--builtin", choices=_tables.BUILTIN_NETWORK_NAMES,
                      help="analyze a bundled architecture")
     src.add_argument("--arch", metavar="FILE", help="architecture description file")
     p.add_argument("--batch", type=int, help="scale all counts by this batch size")

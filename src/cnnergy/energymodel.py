@@ -16,7 +16,6 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from ._tables import QUANTITIES, STEPS, check_cell, checked, data_text, read_csv, read_file
-from .costmodel import CostSummary
 from .errors import (
     DataFormatError,
     InsufficientDataError,
@@ -460,7 +459,7 @@ def _json_float(value):
 # Efficiency and cross-generation comparison
 # ---------------------------------------------------------------------------
 
-def gflops_per_watt(summary: CostSummary, fwd: MeasurementRecord,
+def gflops_per_watt(summary: costmodel.CostSummary, fwd: MeasurementRecord,
                     bwd: MeasurementRecord) -> float:
     """GFLOPS per watt of one forward+backward batch.
 
@@ -504,12 +503,20 @@ def generation_gap(a_records, b_records) -> list[GenerationGap]:
     intersection is compared.
 
     Raises:
+        DataFormatError: one record set holds two records of one key; the
+            message names the set and the key.
         KeyMismatchError: the record sets share no keys.
     """
-    def index(records):
-        return {(r.network, r.step, r.gpus, r.batch): r for r in records}
+    def index(records, what):
+        idx = {}
+        for r in records:
+            key = (r.network, r.step, r.gpus, r.batch)
+            if key in idx:
+                raise DataFormatError(f"{what}: duplicate measurement for {key}")
+            idx[key] = r
+        return idx
 
-    a_idx, b_idx = index(a_records), index(b_records)
+    a_idx, b_idx = index(a_records, "a_records"), index(b_records, "b_records")
     common = sorted(set(a_idx) & set(b_idx))
     if not common:
         raise KeyMismatchError("record sets share no (network, step, gpus, batch) keys")

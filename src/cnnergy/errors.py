@@ -77,7 +77,8 @@ class DataFormatError(CnnergyError):
 # --- measurements / calibration ----------------------------------------------
 
 class InsufficientDataError(CnnergyError):
-    """A calibration group has fewer than two distinct batch sizes."""
+    """No calibrated model covers a requested (device, network, step, gpus,
+    quantity) group."""
 
 
 class MismatchedRecordsError(CnnergyError):

@@ -20,21 +20,25 @@ DEFAULT_LINK_LATENCY = 5e-6
 
 
 class GpuSet(Checked, NamedTuple("GpuSet", [("members", tuple[tuple[str, int], ...])])):
-    """A set of GPUs training one model: (device name, count) members. It has
-    a ``__dict__``, which holds its cached properties."""
-
-    def __new__(cls, members):
-        return super().__new__(cls, tuple((str(n), int(c)) for n, c in members))
+    """A set of GPUs training one model: a non-empty tuple of distinct
+    ``(device name, count >= 1)`` members, kept as given. ``str`` writes its
+    ``name:count+name:count`` label. It has a ``__dict__``, which holds its
+    cached properties."""
 
     def _check(self):
-        if any(count < 0 for _, count in self.members):
-            raise ValueError("member counts must be >= 0")
+        if type(self.members) is not tuple or not self.members:
+            raise ValueError(f"members must be a non-empty tuple, got {self.members!r}")
+        for member in self.members:
+            if not (type(member) is tuple and len(member) == 2 and type(member[0]) is str
+                    and type(member[1]) is int and member[1] >= 1):  # a bool is no int
+                raise ValueError(f"members must be (name, count >= 1) pairs, got {member!r}")
         names = [name for name, _ in self.members]
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"members: device {name!r} is listed more than once")
-        if self.total_gpus < 1:
-            raise ValueError("a GpuSet needs at least one GPU")
+
+    def __str__(self):
+        return "+".join(f"{name}:{count}" for name, count in self.members)
 
     @classmethod
     def homogeneous(cls, device: str, count: int) -> "GpuSet":
@@ -46,7 +50,7 @@ class GpuSet(Checked, NamedTuple("GpuSet", [("members", tuple[tuple[str, int], .
 
     @cached_property
     def device_names(self) -> tuple[str, ...]:
-        return tuple(name for name, count in self.members if count > 0)
+        return tuple(name for name, _ in self.members)
 
 
 def split_batch(batch: int, n_gpus: int) -> int:
@@ -84,12 +88,10 @@ def set_energy(per_device_joules, gpu_set: GpuSet) -> float:
     """Whole-set joules per batch: sum of count x per-device joules.
 
     Raises:
-        MissingDeviceError: a member with count > 0 has no joules value.
+        MissingDeviceError: a member has no joules value.
     """
     total = 0.0
     for name, count in gpu_set.members:
-        if count == 0:
-            continue
         if name not in per_device_joules:
             raise MissingDeviceError(f"no joules value for device {name!r}")
         total += count * per_device_joules[name]

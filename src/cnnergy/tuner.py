@@ -1,9 +1,9 @@
 """Score, rank, and recommend training configurations.
 
-A configuration is (network, batch, GPU set, training plan). Scoring checks
+A configuration is (network, batch, GPU set, iterations). Scoring checks
 memory feasibility first, then builds whole-training seconds and joules from
-per-batch measurements (or calibrated predictions) times the plan's
-iteration count, and the energy-delay product (EDP = joules x seconds) from
+per-batch measurements (or calibrated predictions) times the iteration
+count, and the energy-delay product (EDP = joules x seconds) from
 those totals. Per-batch time across a set is gated by its slowest device;
 per-batch energy is the count-weighted device sum. The update step is
 excluded from totals by default (it is small next to forward+backward); an
@@ -16,12 +16,10 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._tables import RANK_METRICS, checked, data_text, read_csv
-from .arch import BUILTIN_NETWORK_NAMES, ShapedNetwork, _builtin_shapes, _check_builtin
+from ._tables import BUILTIN_NETWORK_NAMES, RANK_METRICS, checked, data_text, read_csv
+from .arch import ShapedNetwork, _builtin_shapes, _check_builtin
 from .energymodel import (
     DeviceProfile,
-    MeasurementRecord,
-    TrainingPlan,
     _check_listed,
     bundled_devices,
     bundled_measurements,
@@ -92,20 +90,18 @@ def memory_feasible(shaped: ShapedNetwork, batch: int, device: DeviceProfile,
 
 @checked
 class TrainingConfig(NamedTuple):
-    """One point of the tuning grid."""
+    """One point of the tuning grid: ``network`` trained for ``iterations``
+    batches of ``batch`` samples on ``gpu_set``."""
 
     network: str
     batch: int
     gpu_set: GpuSet
-    plan: TrainingPlan
+    iterations: int
 
     def _check(self):
         split_batch(self.batch, self.gpu_set.total_gpus)  # raises IndivisibleBatch
-        if self.plan.network != self.network or self.plan.batch != self.batch:
-            raise ValueError(
-                f"plan {self.plan.network}@{self.plan.batch} does not match "
-                f"config {self.network}@{self.batch}"
-            )
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 class ConfigReport(NamedTuple):
@@ -139,7 +135,7 @@ def _per_batch_values(config: TrainingConfig, device: str, step: str,
     """(seconds, joules) per batch for one member device, from records when
     available, else from calibrated models."""
     key = (device, config.network, step, config.gpu_set.total_gpus, config.batch)
-    rec = records_index.get(key) if records_index else None
+    rec = records_index.get(key)
     if rec is not None:
         return rec.seconds_per_batch, rec.joules_per_batch, []
     if models is None:
@@ -164,19 +160,18 @@ def _per_batch_values(config: TrainingConfig, device: str, step: str,
     return out[0], out[1], warnings
 
 
-def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | None = None,
-          models=None, update_overhead_pct: float = 0.0) -> ConfigReport:
-    """Score one configuration into a ConfigReport.
+def score(config: TrainingConfig, records, profiles, models=None,
+          update_overhead_pct: float = 0.0) -> ConfigReport:
+    """Score one configuration of a built-in network into a ConfigReport.
 
-    ``records`` is a list or a (device, network, step, gpus, batch)-keyed
-    dict of MeasurementRecord; ``profiles`` maps device name ->
+    ``records`` is the (device, network, step, gpus, batch)-keyed index that
+    :func:`records_by_key` returns; ``profiles`` maps device name ->
     DeviceProfile. Feasibility is decided first (per-GPU sub-batch against
     each member device's memory); infeasible configs get no totals. Totals
-    are per-batch values x plan iterations, where per-batch time is the
-    slowest member's forward+backward and per-batch energy is the
+    are per-batch values x the config's iterations, where per-batch time is
+    the slowest member's forward+backward and per-batch energy is the
     count-weighted member sum.
 
-    ``shaped`` defaults to the built-in network named by the config.
     ``update_overhead_pct`` must be finite and > -100.
 
     Raises:
@@ -187,10 +182,7 @@ def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | Non
     if not -100.0 < update_overhead_pct < math.inf:
         raise DataFormatError("update_overhead_pct (--update-overhead-pct) must be finite "
                               f"and > -100, got {update_overhead_pct!r}")
-    if records and not hasattr(records, "get"):
-        records = records_by_key(records)
-    if shaped is None:
-        shaped = _builtin_shapes(config.network)
+    shaped = _builtin_shapes(config.network)
     sub_batch = split_batch(config.batch, config.gpu_set.total_gpus)
     for name in config.gpu_set.device_names:
         estimate = memory_feasible(shaped, sub_batch, profiles[name])
@@ -208,8 +200,8 @@ def score(config: TrainingConfig, records, profiles, shaped: ShapedNetwork | Non
         warnings += w1 + w2
     batch_joules = set_energy(per_device_joules, config.gpu_set)
     factor = 1.0 + update_overhead_pct / 100.0
-    total_seconds = step_seconds * factor * config.plan.iterations
-    total_joules = batch_joules * factor * config.plan.iterations
+    total_seconds = step_seconds * factor * config.iterations
+    total_joules = batch_joules * factor * config.iterations
     total_edp = edp(total_seconds, total_joules)
     for quantity, value in (("total seconds", total_seconds),
                             ("total joules", total_joules), ("EDP", total_edp)):
@@ -382,7 +374,7 @@ def bundled_grid(device: str, plans, networks=None, batches=(64, 128, 256),
                 plan = plans.get((network, batch))
                 if plan is None or batch % gpu_set.total_gpus != 0:
                     continue
-                configs.append(TrainingConfig(network, batch, gpu_set, plan))
+                configs.append(TrainingConfig(network, batch, gpu_set, plan.iterations))
     return configs
 
 

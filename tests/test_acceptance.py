@@ -106,7 +106,7 @@ def test_criterion_2_derived_columns():
 
 def _config_for(device: str, network: str, gpus: int, batch: int) -> tuner.TrainingConfig:
     gpu_set = tuner.HETERO_TESTBED if gpus == 4 else GpuSet.homogeneous(device, gpus)
-    return tuner.TrainingConfig(network, batch, gpu_set, PLANS[(network, batch)])
+    return tuner.TrainingConfig(network, batch, gpu_set, PLANS[(network, batch)].iterations)
 
 
 def test_criterion_3_edp_tables():
@@ -115,7 +115,7 @@ def test_criterion_3_edp_tables():
     for row in rows_of("edp_tables.csv"):
         cfg = _config_for(row["device"], row["network"],
                           int(row["gpus"]), int(row["batch"]))
-        report = tuner.score(cfg, RECORDS, PROFILES, shaped=SHAPED[row["network"]])
+        report = tuner.score(cfg, RECORDS, PROFILES)
         assert report.feasible, row
         assert within(report.kiloseconds, float(row["kiloseconds"]), 0.01, 0.051), row
         assert within(report.megajoules, float(row["megajoules"]), 0.01, 0.0051), row
@@ -310,7 +310,7 @@ def test_criterion_7_property_suites():
             assert 0.0 < t <= bound or (nbytes == 0.0 and t <= bound)
 
     # EDP ranking is invariant under uniform positive energy scaling
-    reports = [tuner.score(cfg, RECORDS, PROFILES, shaped=SHAPED[cfg.network])
+    reports = [tuner.score(cfg, RECORDS, PROFILES)
                for cfg in tuner.bundled_grid("pascal", PLANS)]
     baseline = [r.config for r in tuner.rank(list(reports), metric="edp")]
     for factor in (0.001, 0.5, 3.7, 1000.0):

@@ -86,15 +86,18 @@ def test_importtime_logs_each_module_the_cli_loads():
     # ``python -X importtime`` logs only imports that go through the import
     # statement's machinery, so a module loaded another way would hide its
     # cost in the line of the module that asked for it. ``rank`` is the
-    # command that loads the most cnnergy modules without numpy.
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "cnnergy.cli",
-                           "rank", "--bundled", "--device", "pascal"],
-                          env={**os.environ, "PYTHONPATH": SRC},
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
-    for module in ("arch", "costmodel", "energymodel", "multigpu", "tuner"):
-        assert f"cnnergy.{module}" in logged, done.stderr
+    # command that loads the most cnnergy modules without numpy, and
+    # ``analyze`` the one command that loads costmodel.
+    for argv, modules in ((["rank", "--bundled", "--device", "pascal"],
+                           ("arch", "energymodel", "multigpu", "tuner")),
+                          (["analyze", "--builtin", "resnet_im"], ("arch", "costmodel"))):
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "cnnergy.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        for module in modules:
+            assert f"cnnergy.{module}" in logged, done.stderr
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,8 @@ def model_file(tmp_path_factory):
     result = cli_run(["calibrate", "--bundled", "--model-out", str(path)])
     assert result["code"] == 0 and result["out"].startswith("# fitted: ")
     assert "numpy" in result["modules"]  # the affine fit is the one model-side numpy user
+    # only analyze and rank read the network descriptions, and only analyze costs them
+    assert [m for m in ("cnnergy.arch", "cnnergy.costmodel") if m in result["modules"]] == []
     return path
 
 
@@ -122,9 +127,10 @@ NOT_NEEDED = ("numpy", "dataclasses", "inspect")
 @pytest.mark.parametrize("argv, unloaded", [
     (["analyze", "--builtin", "resnet_im"],
      NOT_NEEDED + ("json", "cnnergy.energymodel", "cnnergy.multigpu", "cnnergy.tuner")),
-    (["rank", "--bundled", "--device", "pascal"], NOT_NEEDED + ("json",)),
+    (["rank", "--bundled", "--device", "pascal"], NOT_NEEDED + ("json", "cnnergy.costmodel")),
     (["predict", "--models", "MODELS", "--device", "pascal", "--network", "caffenet",
-      "--step", "forward", "--gpus", "1", "--batch", "128"], NOT_NEEDED),
+      "--step", "forward", "--gpus", "1", "--batch", "128"],
+     NOT_NEEDED + ("cnnergy.arch", "cnnergy.costmodel")),
 ], ids=["analyze", "rank", "predict"])
 def test_commands_that_leave_numpy_unloaded(argv, unloaded, model_file, argparse_modules):
     result = cli_run([str(model_file) if a == "MODELS" else a for a in argv])

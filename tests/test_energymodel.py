@@ -582,6 +582,19 @@ def test_generation_gap_on_bundled_tables():
     assert all(g.seconds_pct > 0 for g in others)
 
 
+def test_generation_gap_refuses_a_repeated_key():
+    # both devices' rows in one argument would pair maxwell with itself
+    homogeneous = [r for r in bundled_measurements() if r.gpus in (1, 2)]
+    maxwell = [r for r in homogeneous if r.device == "maxwell"]
+    with pytest.raises(DataFormatError) as mixed:
+        generation_gap(homogeneous, maxwell)
+    assert str(mixed.value).startswith("a_records: duplicate measurement for (")
+    with pytest.raises(DataFormatError) as repeated:
+        generation_gap([record()], [record(device="maxwell"), record(device="maxwell")])
+    assert str(repeated.value) == \
+        "b_records: duplicate measurement for ('two_d_cnn', 'forward', 1, 64)"
+
+
 def test_generation_gap_empty_intersection():
     with pytest.raises(KeyMismatchError):
         generation_gap([record(network="a")], [record(network="b")])

@@ -22,6 +22,7 @@ def test_gpu_set_basics():
     mixed = GpuSet((("pascal", 2), ("maxwell", 2)))
     assert mixed.total_gpus == 4
     assert mixed.device_names == ("pascal", "maxwell")
+    assert str(mixed) == "pascal:2+maxwell:2"  # the label rank prints
 
 
 def test_gpu_set_homogeneous():
@@ -30,21 +31,40 @@ def test_gpu_set_homogeneous():
     assert solo.total_gpus == 1
 
 
-def test_gpu_set_skips_zero_count_members():
-    s = GpuSet((("pascal", 2), ("maxwell", 0)))
-    assert s.total_gpus == 2
-    assert s.device_names == ("pascal",)
-
-
 def test_gpu_set_validation():
-    with pytest.raises(ValueError):
-        GpuSet((("pascal", -1),))
-    with pytest.raises(ValueError):
-        GpuSet((("pascal", 0),))  # total must be >= 1
     with pytest.raises(ValueError, match="members: device 'pascal'"):
         GpuSet((("pascal", 2), ("pascal", 2)))
     with pytest.raises(ValueError, match="members: device 'pascal'"):
-        GpuSet((("pascal", 2), ("maxwell", 1), ("pascal", 0)))
+        GpuSet((("pascal", 2), ("maxwell", 1), ("pascal", 1)))
+
+
+@pytest.mark.parametrize("members, error", [
+    ((("pascal", 0),), "members must be (name, count >= 1) pairs, got ('pascal', 0)"),
+    ((("pascal", -1),), "members must be (name, count >= 1) pairs, got ('pascal', -1)"),
+    ((("pascal", 2.7),), "members must be (name, count >= 1) pairs, got ('pascal', 2.7)"),
+    ((("pascal", True),), "members must be (name, count >= 1) pairs, got ('pascal', True)"),
+    ((("pascal", "2"),), "members must be (name, count >= 1) pairs, got ('pascal', '2')"),
+    (((5, 2),), "members must be (name, count >= 1) pairs, got (5, 2)"),
+    ([("pascal", 2)], "members must be a non-empty tuple, got [('pascal', 2)]"),
+    ((), "members must be a non-empty tuple, got ()"),
+], ids=["zero", "negative", "float", "bool", "str-count", "int-name", "list", "empty"])
+def test_gpu_set_refuses_each_bad_member_form(members, error):
+    with pytest.raises(ValueError) as refused:
+        GpuSet(members)
+    assert str(refused.value) == error
+
+
+@given(members=st.dictionaries(st.text("abcdefgh_", min_size=1, max_size=8),
+                               st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+       joules=st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_gpu_set_label_reads_back_and_energy_weights_by_count(members, joules):
+    s = GpuSet(tuple(members.items()))
+    assert tuple((name, int(count)) for name, count in
+                 (part.split(":") for part in str(s).split("+"))) == s.members
+    per_device = dict(zip(members, joules))
+    assert set_energy(per_device, s) == sum(count * per_device[name]
+                                            for name, count in s.members)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +136,3 @@ def test_set_energy_missing_device():
     s = GpuSet((("pascal", 2), ("maxwell", 2)))
     with pytest.raises(MissingDeviceError):
         set_energy({"pascal": 4.0}, s)
-
-
-def test_set_energy_ignores_zero_count_members():
-    s = GpuSet((("pascal", 1), ("maxwell", 0)))
-    assert set_energy({"pascal": 3.0}, s) == pytest.approx(3.0)

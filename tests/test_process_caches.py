@@ -33,7 +33,6 @@ from cnnergy.energymodel import (
     bundled_devices,
     bundled_measurements,
     bundled_plans,
-    records_by_key,
 )
 from cnnergy.tuner import RANK_METRICS, _bundled_reports, bundled_grid, score
 
@@ -120,13 +119,12 @@ def test_bundled_tables_come_back_whole_after_callers_mutate_them():
 
 
 def test_score_with_default_shapes_equals_score_with_fresh_shapes():
-    records = records_by_key(bundled_measurements())
-    profiles, plans = bundled_devices(), bundled_plans()
+    # score reads each built-in network's shapes from arch._builtin_shapes
+    plans = bundled_plans()
     configs = bundled_grid("pascal", plans) + bundled_grid("maxwell", plans)
     assert len(configs) == 72
     for cfg in configs:
-        shaped = infer_shapes(builtin_network(cfg.network))
-        assert score(cfg, records, profiles) == score(cfg, records, profiles, shaped=shaped)
+        assert arch._builtin_shapes(cfg.network) == infer_shapes(builtin_network(cfg.network))
 
 
 def test_analyze_builtin_is_unchanged_by_batch_and_element_bytes_calls():

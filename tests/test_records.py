@@ -15,7 +15,7 @@ NET = arch.NetworkSpec("n", SHAPE, (CONV,))
 SHAPED = arch.infer_shapes(NET)
 SUMMARY = costmodel.network_cost(SHAPED)
 SOLO = multigpu.GpuSet.homogeneous("pascal", 1)
-CONFIG = tuner.TrainingConfig("two_d_cnn", 64, SOLO, energymodel.TrainingPlan("two_d_cnn", 64, 9))
+CONFIG = tuner.TrainingConfig("two_d_cnn", 64, SOLO, 9)
 
 #: One record of every class, and for a class with checks a ``_replace`` that
 #: breaks one, with the error the constructor raises for it.
@@ -33,14 +33,16 @@ RECORDS = [
      ValueError("DeviceProfile.dram_bytes must be positive and finite")),
     (energymodel.MeasurementRecord("pascal", "n", "forward", 1, 64, 0.01, 4.0), {"batch": 0},
      ValueError("gpus and batch must be >= 1")),
-    (CONFIG.plan, {"iterations": 0}, ValueError("batch and iterations must be >= 1")),
+    (energymodel.TrainingPlan("two_d_cnn", 64, 9), {"iterations": 0},
+     ValueError("batch and iterations must be >= 1")),
     (energymodel.CalibratedModel("pascal", "n", "forward", 1, "seconds", 1e-4, 0.001, 1.0,
                                  (0.0, 0.0), 64, 128, 2), {"batch_min": 0},
      ValueError("bad value for 'batch_min': 0")),
     (energymodel.SkippedGroup("pascal", "n", "forward", 1, "seconds", "why"), None, None),
     (energymodel.Prediction(0.5, False), None, None),
     (energymodel.GenerationGap("n", "forward", 1, 64, 10.0, -5.0), None, None),
-    (SOLO, {"members": (("pascal", 0),)}, ValueError("a GpuSet needs at least one GPU")),
+    (SOLO, {"members": (("pascal", 0),)},
+     ValueError("members must be (name, count >= 1) pairs, got ('pascal', 0)")),
     (powertrace.PowerTrace.build(("a",), [0.0], [[1.0]]), None, None),
     (powertrace.Region("r", "forward", 0.0, 1.0), {"t_end": 0.0},
      ValueError("region 'r': t_start must be < t_end")),
@@ -48,8 +50,7 @@ RECORDS = [
     (powertrace.SegmentSpec(1.0, 100.0), {"duration_s": 0.0},
      ValueError("segment duration must be finite and > 0")),
     (tuner.MemoryEstimate(True, 1, 2), None, None),
-    (CONFIG, {"batch": 128},
-     ValueError("plan two_d_cnn@64 does not match config two_d_cnn@128")),
+    (CONFIG, {"iterations": 0}, ValueError("iterations must be >= 1")),
     (tuner.ConfigReport(CONFIG, True, "fits", 1.0, 2.0, 2.0), None, None),
     (tuner.AccuracyRecord("n", 64, "top-1", 50.0), {"value": 101.0},
      ValueError("accuracy must be in [0, 100], got 101.0")),

@@ -52,7 +52,7 @@ PLANS = bundled_plans()
 
 def config(network="resnet_gait", batch=64, gpus=1, device="pascal"):
     gpu_set = HETERO_TESTBED if gpus == 4 else GpuSet.homogeneous(device, gpus)
-    return TrainingConfig(network, batch, gpu_set, PLANS[(network, batch)])
+    return TrainingConfig(network, batch, gpu_set, PLANS[(network, batch)].iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +101,7 @@ def test_memory_estimate_scales_with_element_bytes():
 
 def test_config_rejects_indivisible_batch():
     with pytest.raises(IndivisibleBatchError):
-        TrainingConfig("resnet_gait", 100, GpuSet.homogeneous("pascal", 3),
-                       TrainingPlan("resnet_gait", 100, 10))
-
-
-def test_config_rejects_plan_mismatch():
-    with pytest.raises(ValueError):
-        TrainingConfig("resnet_gait", 64, GpuSet.homogeneous("pascal", 1),
-                       PLANS[("resnet_gait", 128)])
+        TrainingConfig("resnet_gait", 100, GpuSet.homogeneous("pascal", 3), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +199,8 @@ def linear_records(batches=(32, 64, 128), gpus=1):
 def test_score_falls_back_to_calibrated_models():
     recs = linear_records()
     models, _ = calibrate(recs, gpu_counts=(1,))
-    plan = TrainingPlan("two_d_cnn", 96, 1000)
-    cfg = TrainingConfig("two_d_cnn", 96, GpuSet.homogeneous("pascal", 1), plan)
-    report = score(cfg, [], PROFILES, models=models)
+    cfg = TrainingConfig("two_d_cnn", 96, GpuSet.homogeneous("pascal", 1), 1000)
+    report = score(cfg, {}, PROFILES, models=models)
     assert report.feasible
     step_s = (1e-4 * 96 + 0.002) + (3e-4 * 96 + 0.004)
     step_j = (0.05 * 96 + 0.4) + (0.11 * 96 + 0.9)
@@ -220,9 +212,8 @@ def test_score_falls_back_to_calibrated_models():
 def test_score_model_fallback_warns_on_extrapolation():
     recs = linear_records()
     models, _ = calibrate(recs, gpu_counts=(1,))
-    plan = TrainingPlan("two_d_cnn", 512, 1000)
-    cfg = TrainingConfig("two_d_cnn", 512, GpuSet.homogeneous("pascal", 1), plan)
-    report = score(cfg, [], PROFILES, models=models)
+    cfg = TrainingConfig("two_d_cnn", 512, GpuSet.homogeneous("pascal", 1), 1000)
+    report = score(cfg, {}, PROFILES, models=models)
     assert report.feasible
     assert any("outside the fitted batch range" in w for w in report.warnings)
 
@@ -233,23 +224,12 @@ def test_score_without_records_or_models_raises():
         score(cfg, {}, PROFILES)
 
 
-def test_score_accepts_record_list_or_index():
-    cfg = config("caffenet", 64, gpus=1)
-    from_list = score(cfg, bundled_measurements(), PROFILES)
-    from_index = score(cfg, RECORDS, PROFILES)
-    assert from_list.total_seconds == from_index.total_seconds
-    assert from_list.total_joules == from_index.total_joules
-
-
 # ---------------------------------------------------------------------------
 # Ranking
 # ---------------------------------------------------------------------------
 
 def pascal_reports():
-    shapes = {net: infer_shapes(builtin_network(net)) for net in
-              ("resnet_gait", "two_d_cnn", "caffenet", "resnet_im")}
-    return [score(cfg, RECORDS, PROFILES, shaped=shapes[cfg.network])
-            for cfg in bundled_grid("pascal", PLANS)]
+    return [score(cfg, RECORDS, PROFILES) for cfg in bundled_grid("pascal", PLANS)]
 
 
 def test_rank_orders_by_metric_and_records_positions():
@@ -288,8 +268,7 @@ def test_rank_drops_infeasible_and_handles_empty():
 
 def test_rank_tie_break_is_deterministic():
     def report(network, batch, gpus):
-        plan = TrainingPlan(network, batch, 10)
-        cfg = TrainingConfig(network, batch, GpuSet.homogeneous("pascal", gpus), plan)
+        cfg = TrainingConfig(network, batch, GpuSet.homogeneous("pascal", gpus), 10)
         return ConfigReport(cfg, feasible=True, total_seconds=5.0,
                             total_joules=7.0, edp_joule_seconds=35.0)
 
@@ -377,8 +356,7 @@ def test_recommend_reports_pick_lowest_edp_qualifier():
            AccuracyRecord("two_d_cnn", 128, "weighted-average", 98.0)]
 
     def report(batch, edp_value):
-        plan = TrainingPlan("two_d_cnn", batch, 10)
-        cfg = TrainingConfig("two_d_cnn", batch, GpuSet.homogeneous("pascal", 1), plan)
+        cfg = TrainingConfig("two_d_cnn", batch, GpuSet.homogeneous("pascal", 1), 10)
         return ConfigReport(cfg, feasible=True, total_seconds=1.0,
                             total_joules=edp_value, edp_joule_seconds=edp_value)
 
@@ -425,8 +403,7 @@ def recommend_args(draw):
         reports = []
         for _ in range(draw(st.integers(0, 10))):
             network, batch = draw(networks), draw(BATCHES)
-            cfg = TrainingConfig(network, batch, draw(st.sampled_from(GPU_SETS)),
-                                 TrainingPlan(network, batch, 10))
+            cfg = TrainingConfig(network, batch, draw(st.sampled_from(GPU_SETS)), 10)
             reports.append(ConfigReport(cfg, draw(st.integers(0, 3)) > 0, "why",
                                         draw(totals), draw(totals), draw(totals)))
     tolerance_pct = draw(st.sampled_from([0.0, 5.0, 10.0, 100.0]) | st.floats(0.0, 100.0))
@@ -441,7 +418,7 @@ def _outcome(call):
 
 
 def _two_d_cnn_report(batch, feasible, edp_value):
-    cfg = TrainingConfig("two_d_cnn", batch, GPU_SETS[0], TrainingPlan("two_d_cnn", batch, 10))
+    cfg = TrainingConfig("two_d_cnn", batch, GPU_SETS[0], 10)
     return ConfigReport(cfg, feasible, "why", edp_value, 1.0, edp_value)
 
 
